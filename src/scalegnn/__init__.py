@@ -34,10 +34,10 @@ from scalegnn.harness import (
     estimate_activation_memory,
     estimate_complexity,
     greedy_search,
-    measure_throughput,
 )
 from scalegnn.instrument import memory_meter, op_counter
 from scalegnn.labelprop import DiffusionConfig, correct_and_smooth, lp_iterate
+from scalegnn.nn import TrainingDiverged
 from scalegnn.synth import SyntheticSpec, generate_sbm
 from scalegnn.trainers import Dataset, dataset_from_sbm, default_config, run_trial
 
@@ -64,13 +64,13 @@ __all__ = [
     "LP_SEARCH_SPACE",
     "default_space",
     "greedy_search",
-    "measure_throughput",
     "estimate_activation_memory",
     "estimate_complexity",
     "Dataset",
     "dataset_from_sbm",
     "default_config",
     "run_trial",
+    "TrainingDiverged",
     "save_bundle",
     "load_bundle",
     "write_synthetic_bundle",

@@ -340,6 +340,7 @@ def _cmd_bench(args) -> int:
                 "method": m, "val_acc": r.val_acc, "test_acc": r.test_acc,
                 "iterations_per_second": r.iterations_per_second,
                 "mean_epoch_seconds": sum(r.epoch_seconds) / len(r.epoch_seconds),
+                "eval_seconds": r.extras["eval_seconds"],
                 "activation_bytes": r.activation_bytes,
                 "estimated_time_ops": est.time_ops,
                 "estimated_space_bytes": est.space_bytes,

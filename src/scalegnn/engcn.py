@@ -19,8 +19,9 @@ import numpy as np
 from scalegnn.graph import DataSplit, Graph, LabelVector, normalize_adjacency, spmm
 from scalegnn.instrument import memory_meter
 from scalegnn.nn import (AdamState, MLPConfig, MLPParams, accuracy, adam_step,
-                         cross_entropy, init_mlp, log_softmax_row,
-                         mlp_backward, mlp_forward, one_hot, softmax_row)
+                         cross_entropy, fit, init_mlp, log_softmax_row,
+                         mlp_backward, mlp_forward, one_hot,
+                         shuffled_batches, softmax_row)
 from scalegnn.rng import spawn_rngs
 
 
@@ -136,9 +137,11 @@ def engcn_train_stage(state: EnGCNState, phi_params: MLPParams,
                       psi_params: MLPParams, config: SLEConfig,
                       rng: np.random.Generator,
                       epoch_log: list | None = None):
-    """Mini-batch AdamW over the pseudo training set with pseudo-label
-    targets; psi trains only from stage 1 on. Appends a parameter snapshot
-    (copies of both models) and returns the live params."""
+    """Mini-batch AdamW (nn.fit) over the pseudo training set with
+    pseudo-label targets; psi trains only from stage 1 on, and rng draws
+    both the shuffles and the dropout masks. epoch_log, if given, gets one
+    dict per epoch: train_loss, val_acc, seconds, eval_seconds. Appends a
+    parameter snapshot (copies of both models) and returns the live params."""
     targets_all = state.pseudo_labels
     nodes = state.pseudo_train
     if (targets_all[nodes] < 0).any():
@@ -146,37 +149,40 @@ def engcn_train_stage(state: EnGCNState, phi_params: MLPParams,
     opt_phi = AdamState(config.learning_rate, config.weight_decay)
     opt_psi = AdamState(config.learning_rate, config.weight_decay)
     use_psi = state.stage >= 1
-    for _ in range(config.epochs_per_stage):
-        order = nodes[rng.permutation(nodes.size)]
-        losses = []
-        for start in range(0, order.size, config.batch_size):
-            batch = order[start:start + config.batch_size]
-            xb = state.x_cur[batch].astype(np.float64)
-            logits, trace_phi = mlp_forward(phi_params, config.phi, xb,
-                                            mode="train", rng=rng)
-            trace_psi = None
-            if use_psi:
-                psi_logits, trace_psi = mlp_forward(
-                    psi_params, config.psi, state.y_cur[batch],
-                    mode="train", rng=rng)
-                logits = logits + psi_logits
-            loss, grad = cross_entropy(logits, targets_all[batch])
-            losses.append(loss)
-            grads_phi, _ = mlp_backward(phi_params, config.phi, trace_phi, grad)
-            adam_step(opt_phi, phi_params.trainable(), grads_phi)
-            if use_psi:
-                grads_psi, _ = mlp_backward(psi_params, config.psi,
-                                            trace_psi, grad)
-                adam_step(opt_psi, psi_params.trainable(), grads_psi)
-        if epoch_log is not None:
-            val_acc = float("nan")
-            if state.split.val.size:
-                val_logits = engcn_stage_forward(state, phi_params,
-                                                 psi_params, config,
-                                                 state.split.val)
-                val_acc = accuracy(val_logits, state.true_labels[state.split.val])
-            epoch_log.append({"train_loss": float(np.mean(losses)),
-                              "val_acc": val_acc})
+
+    def step(batch):
+        xb = state.x_cur[batch].astype(np.float64)
+        logits, trace_phi = mlp_forward(phi_params, config.phi, xb,
+                                        mode="train", rng=rng)
+        if use_psi:
+            psi_logits, trace_psi = mlp_forward(
+                psi_params, config.psi, state.y_cur[batch],
+                mode="train", rng=rng)
+            logits = logits + psi_logits
+        loss, grad = cross_entropy(logits, targets_all[batch])
+        grads_phi, _ = mlp_backward(phi_params, config.phi, trace_phi, grad)
+        adam_step(opt_phi, phi_params.trainable(), grads_phi)
+        if use_psi:
+            grads_psi, _ = mlp_backward(psi_params, config.psi,
+                                        trace_psi, grad)
+            adam_step(opt_psi, psi_params.trainable(), grads_psi)
+        return loss
+
+    def evaluate(_):
+        val = state.split.val
+        if not val.size:
+            return float("nan")
+        logits = engcn_stage_forward(state, phi_params, psi_params, config, val)
+        return accuracy(logits, state.true_labels[val])
+
+    log = fit(config.epochs_per_stage,
+              lambda _: shuffled_batches(rng, nodes, config.batch_size), step,
+              evaluate if epoch_log is not None else None)
+    if epoch_log is not None:
+        epoch_log.extend(
+            {"train_loss": loss, "val_acc": val, "seconds": s, "eval_seconds": e}
+            for loss, val, s, e in zip(log.loss_curve, log.val_curve,
+                                       log.epoch_seconds, log.eval_seconds))
     state.snapshots.append((phi_params.copy(), psi_params.copy()))
     return phi_params, psi_params
 

@@ -1,6 +1,6 @@
 """Benchmark orchestration: greedy axis-by-axis hyperparameter search,
-throughput measurement, analytic activation-memory and complexity
-accounting, convergence curves, and the JSON/CSV artifact writers.
+analytic activation-memory and complexity accounting, convergence curves,
+and the JSON/CSV artifact writers.
 
 The greedy search walks the axes in their declared order; within an axis
 every candidate is trialed with already-searched axes fixed to their
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -118,10 +117,14 @@ LP_SEARCH_SPACE = HPSpace((
 def default_space(method: str) -> HPSpace:
     """Table-ordered search space for a method. Label-diffusion methods get
     the diffusion axes; precompute methods drop the batch-size axis (their
-    mini-batching is over precomputed rows, so the knob is not searched)."""
+    mini-batching is over precomputed rows, so the knob is not searched),
+    and sgc, a single linear layer on the hops, also drops the hidden width
+    and dropout it does not have."""
     spec = METHODS[method]
     if spec.category == "labelprop":
         return LP_SEARCH_SPACE
+    if method == "sgc":
+        return GNN_SEARCH_SPACE.without("batch_size", "dropout", "hidden_dim")
     if spec.category == "precompute":
         return GNN_SEARCH_SPACE.without("batch_size")
     return GNN_SEARCH_SPACE
@@ -263,23 +266,7 @@ def greedy_search(method: str, space: HPSpace, dataset, seed: int = 0,
                            final_val, complete)
 
 
-# ------------------------------------------------------------ measurement
-
-
-def measure_throughput(step, warmup_steps: int, timed_steps: int) -> float:
-    """Iterations per second of a zero-argument step closure, monotonic
-    clock, warmup excluded."""
-    if timed_steps < 1:
-        raise ValueError("timed_steps must be >= 1")
-    if warmup_steps < 0:
-        raise ValueError("warmup_steps must be >= 0")
-    for _ in range(warmup_steps):
-        step()
-    t0 = time.perf_counter()
-    for _ in range(timed_steps):
-        step()
-    elapsed = time.perf_counter() - t0
-    return timed_steps / max(elapsed, 1e-12)
+# ------------------------------------------------------------- estimators
 
 
 def estimate_activation_memory(method: str, b: int, r: int, L: int, D: int,

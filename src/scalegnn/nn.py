@@ -1,4 +1,5 @@
-"""Hand-rolled dense numerics: MLP forward/backward, losses, AdamW, gradcheck.
+"""Hand-rolled dense numerics: MLP forward/backward, losses, AdamW, the
+mini-batch training loop (fit), gradcheck.
 
 Everything is plain numpy. Arrays default to float64 because the gradient
 checks need double precision; large training runs can pass dtype=float32 at
@@ -12,6 +13,7 @@ last layer is a bare linear producing logits.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -306,6 +308,61 @@ def adam_step(state: AdamState, params: dict, grads: dict) -> None:
         m_hat = m / (1 - b1 ** t)
         v_hat = v / (1 - b2 ** t)
         p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+
+
+class TrainingDiverged(ValueError):
+    """A training step returned a non-finite (NaN or infinite) loss."""
+
+
+@dataclass
+class FitLog:
+    """Per epoch: mean step loss (NaN without steps), evaluate's value,
+    seconds in the steps and, timed apart, seconds in evaluate."""
+
+    loss_curve: list = field(default_factory=list)
+    val_curve: list = field(default_factory=list)
+    epoch_seconds: list = field(default_factory=list)
+    eval_seconds: list = field(default_factory=list)
+    steps: int = 0
+
+
+def shuffled_batches(rng: np.random.Generator, idx: np.ndarray, batch_size: int):
+    """One epoch of mini-batches: idx in a fresh order drawn from rng, cut
+    into consecutive chunks of batch_size (the last one may be shorter)."""
+    order = idx[rng.permutation(idx.size)]
+    for start in range(0, order.size, batch_size):
+        yield order[start:start + batch_size]
+
+
+def fit(epochs: int, batches, step, evaluate=None) -> FitLog:
+    """The mini-batch training loop of every epoch-trained method.
+
+    Each epoch runs step(batch) over batches(epoch), then evaluate(epoch)
+    if given. step returns the batch loss, or None for a batch it skipped;
+    a skipped batch is neither counted nor averaged. The caller owns the
+    batch source, the rngs and the optimizers, so its draws happen in the
+    order it writes them. A non-finite loss raises TrainingDiverged.
+    """
+    log = FitLog()
+    for epoch in range(epochs):
+        t0 = time.perf_counter()
+        losses = []
+        for batch in batches(epoch):
+            loss = step(batch)
+            if loss is None:
+                continue
+            if not np.isfinite(loss):
+                raise TrainingDiverged(f"training diverged: loss {loss} at "
+                                       f"epoch {epoch}, step {len(losses)}")
+            losses.append(loss)
+        log.epoch_seconds.append(time.perf_counter() - t0)
+        log.steps += len(losses)
+        log.loss_curve.append(float(np.mean(losses)) if losses else float("nan"))
+        if evaluate is not None:
+            t0 = time.perf_counter()
+            log.val_curve.append(evaluate(epoch))
+            log.eval_seconds.append(time.perf_counter() - t0)
+    return log
 
 
 def gradcheck(f, params: dict, tolerance: float = 1e-5, h: float = 1e-5) -> dict:

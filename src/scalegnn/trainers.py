@@ -1,13 +1,15 @@
 """End-to-end trainers behind the benchmark harness.
 
 Every registered method maps (flat config dict, dataset, seed) to a fully
-instrumented TrialResult through run_trial. Epoch-trained methods evaluate
-on the full graph once per epoch and report accuracies at the best
-validation epoch; single-shot methods (plain label diffusion, the
-correct-and-smooth pipeline, stage-wise ensembling) report their one final
-evaluation. Wall-clock fields time the training portion only; for
-precompute methods the one-off propagation cost is reported separately in
-extras["precompute_seconds"].
+instrumented TrialResult through run_trial. Epoch-trained methods run the
+one mini-batch loop, nn.fit, with their own batch source, rngs and
+optimizers; they evaluate on the full graph once per epoch and report
+accuracies at the best validation epoch. Single-shot methods (plain label
+diffusion, the correct-and-smooth pipeline, stage-wise ensembling) report
+their one final evaluation. epoch_seconds times the training steps only;
+the per-epoch evaluations are timed apart and summed in
+extras["eval_seconds"]. One-off work is in neither: for precompute methods
+the propagation cost is reported in extras["precompute_seconds"].
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from scalegnn.models import (HopFeatures, SAGNConfig, SampledGNNConfig,
                              sampled_gnn_backward, sampled_gnn_forward,
                              sgc_backward, sgc_forward, sign_backward,
                              sign_forward)
-from scalegnn.nn import (AdamState, MLPConfig, accuracy, adam_step,
-                         cross_entropy, init_mlp, mlp_backward, mlp_forward,
-                         softmax_row)
+from scalegnn.nn import (AdamState, FitLog, MLPConfig, accuracy, adam_step,
+                         cross_entropy, fit, init_mlp, mlp_backward,
+                         mlp_forward, shuffled_batches, softmax_row)
 from scalegnn.rng import spawn_rngs
 from scalegnn.samplers import (BatchPlan, layer_wise_sample, node_wise_sample,
                                partition_graph, random_walk_sample,
@@ -97,48 +99,50 @@ def default_config(method: str) -> dict:
 # ------------------------------------------------------------------ common
 
 
-def _epoch_chunks(rng, idx: np.ndarray, batch_size: int):
-    order = idx[rng.permutation(idx.size)]
-    for start in range(0, order.size, batch_size):
-        yield order[start:start + batch_size]
-
-
 def _checksum(trainable: dict) -> float:
     return float(sum(np.abs(v).sum() for v in trainable.values()))
 
 
-def _finish(method, cfg, dataset, seed, *, eval_logits_fn, loss_curve,
-            val_curve, best, epoch_seconds, steps, train_seconds, extras):
-    """Assemble the TrialResult from the per-epoch tracking state."""
+def _finish(method, cfg, dataset, seed, *, log: FitLog, best, extras):
+    """Assemble the TrialResult from the training log and the accuracies
+    to report (best epoch's or final)."""
     spec = METHODS[method]
-    b = int(cfg.get("batch_size", 0))
     est = estimate_activation_memory(
-        method, b=b, r=int(cfg.get("fanout", 0)),
+        method, b=int(cfg.get("batch_size", 0)), r=int(cfg.get("fanout", 0)),
         L=int(cfg.get("num_layers", cfg.get("num_mlp_layers", 0))),
         D=int(cfg.get("hidden_dim", dataset.feature_dim)))
-    its = steps / train_seconds if train_seconds > 0 else 0.0
-    extras = dict(extras)
-    extras.setdefault("category", spec.category)
-    extras.setdefault("batch_semantics", spec.batch_semantics)
+    train_seconds = sum(log.epoch_seconds)
+    its = log.steps / train_seconds if train_seconds > 0 else 0.0
+    extras = {**extras, "category": spec.category,
+              "batch_semantics": spec.batch_semantics,
+              "eval_seconds": float(sum(log.eval_seconds))}
     return TrialResult(
         method=method, config=dict(cfg), seed=seed,
         train_acc=best["train_acc"], val_acc=best["val_acc"],
         test_acc=best["test_acc"], best_epoch=best["epoch"],
-        loss_curve=loss_curve, val_acc_curve=val_curve,
-        epoch_seconds=epoch_seconds, iterations_per_second=its,
+        loss_curve=log.loss_curve, val_acc_curve=log.val_curve,
+        epoch_seconds=log.epoch_seconds, iterations_per_second=its,
         activation_bytes=est, extras=extras)
 
 
-def _track_best(best, epoch, logits, dataset):
+def _best_epoch(dataset, full_logits):
+    """fit's evaluate for best-epoch reporting: scores full_logits() on the
+    split, returns val accuracy, keeps the best-val epoch's accuracies."""
     split, y = dataset.split, dataset.labels.labels
-    val = accuracy(logits[split.val], y[split.val])
-    if np.isnan(val):
-        val = 0.0
-    if best["epoch"] < 0 or val > best["val_acc"]:
-        best.update(epoch=epoch, val_acc=val,
-                    train_acc=accuracy(logits[split.train], y[split.train]),
-                    test_acc=accuracy(logits[split.test], y[split.test]))
-    return val
+    best = {"epoch": -1, "val_acc": 0.0, "train_acc": 0.0, "test_acc": 0.0}
+
+    def evaluate(epoch):
+        logits = full_logits()
+        val = accuracy(logits[split.val], y[split.val])
+        if np.isnan(val):
+            val = 0.0
+        if best["epoch"] < 0 or val > best["val_acc"]:
+            best.update(epoch=epoch, val_acc=val,
+                        train_acc=accuracy(logits[split.train], y[split.train]),
+                        test_acc=accuracy(logits[split.test], y[split.test]))
+        return val
+
+    return evaluate, best
 
 
 def full_plan(a, depth: int) -> BatchPlan:
@@ -152,40 +156,42 @@ def full_plan(a, depth: int) -> BatchPlan:
 # ----------------------------------------------------------- sampled GNNs
 
 
-def _make_plan(method, cfg, dataset, a, batch, rng):
-    g = dataset.graph
-    if method == "graphsage":
-        return node_wise_sample(g, a, batch, cfg["fanout"], cfg["num_layers"], rng)
-    if method in ("fastgcn", "ladies"):
-        return layer_wise_sample(g, a, batch, cfg["fanout"], cfg["num_layers"],
-                                 method, rng)
-    raise ValueError(f"not a per-batch sampler: {method}")
-
-
-def _subgraph_nodes(method, cfg, dataset, a, rng, parts, cluster_order, step):
-    g = dataset.graph
+def _epoch_plans(method, cfg, dataset, a, parts, rng):
+    """One epoch of batch plans drawn from rng: a sampled block stack per
+    shuffled chunk of training seeds, or one induced subgraph per node set."""
+    g, L, bs = dataset.graph, int(cfg["num_layers"]), cfg["batch_size"]
     if method == "clustergcn":
-        per = max(1, int(round(cfg["batch_size"] /
-                               (dataset.num_nodes / cfg["num_clusters"]))))
-        ids = cluster_order[step * per:(step + 1) * per]
-        if ids.size == 0:
-            return None
-        return np.concatenate([parts.cluster_nodes(c) for c in ids])
+        per = max(1, int(round(bs / (dataset.num_nodes / cfg["num_clusters"]))))
+        order = rng.permutation(cfg["num_clusters"])
+        node_sets = (np.concatenate([parts.cluster_nodes(c) for c in order[s:s + per]])
+                     for s in range(0, order.size, per))
+    elif METHODS[method].category == "subgraph-wise":
+        node_sets = (_saint_nodes(method, cfg, g, a, rng)
+                     for _ in range(max(1, int(round(dataset.num_nodes / bs)))))
+    else:
+        for batch in shuffled_batches(rng, dataset.split.train, int(bs)):
+            if method == "graphsage":
+                yield node_wise_sample(g, a, batch, cfg["fanout"], L, rng)
+            else:
+                yield layer_wise_sample(g, a, batch, cfg["fanout"], L, method, rng)
+        return
+    for nodes in node_sets:
+        if nodes.size:
+            yield subgraph_batch(g, a, nodes)
+
+
+def _saint_nodes(method, cfg, g, a, rng):
+    bs = cfg["batch_size"]
     if method == "saint-node":
-        return saint_node_sample(a, cfg["batch_size"], rng)
+        return saint_node_sample(a, bs, rng)
     if method == "saint-edge":
-        return saint_edge_sample(g, max(1, cfg["batch_size"] // 2), rng)
-    if method == "saint-rw":
-        walk = cfg["walk_length"]
-        roots = max(1, cfg["batch_size"] // (walk + 1))
-        return random_walk_sample(g, roots, walk, rng)
-    raise ValueError(f"not a subgraph sampler: {method}")
+        return saint_edge_sample(g, max(1, bs // 2), rng)
+    walk = cfg["walk_length"]
+    return random_walk_sample(g, max(1, bs // (walk + 1)), walk, rng)
 
 
 def _train_sampled(method, cfg, dataset, seed):
-    spec = METHODS[method]
     g, x, y = dataset.graph, dataset.features.astype(np.float64), dataset.labels.labels
-    split = dataset.split
     a = normalize_adjacency(g, cfg["norm_kind"])
     L = int(cfg["num_layers"])
     dims = [dataset.feature_dim] + [int(cfg["hidden_dim"])] * (L - 1) + [dataset.num_classes]
@@ -194,72 +200,36 @@ def _train_sampled(method, cfg, dataset, seed):
     opt = AdamState(cfg["learning_rate"], cfg["weight_decay"])
     sample_rng, drop_rng = spawn_rngs(seed, 2)
     eval_plan = full_plan(a, L)
-    subgraph = spec.category == "subgraph-wise"
     parts = partition_graph(g, cfg["num_clusters"]) if method == "clustergcn" else None
-    loss_curve, val_curve, epoch_seconds = [], [], []
-    best = {"epoch": -1, "val_acc": 0.0, "train_acc": 0.0, "test_acc": 0.0}
-    total_steps = 0
-    train_seconds = 0.0
-    active_sizes = []
     train_set = np.zeros(dataset.num_nodes, dtype=bool)
-    train_set[split.train] = True
-    for epoch in range(int(cfg["epochs"])):
-        t0 = time.perf_counter()
-        losses = []
-        if subgraph:
-            if method == "clustergcn":
-                cluster_order = sample_rng.permutation(cfg["num_clusters"])
-                per = max(1, int(round(cfg["batch_size"] /
-                                       (dataset.num_nodes / cfg["num_clusters"]))))
-                steps = int(np.ceil(cfg["num_clusters"] / per))
-            else:
-                cluster_order = None
-                steps = max(1, int(round(dataset.num_nodes / cfg["batch_size"])))
-            for s in range(steps):
-                nodes = _subgraph_nodes(method, cfg, dataset, a, sample_rng,
-                                        parts, cluster_order, s)
-                if nodes is None or nodes.size == 0:
-                    continue
-                plan = subgraph_batch(g, a, nodes)
-                mask = train_set[plan.target_nodes]
-                if not mask.any():
-                    continue
-                logits, trace = sampled_gnn_forward(plan, x, params, model_cfg,
-                                                    mode="train", rng=drop_rng)
-                loss, grad = cross_entropy(logits[mask],
-                                           y[plan.target_nodes[mask]])
-                full_grad = np.zeros_like(logits)
-                full_grad[mask] = grad
-                grads = sampled_gnn_backward(plan, params, model_cfg, trace,
-                                             full_grad)
-                adam_step(opt, params.trainable(), grads)
-                losses.append(loss)
-                total_steps += 1
-                if epoch == 0:
-                    active_sizes.append(plan.target_nodes.size)
-        else:
-            for batch in _epoch_chunks(sample_rng, split.train, int(cfg["batch_size"])):
-                plan = _make_plan(method, cfg, dataset, a, batch, sample_rng)
-                logits, trace = sampled_gnn_forward(plan, x, params, model_cfg,
-                                                    mode="train", rng=drop_rng)
-                loss, grad = cross_entropy(logits, y[plan.target_nodes])
-                grads = sampled_gnn_backward(plan, params, model_cfg, trace, grad)
-                adam_step(opt, params.trainable(), grads)
-                losses.append(loss)
-                total_steps += 1
+    train_set[dataset.split.train] = True
+    active_sizes = []
+
+    def batches(epoch):  # (plan, training mask of its targets)
+        for plan in _epoch_plans(method, cfg, dataset, a, parts, sample_rng):
+            mask = train_set[plan.target_nodes]
+            if mask.any():
                 if epoch == 0:
                     active_sizes.append(plan.nodes(L).size)
-        train_seconds += time.perf_counter() - t0
-        epoch_seconds.append(time.perf_counter() - t0)
-        loss_curve.append(float(np.mean(losses)) if losses else float("nan"))
-        logits, _ = sampled_gnn_forward(eval_plan, x, params, model_cfg)
-        val_curve.append(_track_best(best, epoch, logits, dataset))
+                yield plan, mask
+
+    def step(batch):
+        plan, mask = batch
+        logits, trace = sampled_gnn_forward(plan, x, params, model_cfg,
+                                            mode="train", rng=drop_rng)
+        loss, grad = cross_entropy(logits[mask], y[plan.target_nodes[mask]])
+        full_grad = np.zeros_like(logits)
+        full_grad[mask] = grad
+        grads = sampled_gnn_backward(plan, params, model_cfg, trace, full_grad)
+        adam_step(opt, params.trainable(), grads)
+        return loss
+
+    evaluate, best = _best_epoch(
+        dataset, lambda: sampled_gnn_forward(eval_plan, x, params, model_cfg)[0])
+    log = fit(int(cfg["epochs"]), batches, step, evaluate)
     extras = {"active_input_nodes": float(np.mean(active_sizes)) if active_sizes else 0.0,
               "param_checksum": _checksum(params.trainable())}
-    return _finish(method, cfg, dataset, seed, eval_logits_fn=None,
-                   loss_curve=loss_curve, val_curve=val_curve, best=best,
-                   epoch_seconds=epoch_seconds, steps=total_steps,
-                   train_seconds=train_seconds, extras=extras)
+    return _finish(method, cfg, dataset, seed, log=log, best=best, extras=extras)
 
 
 # ------------------------------------------------------------- precompute
@@ -280,60 +250,51 @@ def _train_precompute(method, cfg, dataset, seed):
     t0 = time.perf_counter()
     hops = precompute_hops(a, x, K)
     precompute_seconds = time.perf_counter() - t0
-    d, c, hid = dataset.feature_dim, dataset.num_classes, int(cfg["hidden_dim"])
+    d, c = dataset.feature_dim, dataset.num_classes
     if method == "sgc":
         model_cfg = SGCConfig(K, d, c, seed=seed)
         params = init_sgc(model_cfg)
         fwd = lambda h, mode, rng: (sgc_forward(h, params, model_cfg), None)
         bwd = lambda h, tr, gr: sgc_backward(h, params, model_cfg, gr)
     elif method == "sign":
-        model_cfg = SIGNConfig(K, d, hid, c, dropout=float(cfg["dropout"]), seed=seed)
+        model_cfg = SIGNConfig(K, d, int(cfg["hidden_dim"]), c,
+                               dropout=float(cfg["dropout"]), seed=seed)
         params = init_sign(model_cfg)
         fwd = lambda h, mode, rng: sign_forward(h, params, model_cfg, mode, rng)
         bwd = lambda h, tr, gr: sign_backward(h, params, model_cfg, tr, gr)
     else:
-        model_cfg = SAGNConfig(K, d, c, mlp_hidden=[hid],
+        model_cfg = SAGNConfig(K, d, c, mlp_hidden=[int(cfg["hidden_dim"])],
                                dropout=float(cfg["dropout"]), seed=seed)
         params = init_sagn(model_cfg)
         fwd = lambda h, mode, rng: sagn_forward(h, params, model_cfg, mode, rng)
         bwd = lambda h, tr, gr: sagn_backward(h, params, model_cfg, tr, gr)
     opt = AdamState(cfg["learning_rate"], cfg["weight_decay"])
     shuffle_rng, drop_rng = spawn_rngs(seed, 2)
-    loss_curve, val_curve, epoch_seconds = [], [], []
-    best = {"epoch": -1, "val_acc": 0.0, "train_acc": 0.0, "test_acc": 0.0}
-    total_steps = 0
-    train_seconds = 0.0
-    for epoch in range(int(cfg["epochs"])):
-        t0 = time.perf_counter()
-        losses = []
-        for batch in _epoch_chunks(shuffle_rng, split.train, int(cfg["batch_size"])):
-            sub = _subset_hops(hops, batch)
-            logits, trace = fwd(sub, "train", drop_rng)
-            loss, grad = cross_entropy(logits, y[batch])
-            grads = bwd(sub, trace, grad)
-            adam_step(opt, params.trainable(), grads)
-            losses.append(loss)
-            total_steps += 1
-        train_seconds += time.perf_counter() - t0
-        epoch_seconds.append(time.perf_counter() - t0)
-        loss_curve.append(float(np.mean(losses)) if losses else float("nan"))
-        logits, _ = fwd(hops, "eval", None)
-        val_curve.append(_track_best(best, epoch, logits, dataset))
+
+    def step(batch):
+        sub = _subset_hops(hops, batch)
+        logits, trace = fwd(sub, "train", drop_rng)
+        loss, grad = cross_entropy(logits, y[batch])
+        grads = bwd(sub, trace, grad)
+        adam_step(opt, params.trainable(), grads)
+        return loss
+
+    evaluate, best = _best_epoch(dataset, lambda: fwd(hops, "eval", None)[0])
+    batches = lambda _: shuffled_batches(shuffle_rng, split.train, int(cfg["batch_size"]))
+    log = fit(int(cfg["epochs"]), batches, step, evaluate)
     hops.release()
     extras = {"active_input_nodes": float(min(int(cfg["batch_size"]), split.train.size)),
               "precompute_seconds": precompute_seconds,
               "param_checksum": _checksum(params.trainable())}
-    return _finish(method, cfg, dataset, seed, eval_logits_fn=None,
-                   loss_curve=loss_curve, val_curve=val_curve, best=best,
-                   epoch_seconds=epoch_seconds, steps=total_steps,
-                   train_seconds=train_seconds, extras=extras)
+    return _finish(method, cfg, dataset, seed, log=log, best=best, extras=extras)
 
 
 # -------------------------------------------------------- label diffusion
 
 
 def _train_mlp_base(cfg, dataset, seed):
-    """Plain feature MLP used by the residual diffusion pipeline."""
+    """Plain feature MLP used by the residual diffusion pipeline. Returns
+    (params, final full-graph logits, training log)."""
     x = dataset.features.astype(np.float64)
     y = dataset.labels.labels
     split = dataset.split
@@ -343,25 +304,23 @@ def _train_mlp_base(cfg, dataset, seed):
     params = init_mlp(mlp_cfg)
     opt = AdamState(cfg["learning_rate"], cfg["weight_decay"])
     shuffle_rng, drop_rng = spawn_rngs(seed, 2)
-    loss_curve, val_curve = [], []
-    steps = 0
-    t0 = time.perf_counter()
-    for _ in range(int(cfg["epochs"])):
-        losses = []
-        for batch in _epoch_chunks(shuffle_rng, split.train, int(cfg["batch_size"])):
-            logits, trace = mlp_forward(params, mlp_cfg, x[batch], mode="train",
-                                        rng=drop_rng)
-            loss, grad = cross_entropy(logits, y[batch])
-            grads, _ = mlp_backward(params, mlp_cfg, trace, grad)
-            adam_step(opt, params.trainable(), grads)
-            losses.append(loss)
-            steps += 1
-        loss_curve.append(float(np.mean(losses)) if losses else float("nan"))
+
+    def step(batch):
+        logits, trace = mlp_forward(params, mlp_cfg, x[batch], mode="train",
+                                    rng=drop_rng)
+        loss, grad = cross_entropy(logits, y[batch])
+        grads, _ = mlp_backward(params, mlp_cfg, trace, grad)
+        adam_step(opt, params.trainable(), grads)
+        return loss
+
+    def evaluate(_):
         logits, _ = mlp_forward(params, mlp_cfg, x, mode="eval")
-        val_curve.append(accuracy(logits[split.val], y[split.val]))
-    train_seconds = time.perf_counter() - t0
+        return accuracy(logits[split.val], y[split.val])
+
+    batches = lambda _: shuffled_batches(shuffle_rng, split.train, int(cfg["batch_size"]))
+    log = fit(int(cfg["epochs"]), batches, step, evaluate)
     logits, _ = mlp_forward(params, mlp_cfg, x, mode="eval")
-    return params, logits, loss_curve, val_curve, steps, train_seconds
+    return params, logits, log
 
 
 def _train_labelprop(method, cfg, dataset, seed):
@@ -376,38 +335,31 @@ def _train_labelprop(method, cfg, dataset, seed):
     a = normalize_adjacency(dataset.graph, diff.norm_kind)
     extras = {}
     if diff.diffusion_type == "zeros":
-        g0, cur = build_zeros_source(y, split)
-        loss_curve, val_curve = [], []
-        t0 = time.perf_counter()
-        labels_arr = y.labels
-        for _ in range(max(diff.num_propagations, 1)):
-            nxt = lp_iterate(a, cur, g0, diff.alpha, 1, tol=0.0) \
-                if diff.num_propagations else cur
-            loss_curve.append(float(np.max(np.abs(nxt - cur))))
-            cur = nxt
-            val_curve.append(accuracy(cur[split.val], labels_arr[split.val]))
-        train_seconds = time.perf_counter() - t0
-        scores = cur
-        steps = len(loss_curve)
+        # one propagation step per epoch; the "loss" is the step's max change
+        g0, scores = build_zeros_source(y, split)
+
+        def step(_):
+            nonlocal scores
+            prev, scores = scores, lp_iterate(a, scores, g0, diff.alpha, 1, tol=0.0) \
+                if diff.num_propagations else scores
+            return float(np.max(np.abs(scores - prev)))
+
+        log = fit(max(diff.num_propagations, 1), lambda _: (None,), step,
+                  lambda _: accuracy(scores[split.val], y.labels[split.val]))
         extras["param_checksum"] = 0.0
     else:
-        params, base_logits, loss_curve, val_curve, steps, train_seconds = \
-            _train_mlp_base(cfg, dataset, seed)
+        params, base_logits, log = _train_mlp_base(cfg, dataset, seed)
         z = softmax_row(base_logits)
         scores = correct_and_smooth(a, z, y, split, diff)
         extras["base_val_acc"] = accuracy(base_logits[split.val],
                                           y.labels[split.val])
         extras["param_checksum"] = _checksum(params.trainable())
     labels_arr = y.labels
-    best = {"epoch": len(val_curve) - 1,
+    best = {"epoch": len(log.val_curve) - 1,
             "val_acc": accuracy(scores[split.val], labels_arr[split.val]),
             "train_acc": accuracy(scores[split.train], labels_arr[split.train]),
             "test_acc": accuracy(scores[split.test], labels_arr[split.test])}
-    n_ep = len(loss_curve)
-    return _finish(method, cfg, dataset, seed, eval_logits_fn=None,
-                   loss_curve=loss_curve, val_curve=val_curve, best=best,
-                   epoch_seconds=[train_seconds / n_ep] * n_ep,
-                   steps=steps, train_seconds=train_seconds, extras=extras)
+    return _finish(method, cfg, dataset, seed, log=log, best=best, extras=extras)
 
 
 # --------------------------------------------------------------- stagewise
@@ -426,34 +378,29 @@ def _train_engcn(method, cfg, dataset, seed):
                     weight_decay=float(cfg["weight_decay"]),
                     warm_start=bool(cfg["warm_start"]),
                     norm_kind=str(cfg["norm_kind"]), seed=seed)
-    t0 = time.perf_counter()
     votes, metrics = engcn_run(dataset.features, dataset.graph, dataset.labels,
                                dataset.split, sle)
-    train_seconds = time.perf_counter() - t0
-    loss_curve = [e["train_loss"] for log in metrics["epoch_curves"] for e in log]
-    val_curve = [e["val_acc"] for log in metrics["epoch_curves"] for e in log]
-    if not loss_curve:  # zero-epoch stages: fall back to per-stage metrics
-        loss_curve = [0.0] * len(metrics["stage_val_acc"])
-        val_curve = list(metrics["stage_val_acc"])
+    epochs = [e for stage_log in metrics["epoch_curves"] for e in stage_log]
+    if not epochs:  # zero-epoch stages: one row of per-stage metrics each
+        epochs = [{"train_loss": 0.0, "val_acc": v, "seconds": 0.0, "eval_seconds": 0.0}
+                  for v in metrics["stage_val_acc"]]
+    steps = sum(int(np.ceil(s / sle.batch_size)) * sle.epochs_per_stage
+                for s in metrics["pseudo_sizes"])
+    log = FitLog([e["train_loss"] for e in epochs], [e["val_acc"] for e in epochs],
+                 [e["seconds"] for e in epochs], [e["eval_seconds"] for e in epochs],
+                 steps)
     y, split = dataset.labels.labels, dataset.split
-    best = {"epoch": int(np.argmax(val_curve)),
+    best = {"epoch": int(np.argmax(log.val_curve)),
             "val_acc": metrics["vote_val_acc"],
             "train_acc": float((votes[split.train] == y[split.train]).mean()),
             "test_acc": metrics["vote_test_acc"]}
-    stages = sle.num_stages + 1
-    steps = sum(int(np.ceil(s / sle.batch_size)) * sle.epochs_per_stage
-                for s in metrics["pseudo_sizes"])
-    n_ep = max(len(loss_curve), 1)
     extras = {"stage_val_acc": metrics["stage_val_acc"],
               "stage_test_acc": metrics["stage_test_acc"],
               "pseudo_sizes": metrics["pseudo_sizes"],
               "final_pseudo_size": metrics["final_pseudo_size"],
               "active_input_nodes": float(np.mean(metrics["pseudo_sizes"])),
               "param_checksum": 0.0}
-    return _finish(method, cfg, dataset, seed, eval_logits_fn=None,
-                   loss_curve=loss_curve, val_curve=val_curve, best=best,
-                   epoch_seconds=[train_seconds / n_ep] * n_ep,
-                   steps=steps, train_seconds=train_seconds, extras=extras)
+    return _finish(method, cfg, dataset, seed, log=log, best=best, extras=extras)
 
 
 # ----------------------------------------------------------------- public
@@ -497,4 +444,5 @@ def run_trial(method: str, config: dict, dataset: Dataset, seed: int = 0,
     if not instrument:
         result.epoch_seconds = [0.0] * len(result.epoch_seconds)
         result.iterations_per_second = 0.0
+        result.extras["eval_seconds"] = 0.0
     return result

@@ -166,7 +166,7 @@ class TestHpsearch:
     def test_budget_flags_incomplete(self, bundle, tmp_path):
         out = tmp_path / "search"
         rc = main(["hpsearch", "--method", "sgc", "--bundle", str(bundle),
-                   "--out", str(out), "--axes", "learning_rate,hidden_dim",
+                   "--out", str(out), "--axes", "learning_rate,weight_decay",
                    "--budget", "2", "--hp", "epochs=5", "--allow-custom"])
         assert rc == 0
         log = json.loads((out / "search_log.json").read_text())

@@ -1,8 +1,7 @@
-"""Benchmark harness: search spaces, greedy search mechanics, throughput
-measurement, cost estimators, convergence records, artifact writers."""
+"""Benchmark harness: search spaces, greedy search mechanics, cost
+estimators, convergence records, artifact writers."""
 
 import json
-import time
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from scalegnn.harness import (GNN_SEARCH_SPACE, LP_SEARCH_SPACE, METHODS,
                               GreedySearchLog, HPSpace, TrialResult,
                               default_space, estimate_activation_memory,
                               estimate_complexity, greedy_search,
-                              measure_throughput, read_trials_jsonl,
+                              read_trials_jsonl,
                               record_convergence, write_bench_report,
                               write_curves, write_search_log,
                               write_trials_jsonl)
@@ -186,36 +185,6 @@ class TestGreedySearch:
         assert d["schema_version"] == 1
         assert d["trial_count"] == 5
         assert [v["axis"] for v in d["axis_visits"]] == ["alpha", "beta"]
-
-
-class TestThroughput:
-    def test_sleep_oracle(self):
-        ips = measure_throughput(lambda: time.sleep(0.005),
-                                 warmup_steps=2, timed_steps=20)
-        assert 100.0 <= ips <= 220.0  # nominal 200/s minus timer overhead
-
-    def test_more_steps_stabilizes(self):
-        a = measure_throughput(lambda: time.sleep(0.002), 2, 25)
-        b = measure_throughput(lambda: time.sleep(0.002), 2, 50)
-        assert abs(a - b) / b < 0.25
-
-    def test_warmup_hides_one_time_cost(self):
-        state = {"first": True}
-
-        def step():
-            if state["first"]:
-                state["first"] = False
-                time.sleep(0.05)
-            time.sleep(0.001)
-
-        ips = measure_throughput(step, warmup_steps=1, timed_steps=20)
-        assert ips > 300.0  # the 50 ms spike landed in warmup
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            measure_throughput(lambda: None, 0, 0)
-        with pytest.raises(ValueError):
-            measure_throughput(lambda: None, -1, 5)
 
 
 class TestActivationMemory:

@@ -7,15 +7,18 @@ from scalegnn.nn import (
     AdamState,
     MLPConfig,
     MLPParams,
+    TrainingDiverged,
     adam_step,
     accuracy,
     cross_entropy,
+    fit,
     gradcheck,
     init_mlp,
     log_softmax_row,
     mlp_backward,
     mlp_forward,
     one_hot,
+    shuffled_batches,
     softmax_row,
 )
 from scalegnn.rng import make_rng
@@ -278,3 +281,50 @@ def test_accuracy_tie_breaks_low_index():
     logits = np.array([[1.0, 1.0, 0.0]])
     assert accuracy(logits, np.array([0])) == 1.0
     assert accuracy(logits, np.array([1])) == 0.0
+
+
+class TestFit:
+    def test_none_step_is_neither_counted_nor_averaged(self):
+        losses = {1: 2.0, 2: None, 3: 4.0}
+        log = fit(1, lambda _: [1, 2, 3], losses.get)
+        assert log.steps == 2
+        assert log.loss_curve == [3.0]
+
+    def test_epoch_without_steps_logs_nan(self):
+        log = fit(2, lambda epoch: [] if epoch == 0 else [0], lambda _: 1.5)
+        assert np.isnan(log.loss_curve[0]) and log.loss_curve[1] == 1.5
+        assert log.steps == 1
+        assert len(log.epoch_seconds) == 2
+
+    def test_evaluate_runs_once_per_epoch_after_its_steps(self):
+        events = []
+
+        def step(batch):
+            events.append(("step", batch))
+            return 0.0
+
+        def evaluate(epoch):
+            events.append(("eval", epoch))
+            return float(epoch)
+
+        log = fit(2, lambda epoch: [f"{epoch}a", f"{epoch}b"], step, evaluate)
+        assert events == [("step", "0a"), ("step", "0b"), ("eval", 0),
+                          ("step", "1a"), ("step", "1b"), ("eval", 1)]
+        assert log.val_curve == [0.0, 1.0]
+        assert len(log.eval_seconds) == 2
+
+    def test_no_evaluate_leaves_val_curve_empty(self):
+        log = fit(3, lambda _: [0], lambda _: 1.0)
+        assert log.loss_curve == [1.0] * 3 and log.val_curve == []
+
+    def test_nonfinite_loss_raises_training_diverged(self):
+        losses = iter([1.0, 1.0, 1.0, float("nan")])
+        with pytest.raises(TrainingDiverged, match="epoch 1, step 1"):
+            fit(2, lambda _: [0, 1], lambda _: next(losses))
+        assert issubclass(TrainingDiverged, ValueError)
+
+    def test_shuffled_batches_cover_each_index_once(self):
+        idx = np.arange(10, 20)
+        chunks = list(shuffled_batches(make_rng(0), idx, 4))
+        assert [c.size for c in chunks] == [4, 4, 2]
+        assert np.array_equal(np.sort(np.concatenate(chunks)), idx)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from scalegnn.graph import normalize_adjacency
-from scalegnn.harness import METHODS, estimate_activation_memory
+from scalegnn.harness import (METHODS, default_space,
+                              estimate_activation_memory)
 from scalegnn.models import precompute_hops
 from scalegnn.synth import SyntheticSpec
 from scalegnn.trainers import (Dataset, _subset_hops, dataset_from_sbm,
@@ -169,6 +170,24 @@ class TestTrialSemantics:
     def test_precompute_timing_split_out(self, dataset):
         r = run_trial("sign", SMOKE_CONFIGS["sign"], dataset, seed=0)
         assert r.extras["precompute_seconds"] >= 0.0
+
+    def test_evaluation_timed_apart_from_training(self, dataset):
+        r = run_trial("sign", SMOKE_CONFIGS["sign"], dataset, seed=0)
+        assert r.extras["eval_seconds"] > 0.0
+        assert len(r.epoch_seconds) == SMOKE_CONFIGS["sign"]["epochs"]
+
+
+def test_sgc_space_names_no_axis_its_trainer_ignores(dataset):
+    space = default_space("sgc")
+    base = run_trial("sgc", {}, dataset, seed=0).extras["param_checksum"]
+    for axis in space.axes:
+        other = next(c for c in axis.candidates if c != axis.default)
+        r = run_trial("sgc", {axis.name: other}, dataset, seed=0)
+        assert r.extras["param_checksum"] != base, axis.name
+    # the knobs left out are ones sgc's trainer never reads
+    ignored = run_trial("sgc", {"dropout": 0.7, "hidden_dim": 512}, dataset,
+                        seed=0)
+    assert ignored.extras["param_checksum"] == base
 
 
 class TestLabelDiffusionTrainer:
