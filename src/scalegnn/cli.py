@@ -324,10 +324,11 @@ def _cmd_bench(args) -> int:
     rows = []
     with DirectoryLock(out):
         for m in methods:
-            cfg = {k: v for k, v in hp.items() if k in default_config(m)}
-            cfg["epochs"] = int(options["epochs"])
-            r = run_trial(m, cfg, dataset, seed=int(options["seed"]))
             merged = default_config(m)
+            cfg = {k: v for k, v in hp.items() if k in merged}
+            if "epochs" in merged:  # lp propagates, it has no epochs knob
+                cfg["epochs"] = int(options["epochs"])
+            r = run_trial(m, cfg, dataset, seed=int(options["seed"]))
             merged.update(cfg)
             est = estimate_complexity(
                 m, b=int(merged.get("batch_size", 0)),

@@ -8,7 +8,9 @@ winners and unsearched axes at their defaults, so the total trial count is
 the sum of candidate-list lengths, not their product. Trials are
 deterministic per seed, which makes the winner chain exact: each axis's
 candidate set contains the incumbent value, so the final config's
-validation accuracy can never fall below any logged trial.
+validation accuracy can never fall below any logged trial. It also means
+a config seen before (the incumbent, on every axis after the first) is run
+once: its earlier result is logged again rather than recomputed.
 """
 
 from __future__ import annotations
@@ -105,7 +107,6 @@ GNN_SEARCH_SPACE = HPSpace((
 ))
 
 LP_SEARCH_SPACE = HPSpace((
-    Axis("diffusion_type", ("residual", "zeros"), "residual"),
     Axis("num_propagations", (2, 20, 50), 20),
     Axis("alpha", (0.5, 0.75, 0.9, 0.99), 0.75),
     Axis("norm_kind", ("row", "col", "sym"), "sym"),
@@ -115,12 +116,15 @@ LP_SEARCH_SPACE = HPSpace((
 
 
 def default_space(method: str) -> HPSpace:
-    """Table-ordered search space for a method. Label-diffusion methods get
-    the diffusion axes; precompute methods drop the batch-size axis (their
-    mini-batching is over precomputed rows, so the knob is not searched),
-    and sgc, a single linear layer on the hops, also drops the hidden width
-    and dropout it does not have."""
+    """Table-ordered search space for a method. cs gets the diffusion axes
+    and its base MLP's depth; lp, plain label propagation, has no base MLP
+    and so drops autoscale and the depth. Precompute methods drop the
+    batch-size axis (their mini-batching is over precomputed rows, so the
+    knob is not searched), and sgc, a single linear layer on the hops, also
+    drops the hidden width and dropout it does not have."""
     spec = METHODS[method]
+    if method == "lp":
+        return LP_SEARCH_SPACE.without("autoscale", "num_mlp_layers")
     if spec.category == "labelprop":
         return LP_SEARCH_SPACE
     if method == "sgc":
@@ -236,6 +240,7 @@ def greedy_search(method: str, space: HPSpace, dataset, seed: int = 0,
     base.update(space.defaults())
     chosen: dict = {}
     visits, trials = [], []
+    seen: dict = {}  # repr of a config -> its TrialResult
     complete = True
     final_val = float("nan")
     for axis in space.axes:
@@ -247,7 +252,10 @@ def greedy_search(method: str, space: HPSpace, dataset, seed: int = 0,
             cfg = dict(base)
             cfg.update(chosen)
             cfg[axis.name] = cand
-            res = runner(method, cfg, dataset, seed, repeats=repeats)
+            key = repr(sorted(cfg.items()))
+            if key not in seen:
+                seen[key] = runner(method, cfg, dataset, seed, repeats=repeats)
+            res = seen[key]
             results.append(res)
             trials.append(res)
         if not results:

@@ -22,18 +22,13 @@ from scalegnn.nn import one_hot
 class DiffusionConfig:
     alpha: float
     num_propagations: int
-    diffusion_type: str = "residual"  # "zeros" | "residual"
     autoscale: bool = True
-    norm_kind: str = "sym"
-    num_mlp_layers: int = 2
 
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError("alpha must be in [0, 1)")
         if self.num_propagations < 0:
             raise ValueError("num_propagations must be >= 0")
-        if self.diffusion_type not in ("zeros", "residual"):
-            raise ValueError(f"unknown diffusion type {self.diffusion_type!r}")
 
 
 def lp_iterate(a: NormalizedAdjacency, y0: np.ndarray, g: np.ndarray,
@@ -98,15 +93,17 @@ def autoscale(e_hat: np.ndarray, train_errors: np.ndarray,
 def correct_and_smooth(a: NormalizedAdjacency, z: np.ndarray,
                        labels: LabelVector, split: DataSplit,
                        config: DiffusionConfig, tol: float = 1e-9) -> np.ndarray:
-    """Correct: add the propagated training-residual to the base scores.
-    Smooth: clamp training rows to one-hot and diffuse. Returns class scores."""
+    """Correct & Smooth (Huang et al., arXiv 2010.13993). Correct: subtract
+    the propagated training residual Z - Y from the base scores, which adds
+    the propagated Y - Z as published (propagation is linear and autoscale
+    only rescales rows by their L1 norm). Smooth: clamp training rows to
+    one-hot and diffuse. Returns class scores."""
     z = np.asarray(z, dtype=np.float64)
     e_hat = residual_error_iterate(a, z, labels, split, config.alpha,
                                    config.num_propagations, tol=tol)
     if config.autoscale:
         truth = one_hot(labels.labels[split.train], labels.num_classes)
         e_hat = autoscale(e_hat, z[split.train] - truth, split.train)
-    corrected = z + e_hat
-    g = corrected.copy()
+    g = z - e_hat
     g[split.train] = one_hot(labels.labels[split.train], labels.num_classes)
     return lp_iterate(a, g, g, config.alpha, config.num_propagations, tol=tol)

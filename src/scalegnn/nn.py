@@ -112,9 +112,9 @@ def init_mlp(config: MLPConfig, dtype=np.float64) -> MLPParams:
     return params
 
 
-def _activate(z: np.ndarray, config: MLPConfig) -> np.ndarray:
+def _activate(z: np.ndarray, config: MLPConfig, inplace: bool = False) -> np.ndarray:
     if config.activation == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z if inplace else None)
     return np.where(z > 0, z, config.leaky_slope * z)
 
 
@@ -146,11 +146,10 @@ def mlp_forward(params: MLPParams, config: MLPConfig, x: np.ndarray, mode: str =
     for l in range(n_layers):
         if train:
             trace.inputs.append(h)
-        z = h @ params.weights[l] + params.biases[l]
-        last = l == n_layers - 1
-        if last:
-            h = z
-            break
+        z = h @ params.weights[l]
+        z += params.biases[l]  # no bias-add temporary
+        if l == n_layers - 1:
+            return z, trace
         if config.use_batchnorm:
             if train:
                 mean = z.mean(axis=0)
@@ -176,17 +175,21 @@ def mlp_forward(params: MLPParams, config: MLPConfig, x: np.ndarray, mode: str =
                 trace.pre_bn.append(None)
                 trace.bn_xhat.append(None)
                 trace.bn_inv_std.append(None)
-        if train:
-            trace.pre_act.append(a_in)
+        if not train:
+            # eval keeps nothing it does not return: activate in place and
+            # drop this layer's batchnorm intermediates before the next matmul
+            h = _activate(a_in, config, inplace=True)
+            z = xhat = a_in = None
+            continue
+        trace.pre_act.append(a_in)
         h = _activate(a_in, config)
-        if train and config.dropout_rate > 0:
+        if config.dropout_rate > 0:
             keep = 1.0 - config.dropout_rate
             mask = (rng.random(h.shape) < keep).astype(h.dtype) / keep
             h = h * mask
             trace.dropout_masks.append(mask)
-        elif train:
+        else:
             trace.dropout_masks.append(None)
-    return h, trace
 
 
 def mlp_backward(params: MLPParams, config: MLPConfig, trace: ForwardTrace,

@@ -15,7 +15,7 @@ not (their realized inclusion probabilities drift from Q*p for skewed p).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,35 +50,6 @@ class BatchPlan:
             return np.full(lower.size, -1, dtype=np.int64)
         pos = np.clip(np.searchsorted(upper, lower), 0, upper.size - 1)
         return np.where(upper[pos] == lower, pos, -1).astype(np.int64)
-
-
-@dataclass
-class SamplerConfig:
-    kind: str
-    fanout: int = 0
-    batch_size: int = 0
-    walk_length: int = 0
-    num_roots: int = 0
-    num_clusters: int = 0
-    clusters_per_batch: int = 0
-    seed: int = 0
-
-    _REQUIRED = {
-        "node_wise": ("fanout", "batch_size"),
-        "fastgcn": ("fanout", "batch_size"),
-        "ladies": ("fanout", "batch_size"),
-        "saint_node": ("batch_size",),
-        "saint_edge": ("batch_size",),
-        "saint_rw": ("num_roots", "walk_length"),
-        "cluster": ("num_clusters", "clusters_per_batch"),
-    }
-
-    def __post_init__(self):
-        if self.kind not in self._REQUIRED:
-            raise ValueError(f"unknown sampler kind {self.kind!r}")
-        for name in self._REQUIRED[self.kind]:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"sampler {self.kind!r} needs positive {name}")
 
 
 @dataclass

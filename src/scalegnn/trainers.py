@@ -78,10 +78,10 @@ def default_config(method: str) -> dict:
                          f"{sorted(METHODS)}")
     spec = METHODS[method]
     cfg = default_space(method).defaults()
-    if spec.category == "labelprop":
-        # base-predictor knobs for the residual pipeline
+    if method == "cs":  # the base MLP's knobs
         cfg.update(hidden_dim=64, learning_rate=0.01, weight_decay=0.0,
                    dropout=0.0, epochs=30, batch_size=512)
+    if spec.category == "labelprop":
         return cfg
     cfg.setdefault("batch_size", 1000)  # precompute: knob exists, not searched
     cfg["norm_kind"] = "sym"
@@ -293,11 +293,12 @@ def _train_precompute(method, cfg, dataset, seed):
 
 
 def _train_mlp_base(cfg, dataset, seed):
-    """Plain feature MLP used by the residual diffusion pipeline. Returns
+    """Plain feature MLP, the base predictor of correct-and-smooth. Returns
     (params, final full-graph logits, training log)."""
     x = dataset.features.astype(np.float64)
     y = dataset.labels.labels
     split = dataset.split
+    x_val, y_val = x[split.val], y[split.val]
     depth = int(cfg["num_mlp_layers"])
     dims = [dataset.feature_dim] + [int(cfg["hidden_dim"])] * (depth - 1) + [dataset.num_classes]
     mlp_cfg = MLPConfig(dims, dropout_rate=float(cfg["dropout"]), seed=seed)
@@ -313,9 +314,8 @@ def _train_mlp_base(cfg, dataset, seed):
         adam_step(opt, params.trainable(), grads)
         return loss
 
-    def evaluate(_):
-        logits, _ = mlp_forward(params, mlp_cfg, x, mode="eval")
-        return accuracy(logits[split.val], y[split.val])
+    def evaluate(_):  # per-epoch val accuracy needs only the val rows
+        return accuracy(mlp_forward(params, mlp_cfg, x_val, mode="eval")[0], y_val)
 
     batches = lambda _: shuffled_batches(shuffle_rng, split.train, int(cfg["batch_size"]))
     log = fit(int(cfg["epochs"]), batches, step, evaluate)
@@ -324,17 +324,16 @@ def _train_mlp_base(cfg, dataset, seed):
 
 
 def _train_labelprop(method, cfg, dataset, seed):
+    """lp: label propagation from the one-hot training labels. cs: a base
+    MLP, then correct-and-smooth of its softmax scores."""
     y = dataset.labels
     split = dataset.split
     diff = DiffusionConfig(alpha=float(cfg["alpha"]),
                            num_propagations=int(cfg["num_propagations"]),
-                           diffusion_type=str(cfg["diffusion_type"]),
-                           autoscale=bool(cfg["autoscale"]),
-                           norm_kind=str(cfg["norm_kind"]),
-                           num_mlp_layers=int(cfg["num_mlp_layers"]))
-    a = normalize_adjacency(dataset.graph, diff.norm_kind)
+                           autoscale=method == "cs" and bool(cfg["autoscale"]))
+    a = normalize_adjacency(dataset.graph, str(cfg["norm_kind"]))
     extras = {}
-    if diff.diffusion_type == "zeros":
+    if method == "lp":
         # one propagation step per epoch; the "loss" is the step's max change
         g0, scores = build_zeros_source(y, split)
 

@@ -156,7 +156,7 @@ class TestHpsearch:
         out = tmp_path / "search"
         rc = main(["hpsearch", "--method", "lp", "--bundle", str(bundle),
                    "--out", str(out), "--axes", "alpha,num_propagations",
-                   "--hp", "epochs=5", "--allow-custom"])
+                   "--allow-custom"])
         assert rc == 0
         log = json.loads((out / "search_log.json").read_text())
         assert log["trial_count"] == 4 + 3  # sum over axes, not product

@@ -77,7 +77,6 @@ class TestSearchSpaces:
 
     def test_lp_axis_candidates(self):
         by = {a.name: list(a.candidates) for a in LP_SEARCH_SPACE.axes}
-        assert by["diffusion_type"] == ["residual", "zeros"]
         assert by["num_propagations"] == [2, 20, 50]
         assert by["alpha"] == [0.5, 0.75, 0.9, 0.99]
         assert by["norm_kind"] == ["row", "col", "sym"]
@@ -86,7 +85,7 @@ class TestSearchSpaces:
 
     def test_lp_defaults(self):
         assert LP_SEARCH_SPACE.defaults() == {
-            "diffusion_type": "residual", "num_propagations": 20,
+            "num_propagations": 20,
             "alpha": 0.75, "norm_kind": "sym", "autoscale": True,
             "num_mlp_layers": 2}
 
@@ -101,8 +100,12 @@ class TestSearchSpaces:
             assert "batch_size" in default_space(m).axis_names()
 
     def test_labelprop_space(self):
-        for m in ("lp", "cs"):
-            assert default_space(m).axis_names() == LP_SEARCH_SPACE.axis_names()
+        assert default_space("cs").axis_names() == [
+            "num_propagations", "alpha", "norm_kind", "autoscale",
+            "num_mlp_layers"]
+        # plain label propagation has no base MLP to autoscale or deepen
+        assert default_space("lp").axis_names() == [
+            "num_propagations", "alpha", "norm_kind"]
 
     def test_axis_default_must_be_candidate(self):
         with pytest.raises(ValueError):
@@ -127,7 +130,16 @@ class TestGreedySearch:
         runner = make_stub_runner(lambda c: 0.5)
         log = greedy_search("sgc", self.space(), tiny_dataset, runner=runner)
         assert log.trial_count == 5  # 3 + 2, not 3 * 2
-        assert len(runner.calls) == 5
+        # the incumbent (alpha 1, beta 10) is logged on both axes, run once
+        assert len(runner.calls) == 4
+
+    def test_repeated_config_reuses_earlier_result(self, tiny_dataset):
+        runner = make_stub_runner(lambda c: 0.9 if c["alpha"] == 2 else 0.1)
+        log = greedy_search("sgc", self.space(), tiny_dataset, runner=runner)
+        alpha_visit, beta_visit = log.axis_visits
+        assert beta_visit.results[0] is alpha_visit.results[1]
+        assert [(c["alpha"], c["beta"]) for c in runner.calls] == [
+            (1, 10), (2, 10), (3, 10), (2, 20)]
 
     def test_ties_pick_earlier_candidate(self, tiny_dataset):
         runner = make_stub_runner(lambda c: 0.5)
@@ -139,9 +151,9 @@ class TestGreedySearch:
         runner = make_stub_runner(lambda c: 0.9 if c["alpha"] == 3 else 0.1)
         log = greedy_search("sgc", self.space(), tiny_dataset, runner=runner)
         assert log.final_config["alpha"] == 3
-        # both beta trials ran with the winning alpha held fixed
-        beta_calls = runner.calls[3:]
-        assert all(c["alpha"] == 3 for c in beta_calls)
+        # both beta trials are logged with the winning alpha held fixed
+        beta_trials = log.axis_visits[1].results
+        assert [t.config["alpha"] for t in beta_trials] == [3, 3]
 
     def test_final_val_acc_bounds_all_trials(self, tiny_dataset):
         runner = make_stub_runner(

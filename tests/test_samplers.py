@@ -7,7 +7,6 @@ from scalegnn.graph import build_graph, normalize_adjacency
 from scalegnn.rng import make_rng
 from scalegnn.samplers import (
     BatchPlan,
-    SamplerConfig,
     fastgcn_layer_probs,
     layer_wise_sample,
     node_wise_sample,
@@ -330,14 +329,6 @@ def test_subgraph_batch_renormalizes():
     np.fill_diagonal(sub, 1.0)
     sub = sub / sub.sum(axis=1, keepdims=True)
     assert np.max(np.abs(plan.block(0).toarray() - sub)) < 1e-12
-
-
-def test_sampler_config_validation():
-    SamplerConfig("node_wise", fanout=5, batch_size=10)
-    with pytest.raises(ValueError, match="fanout"):
-        SamplerConfig("node_wise", batch_size=10)
-    with pytest.raises(ValueError, match="unknown"):
-        SamplerConfig("metropolis")
 
 
 def test_plan_self_positions():

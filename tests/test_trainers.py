@@ -23,7 +23,7 @@ SMOKE_CONFIGS = {
     "sgc": dict(epochs=25, batch_size=64),
     "sign": dict(epochs=20, hidden_dim=32, batch_size=64),
     "sagn": dict(epochs=20, hidden_dim=32, batch_size=64),
-    "lp": dict(diffusion_type="zeros", num_propagations=20),
+    "lp": dict(num_propagations=20),
     "cs": dict(epochs=30, hidden_dim=32, batch_size=64, num_propagations=10),
     "engcn": dict(epochs=6, hidden_dim=32, batch_size=64, num_layers=2),
 }
@@ -74,11 +74,13 @@ class TestDefaultConfig:
 
     def test_labelprop_defaults(self):
         cfg = default_config("cs")
-        assert cfg["diffusion_type"] == "residual"
         assert cfg["alpha"] == 0.75
         assert cfg["autoscale"] is True
         assert cfg["hidden_dim"] == 64  # base predictor knobs present
         assert cfg["epochs"] == 30
+        # plain label propagation: only the diffusion knobs, no base MLP
+        assert default_config("lp") == {"num_propagations": 20, "alpha": 0.75,
+                                        "norm_kind": "sym"}
 
     def test_engcn_extras(self):
         cfg = default_config("engcn")
@@ -192,14 +194,13 @@ def test_sgc_space_names_no_axis_its_trainer_ignores(dataset):
 
 class TestLabelDiffusionTrainer:
     def test_zero_propagations_single_row_curve(self, dataset):
-        r = run_trial("lp", dict(diffusion_type="zeros",
-                                 num_propagations=0), dataset, seed=0)
+        r = run_trial("lp", dict(num_propagations=0), dataset, seed=0)
         assert len(r.loss_curve) == 1
         assert r.loss_curve[0] == 0.0  # no step taken, delta is zero
 
     def test_step_deltas_shrink(self, dataset):
-        r = run_trial("lp", dict(diffusion_type="zeros", alpha=0.5,
-                                 num_propagations=15), dataset, seed=0)
+        r = run_trial("lp", dict(alpha=0.5, num_propagations=15), dataset,
+                      seed=0)
         assert r.loss_curve[-1] < r.loss_curve[0]
         assert all(d >= 0.0 for d in r.loss_curve)
 
@@ -207,6 +208,20 @@ class TestLabelDiffusionTrainer:
         r = run_trial("cs", SMOKE_CONFIGS["cs"], dataset, seed=0)
         assert "base_val_acc" in r.extras
         assert r.val_acc >= r.extras["base_val_acc"] - 0.05
+
+    def test_lp_and_cs_run_their_own_pipelines(self):
+        # the acceptance tests' 3k SBM, each method at its default config
+        ds = dataset_from_sbm(SyntheticSpec(3000, 5, 0.05, 0.005, feature_dim=16,
+                                            separation=0.6, noise=1.0, seed=0))
+        lp = run_trial("lp", {}, ds, seed=0)
+        cs = run_trial("cs", {}, ds, seed=0)
+        assert lp.loss_curve != cs.loss_curve
+        assert lp.val_acc_curve != cs.val_acc_curve
+        # correct-and-smooth beats its own base MLP by a wide margin
+        assert cs.val_acc >= 0.99
+        assert cs.val_acc > cs.extras["base_val_acc"]
+        assert set(lp.config) == {"num_propagations", "alpha", "norm_kind"}
+        assert "base_val_acc" not in lp.extras
 
 
 class TestEnsembleTrainer:
