@@ -1,0 +1,113 @@
+"""Bit-identity check: seeded results of all 13 methods, timings removed.
+
+Run it against two checkouts, then compare the two outputs:
+
+    PYTHONPATH=<checkout-a>/src python3 scripts/bitid.py run a.json
+    PYTHONPATH=<checkout-b>/src python3 scripts/bitid.py run b.json
+    python3 scripts/bitid.py compare a.json b.json
+
+`run` trains every method with a short config on the 3k-node SBM of the
+acceptance tests at seeds 0 and 1 and keeps `run_trial(...).to_dict()`.
+It also runs three EnGCN stages by hand and keeps a sha256 of every
+snapshot's weights and the per-epoch logs. Every key that holds a
+duration (`*seconds`, `iterations_per_second`) is dropped. `compare`
+prints "<n> entries, <k> differ", names the differing entries and their
+differing fields, and exits 1 when any differ.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+
+H32 = dict(epochs=3, hidden_dim=32, batch_size=256)
+S300 = dict(epochs=3, hidden_dim=32, batch_size=300)
+SHORT = {"graphsage": H32, "fastgcn": H32, "ladies": H32, "clustergcn": H32,
+         "saint-node": S300, "saint-edge": S300, "saint-rw": S300,
+         "sgc": dict(epochs=3, batch_size=256), "sign": dict(H32, dropout=0.2),
+         "sagn": dict(H32, dropout=0.2), "lp": dict(num_propagations=5),
+         "cs": dict(H32, dropout=0.2),
+         "engcn": dict(epochs=2, hidden_dim=32, batch_size=256, num_layers=2, dropout=0.2)}
+
+
+def _untimed(value):
+    """value with every duration key removed, at any depth."""
+    if isinstance(value, dict):
+        return {k: _untimed(v) for k, v in value.items()
+                if not (k.endswith("seconds") or k == "iterations_per_second")}
+    if isinstance(value, list):
+        return [_untimed(v) for v in value]
+    return value
+
+
+def _stage_snapshots(ds, seed: int) -> dict:
+    import numpy as np
+    from scalegnn.engcn import (SLEConfig, engcn_init, engcn_propagate,
+                                engcn_stage_forward, engcn_train_stage, sle_update)
+    from scalegnn.graph import normalize_adjacency
+    from scalegnn.nn import MLPConfig, init_mlp
+    from scalegnn.rng import spawn_rngs
+
+    d, c = ds.feature_dim, ds.num_classes
+    cfg = SLEConfig(threshold=0.9, num_stages=2, epochs_per_stage=2,
+                    phi=MLPConfig([d, 32, c], dropout_rate=0.2, seed=seed),
+                    psi=MLPConfig([c, 32, c], dropout_rate=0.2, seed=seed + 1),
+                    batch_size=256, seed=seed)
+    a = normalize_adjacency(ds.graph, "sym")
+    state = engcn_init(ds.features, ds.labels, ds.split)
+    phi, psi, rngs, logs = init_mlp(cfg.phi), init_mlp(cfg.psi), spawn_rngs(seed, 3), []
+    for stage in range(3):
+        if stage:
+            engcn_propagate(state, a)
+        logs.append([])
+        engcn_train_stage(state, phi, psi, cfg, rngs[stage], epoch_log=logs[-1])
+        sle_update(state, engcn_stage_forward(state, phi, psi, cfg, np.arange(ds.num_nodes)), 0.9)
+
+    def digest(p):
+        return hashlib.sha256(b"".join(w.tobytes() for w in p.weights + p.biases)).hexdigest()
+
+    return {"snapshots": [digest(p) for pair in state.snapshots for p in pair],
+            "epoch_logs": logs}
+
+
+def run(path: str) -> None:
+    from scalegnn.synth import SyntheticSpec
+    from scalegnn.trainers import dataset_from_sbm, run_trial
+
+    ds = dataset_from_sbm(SyntheticSpec(3000, 5, 0.05, 0.005, feature_dim=16,
+                                        separation=0.6, noise=1.0, seed=0))
+    out = {}
+    for seed in (0, 1):
+        for method, cfg in SHORT.items():
+            out[f"{method}/{seed}"] = run_trial(method, cfg, ds, seed=seed).to_dict()
+        out[f"engcn-stages/{seed}"] = _stage_snapshots(ds, seed)
+    with open(path, "w") as fh:
+        json.dump(_untimed(out), fh, sort_keys=True)
+
+
+def compare(path_a: str, path_b: str) -> int:
+    with open(path_a) as fh:
+        a = json.load(fh)
+    with open(path_b) as fh:
+        b = json.load(fh)
+    names = sorted(set(a) | set(b))
+    differ = [n for n in names if a.get(n) != b.get(n)]
+    print(f"{len(names)} entries, {len(differ)} differ")
+    for n in differ:
+        ea, eb = a.get(n), b.get(n)
+        if isinstance(ea, dict) and isinstance(eb, dict):
+            fields = sorted(k for k in set(ea) | set(eb) if ea.get(k) != eb.get(k))
+            print(f"  {n}: {', '.join(fields)}")
+        else:
+            print(f"  {n}: present in only one file")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) == 3 and sys.argv[1] == "run":
+        run(sys.argv[2])
+    elif len(sys.argv) == 4 and sys.argv[1] == "compare":
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
+    else:
+        sys.exit(__doc__)

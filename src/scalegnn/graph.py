@@ -84,9 +84,19 @@ class DataSplit:
             raise ValueError("negative node index in split")
 
 
+def _strictly_increasing(src: np.ndarray, dst: np.ndarray) -> bool:
+    """Whether the (src, dst) pairs are in strictly increasing lexicographic
+    order, i.e. already sorted and free of duplicates. O(E)."""
+    step = np.diff(src)
+    return bool(((step > 0) | ((step == 0) & (np.diff(dst) > 0))).all())
+
+
 def _csr_from_pairs(num_nodes: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort by (src, dst), drop duplicates, return (row_offsets, col_indices)."""
-    if src.size:
+    """Sort by (src, dst), drop duplicates, return (row_offsets, col_indices).
+
+    Pairs that are already strictly increasing skip the sort and the dedup.
+    """
+    if src.size and not _strictly_increasing(src, dst):
         order = np.lexsort((dst, src))
         src, dst = src[order], dst[order]
         keep = np.ones(src.size, dtype=bool)
@@ -99,10 +109,11 @@ def _csr_from_pairs(num_nodes: int, src: np.ndarray, dst: np.ndarray) -> tuple[n
 
 
 def _check_symmetry(num_nodes: int, row_offsets: np.ndarray, col_indices: np.ndarray) -> bool:
+    """Whether a sorted, deduplicated CSR (as _csr_from_pairs returns it)
+    holds the reverse of every edge."""
     src = np.repeat(np.arange(num_nodes, dtype=np.int64), np.diff(row_offsets))
-    fwd = src * num_nodes + col_indices
+    fwd = src * num_nodes + col_indices  # already increasing
     rev = col_indices * num_nodes + src
-    fwd.sort()
     rev.sort()
     return bool(np.array_equal(fwd, rev))
 
@@ -135,13 +146,31 @@ def build_graph(edge_list, num_nodes: int, symmetrize: bool = False) -> Graph:
 
 
 def add_self_loops(g: Graph) -> Graph:
-    """Return a graph where every node has its (v, v) edge. Idempotent."""
-    src = np.repeat(np.arange(g.num_nodes, dtype=np.int64), np.diff(g.row_offsets))
-    loops = np.arange(g.num_nodes, dtype=np.int64)
-    row_offsets, col_indices = _csr_from_pairs(
-        g.num_nodes, np.concatenate([src, loops]), np.concatenate([g.col_indices, loops])
-    )
-    return Graph(g.num_nodes, row_offsets, col_indices, is_symmetric=g.is_symmetric)
+    """Return a graph where every node has its (v, v) edge. Idempotent.
+
+    When every row is strictly increasing (as build_graph leaves it), each
+    missing loop is inserted at its sorted position in one O(E) pass; other
+    graphs are re-sorted and deduplicated.
+    """
+    n = g.num_nodes
+    counts = np.diff(g.row_offsets)
+    src = np.repeat(np.arange(n, dtype=np.int64), counts)
+    dst = g.col_indices
+    if not _strictly_increasing(src, dst):
+        loops = np.arange(n, dtype=np.int64)
+        row_offsets, col_indices = _csr_from_pairs(
+            n, np.concatenate([src, loops]), np.concatenate([dst, loops]))
+        return Graph(n, row_offsets, col_indices, is_symmetric=g.is_symmetric)
+    has_loop = np.zeros(n, dtype=bool)
+    has_loop[src[dst == src]] = True
+    missing = np.flatnonzero(~has_loop)
+    # a row's loop goes after its columns below v
+    below = np.bincount(src[dst < src], minlength=n)
+    col_indices = np.insert(dst.astype(np.int64, copy=False),
+                            g.row_offsets[missing] + below[missing], missing)
+    row_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts + ~has_loop, out=row_offsets[1:])
+    return Graph(n, row_offsets, col_indices, is_symmetric=g.is_symmetric)
 
 
 def normalize_adjacency(g: Graph, kind: str, with_self_loops: bool = True) -> NormalizedAdjacency:

@@ -128,16 +128,26 @@ def init_sign(config: SIGNConfig, dtype=np.float64) -> SIGNParams:
 
 def sign_forward(hops: HopFeatures, params: SIGNParams, config: SIGNConfig,
                  mode: str = "eval", rng=None):
-    """Per-hop projection, concat, activation, optional dropout, readout."""
+    """Per-hop projection, concat, activation, optional dropout, readout.
+
+    Returns (logits, trace) in train mode and (logits, None) otherwise.
+    """
     if hops.K != config.K:
         raise ValueError(f"hop cache has K={hops.K}, model expects K={config.K}")
-    pre = np.concatenate([hops.hops[k] @ params.omegas[k] for k in range(config.K + 1)], axis=1)
+    H = config.hidden
+    pre = np.empty((hops.hops[0].shape[0], (config.K + 1) * H),
+                   dtype=np.result_type(hops.hops[0], params.omegas[0]))
+    for k in range(config.K + 1):
+        np.matmul(hops.hops[k], params.omegas[k], out=pre[:, k * H:(k + 1) * H])
+    if mode != "train":
+        h = np.maximum(pre, 0.0, out=pre) if config.activation == "relu" else pre
+        return h @ params.readout_w + params.readout_b, None
     if config.activation == "relu":
         h = np.maximum(pre, 0.0)
     else:
         h = pre
     mask = None
-    if mode == "train" and config.dropout > 0:
+    if config.dropout > 0:
         if rng is None:
             raise ValueError("train-mode dropout needs an rng")
         keep = 1.0 - config.dropout
@@ -318,12 +328,14 @@ def sampled_gnn_forward(plan: BatchPlan, x: np.ndarray, params: SampledGNNParams
 
     Layer i maps features on B_{K-i} to B_{K-i-1}; relu between layers,
     final layer linear. Plan and model depth must agree (shared subgraph
-    plans fit any depth by construction).
+    plans fit any depth by construction). Returns (logits, trace) in train
+    mode and (logits, None) otherwise.
     """
     depth = config.depth
     if not plan.shared and len(plan.blocks) != depth:
         raise ValueError(f"plan has {len(plan.blocks)} blocks, model depth is {depth}")
-    if mode == "train" and config.dropout > 0 and rng is None:
+    train = mode == "train"
+    if train and config.dropout > 0 and rng is None:
         raise ValueError("train-mode dropout needs an rng")
     h = np.asarray(x)[plan.nodes(depth)]
     layers = []
@@ -333,10 +345,14 @@ def sampled_gnn_forward(plan: BatchPlan, x: np.ndarray, params: SampledGNNParams
         pos = plan.self_positions(l)
         self_h = _gather_self(h, pos)
         z = self_h @ params.w_self[i] + agg @ params.w_neigh[i] + params.bias[i]
+        if not train:
+            del agg, self_h
+            h = np.maximum(z, 0.0, out=z) if i < depth - 1 else z
+            continue
         rec = {"h": h, "agg": agg, "self_h": self_h, "pos": pos, "z": z, "mask": None}
         if i < depth - 1:
             h = np.maximum(z, 0.0)
-            if mode == "train" and config.dropout > 0:
+            if config.dropout > 0:
                 keep = 1.0 - config.dropout
                 mask = (rng.random(h.shape) < keep).astype(h.dtype) / keep
                 h = h * mask
@@ -344,7 +360,7 @@ def sampled_gnn_forward(plan: BatchPlan, x: np.ndarray, params: SampledGNNParams
         else:
             h = z
         layers.append(rec)
-    return h, {"layers": layers}
+    return h, ({"layers": layers} if train else None)
 
 
 def sampled_gnn_backward(plan: BatchPlan, params: SampledGNNParams,

@@ -77,13 +77,20 @@ def _gather_neighborhood(g: Graph, rows: np.ndarray):
 
 def _restrict_block(a: NormalizedAdjacency, rows: np.ndarray, cols: np.ndarray,
                     col_weights=None) -> sp.csr_matrix:
-    """CSR block of a with all edges from `rows` into `cols`, optionally
-    scaling column v by col_weights[v-position]."""
-    block = a.to_scipy()[rows][:, cols].tocsr()
+    """CSR block of a with all edges from `rows` into `cols` (both sorted
+    unique node ids), optionally scaling column v by col_weights[v-position]."""
+    src, dst, didx = _gather_neighborhood(a.structure, rows)
+    pos = np.searchsorted(cols, dst)
+    keep = pos < cols.size
+    keep[keep] = cols[pos[keep]] == dst[keep]
+    indices = pos[keep]
+    data = a.values[didx[keep]]
     if col_weights is not None:
         # equivalent to block @ diag(col_weights) without the sparse matmul
-        block.data *= np.asarray(col_weights, dtype=np.float64)[block.indices]
-    return block
+        data *= np.asarray(col_weights, dtype=np.float64)[indices]
+    indptr = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(np.searchsorted(rows, src[keep]), minlength=rows.size), out=indptr[1:])
+    return sp.csr_matrix((data, indices, indptr), shape=(rows.size, cols.size))
 
 
 def node_wise_sample(g: Graph, a: NormalizedAdjacency, seeds, Q: int, K: int,

@@ -12,6 +12,7 @@ from scalegnn.graph import (
     Graph,
     DataSplit,
     LabelVector,
+    _csr_from_pairs,
     add_self_loops,
     build_graph,
     induced_subgraph,
@@ -103,6 +104,73 @@ def test_self_loops_path():
     g = add_self_loops(build_graph([(0, 1)], 2, symmetrize=True))
     got = {(u, v) for u in range(2) for v in g.neighbors(u)}
     assert got == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+def reference_csr(n, src, dst):
+    """Reference CSR from Python's sorted set of the (src, dst) pairs."""
+    pairs = sorted(set(zip(src.tolist(), dst.tolist())))
+    row_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount([u for u, _ in pairs], minlength=n), out=row_offsets[1:])
+    return row_offsets, np.array([v for _, v in pairs], dtype=np.int64)
+
+
+def reference_self_loops(g):
+    src = np.repeat(np.arange(g.num_nodes), np.diff(g.row_offsets))
+    loops = np.arange(g.num_nodes)
+    return reference_csr(g.num_nodes, np.concatenate([src, loops]),
+                       np.concatenate([g.col_indices, loops]))
+
+
+def assert_csr_equal(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == np.int64 and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_self_loops_match_reference(seed):
+    # random rows with some loops already present and the last nodes isolated
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 40))
+    edges = random_edges(rng, n - 3, int(rng.integers(0, 4 * n)))
+    loops = rng.choice(n - 3, size=(n - 3) // 2, replace=False)
+    edges = np.concatenate([edges, np.stack([loops, loops], 1)])
+    g = build_graph(edges, n, symmetrize=bool(seed % 2))
+    got = add_self_loops(g)
+    want = reference_self_loops(g)
+    assert_csr_equal((got.row_offsets, got.col_indices), want)
+    assert got.is_symmetric == g.is_symmetric
+    again = add_self_loops(got)
+    assert_csr_equal((again.row_offsets, again.col_indices), want)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_self_loops_edgeless_matches_reference(n):
+    g = build_graph([], n)
+    got = add_self_loops(g)
+    assert_csr_equal((got.row_offsets, got.col_indices), reference_self_loops(g))
+
+
+def test_self_loops_unsorted_rows_fall_back_to_sort():
+    # a Graph built directly with unsorted, duplicate columns in its rows
+    g = Graph(3, np.array([0, 3, 3, 6]), np.array([2, 0, 2, 1, 1, 0]))
+    got = add_self_loops(g)
+    want = (np.array([0, 2, 3, 6]), np.array([0, 2, 1, 0, 1, 2]))
+    assert_csr_equal((got.row_offsets, got.col_indices), want)
+    assert_csr_equal(want, reference_self_loops(g))
+
+
+def test_csr_from_pairs_sorted_and_unsorted_match_reference():
+    rng = np.random.default_rng(7)
+    n = 30
+    pairs = np.unique(random_edges(rng, n, 200), axis=0)  # strictly increasing
+    want = reference_csr(n, pairs[:, 0], pairs[:, 1])
+    assert_csr_equal(_csr_from_pairs(n, pairs[:, 0], pairs[:, 1]), want)
+    shuffled = np.concatenate([pairs, pairs[:40]])[rng.permutation(pairs.shape[0] + 40)]
+    assert_csr_equal(_csr_from_pairs(n, shuffled[:, 0], shuffled[:, 1]), want)
+    repeated = np.repeat(pairs, 2, axis=0)  # sorted, but not strictly
+    assert_csr_equal(_csr_from_pairs(n, repeated[:, 0], repeated[:, 1]), want)
+    empty = np.zeros(0, dtype=np.int64)
+    assert_csr_equal(_csr_from_pairs(4, empty, empty), (np.zeros(5, dtype=np.int64), empty))
 
 
 def test_sym_norm_two_node_half():

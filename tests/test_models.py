@@ -171,6 +171,18 @@ def test_sign_gradcheck():
     assert gradcheck(f, params.trainable())["max_rel_err"] < 1e-5
 
 
+def test_sign_eval_keeps_no_trace_and_matches_train():
+    g = small_graph()
+    hops = precompute_hops(normalize_adjacency(g, "sym"), RNG.normal(size=(6, 3)), 2)
+    for activation in ("relu", "identity"):
+        config = SIGNConfig(K=2, in_dim=3, hidden=4, num_classes=3,
+                            activation=activation, seed=5)
+        params = init_sign(config)
+        logits, trace = sign_forward(hops, params, config)
+        assert trace is None
+        assert np.array_equal(logits, sign_forward(hops, params, config, mode="train")[0])
+
+
 def test_sagn_k1_attention_trivial():
     g = small_graph()
     a = normalize_adjacency(g, "sym")
@@ -251,6 +263,18 @@ def test_sampled_gnn_full_batch_equals_dense():
     logits, _ = sampled_gnn_forward(plan, x, params, config)
     oracle = dense_gnn_forward(a.to_scipy().toarray(), x, params)
     assert np.max(np.abs(logits - oracle)) < 1e-10
+
+
+def test_sampled_gnn_eval_keeps_no_trace_and_matches_train():
+    g = small_graph(8, 12, seed=3)
+    a = normalize_adjacency(g, "sym")
+    x = RNG.normal(size=(8, 4))
+    plan = node_wise_sample(g, a, [0, 3, 5], Q=2, K=3, rng=make_rng(9))
+    config = SampledGNNConfig([4, 5, 5, 3], seed=10)
+    params = init_sampled_gnn(config)
+    logits, trace = sampled_gnn_forward(plan, x, params, config)
+    assert trace is None
+    assert np.array_equal(logits, sampled_gnn_forward(plan, x, params, config, mode="train")[0])
 
 
 def test_sampled_gnn_zero_neighbor_weights_ignore_plan():

@@ -7,6 +7,7 @@ from scalegnn.graph import build_graph, normalize_adjacency
 from scalegnn.rng import make_rng
 from scalegnn.samplers import (
     BatchPlan,
+    _restrict_block,
     fastgcn_layer_probs,
     layer_wise_sample,
     node_wise_sample,
@@ -204,6 +205,26 @@ def test_layer_wise_unbiased_small():
         acc += plan.block(0) @ x[plan.nodes(1)]
     rel = np.linalg.norm(acc / trials - exact) / np.linalg.norm(exact)
     assert rel < 0.03
+
+
+@pytest.mark.parametrize("kind", ["sym", "row", "col"])
+def test_restrict_block_matches_scipy_indexing(kind):
+    rng = np.random.default_rng(3)
+    g = build_graph(rng.integers(0, 60, size=(300, 2)), 64, symmetrize=kind == "sym")
+    a = normalize_adjacency(g, kind, with_self_loops=kind != "col")
+    for _ in range(10):
+        rows = np.unique(rng.integers(0, 64, size=int(rng.integers(1, 30))))
+        cols = np.unique(rng.integers(0, 64, size=int(rng.integers(1, 40))))
+        w = rng.random(cols.size)
+        for weights in (None, w):
+            got = _restrict_block(a, rows, cols, col_weights=weights)
+            want = a.to_scipy()[rows][:, cols].tocsr()
+            if weights is not None:
+                want.data *= weights[want.indices]
+            assert got.shape == want.shape
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data, want.data)
 
 
 def test_saint_edge_hand_ratio():
