@@ -9,8 +9,12 @@ Run it against two checkouts, then compare the two outputs:
 `run` trains every method with a short config on the 3k-node SBM of the
 acceptance tests at seeds 0 and 1 and keeps `run_trial(...).to_dict()`.
 It also runs three EnGCN stages by hand and keeps a sha256 of every
-snapshot's weights and the per-epoch logs. Every key that holds a
-duration (`*seconds`, `iterations_per_second`) is dropped. `compare`
+snapshot's weights and the per-epoch logs. To check the samplers
+directly, it keeps a sha256 of `partition_graph(g, k).assignment` for
+k = 4 and 16, and of one epoch of batch plans per sampled method (node
+sets and block arrays), drawn through the public sampler calls. Every
+key that holds a duration (`*seconds`, `iterations_per_second`) is
+dropped. `compare`
 prints "<n> entries, <k> differ", names the differing entries and their
 differing fields, and exits 1 when any differ.
 """
@@ -71,6 +75,49 @@ def _stage_snapshots(ds, seed: int) -> dict:
             "epoch_logs": logs}
 
 
+def _plan_digests(ds, seed: int) -> dict:
+    """sha256 per sampled method of one epoch of plans, drawn the way the
+    trainer draws them (default fanout 10, two layers) from the public
+    one-shot sampler calls."""
+    import numpy as np
+    from scalegnn.graph import normalize_adjacency
+    from scalegnn.nn import shuffled_batches
+    from scalegnn.samplers import (layer_wise_sample, node_wise_sample,
+                                   partition_graph, random_walk_sample,
+                                   saint_edge_sample, saint_node_sample,
+                                   subgraph_batch)
+
+    g, train = ds.graph, ds.split.train
+    a = normalize_adjacency(g, "sym")
+    parts = partition_graph(g, 16)
+    node_sets = {
+        "clustergcn": lambda rng: [np.concatenate([parts.cluster_nodes(c) for c in pair])
+                                   for pair in rng.permutation(16).reshape(-1, 2)],
+        "saint-node": lambda rng: [saint_node_sample(a, 300, rng) for _ in range(10)],
+        "saint-edge": lambda rng: [saint_edge_sample(g, 150, rng) for _ in range(10)],
+        "saint-rw": lambda rng: [random_walk_sample(g, 100, 2, rng) for _ in range(10)],
+    }
+    out = {}
+    for method in ("graphsage", "fastgcn", "ladies", *node_sets):
+        rng, h = np.random.default_rng(seed), hashlib.sha256()
+        if method in node_sets:
+            plans = [subgraph_batch(g, a, nodes) for nodes in node_sets[method](rng)]
+        elif method == "graphsage":
+            plans = [node_wise_sample(g, a, b, 10, 2, rng)
+                     for b in shuffled_batches(rng, train, 256)]
+        else:
+            plans = [layer_wise_sample(g, a, b, 10, 2, method, rng)
+                     for b in shuffled_batches(rng, train, 256)]
+        for plan in plans:
+            for arr in plan.node_sets:
+                h.update(arr.tobytes())
+            for block in plan.blocks:
+                for arr in (block.indptr, block.indices, block.data):
+                    h.update(arr.tobytes())
+        out[method] = h.hexdigest()
+    return out
+
+
 def run(path: str) -> None:
     from scalegnn.synth import SyntheticSpec
     from scalegnn.trainers import dataset_from_sbm, run_trial
@@ -82,6 +129,10 @@ def run(path: str) -> None:
         for method, cfg in SHORT.items():
             out[f"{method}/{seed}"] = run_trial(method, cfg, ds, seed=seed).to_dict()
         out[f"engcn-stages/{seed}"] = _stage_snapshots(ds, seed)
+        out[f"plans/{seed}"] = _plan_digests(ds, seed)
+    from scalegnn.samplers import partition_graph
+    out["partitions"] = {str(k): hashlib.sha256(partition_graph(ds.graph, k).assignment.tobytes())
+                         .hexdigest() for k in (4, 16)}
     with open(path, "w") as fh:
         json.dump(_untimed(out), fh, sort_keys=True)
 

@@ -50,7 +50,9 @@ class UsageError(Exception):
 
 
 class DirectoryLock:
-    """Single-writer guard: .lock with O_EXCL, removed on release."""
+    """Single-writer guard: .lock with O_EXCL holding the owner's PID,
+    removed on release. A lock whose PID names no running process is
+    reported as stale but never removed here."""
 
     def __init__(self, directory: Path):
         self.path = Path(directory) / ".lock"
@@ -61,16 +63,40 @@ class DirectoryLock:
         try:
             self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
+            pid = self._holder()
+            if pid is not None and not _process_exists(pid):
+                raise RuntimeError(
+                    f"output directory has a stale lock ({self.path}): its run, "
+                    f"PID {pid}, is no longer running; remove the .lock file "
+                    "to reuse the directory")
             raise RuntimeError(
                 f"output directory is locked by another run ({self.path}); "
                 "remove the stale .lock file if no run is active")
         os.write(self.fd, str(os.getpid()).encode())
         return self
 
+    def _holder(self):
+        """PID written in the existing lock file, or None if there is none."""
+        try:
+            pid = int(self.path.read_text().strip())
+        except (OSError, ValueError):  # unreadable, or not a number
+            return None
+        return pid if pid > 0 else None
+
     def __exit__(self, *exc):
         if self.fd is not None:
             os.close(self.fd)
             self.path.unlink(missing_ok=True)
+
+
+def _process_exists(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)  # signal 0: existence check only
+    except (ProcessLookupError, OverflowError):
+        return False
+    except PermissionError:  # alive, owned by another user
+        pass
+    return True
 
 
 def _apply_thread_env() -> None:

@@ -234,7 +234,10 @@ def _leaky_grad(z, slope):
 def sagn_forward(hops: HopFeatures, params: SAGNParams, config: SAGNConfig,
                  mode: str = "eval", rng=None, update_running: bool = True):
     """Per-node softmax attention over hops 1..K, plus a raw-feature skip
-    into the fusion MLP."""
+    into the fusion MLP.
+
+    Returns (logits, trace) in train mode and (logits, None) otherwise.
+    """
     if hops.K < 1:
         raise ValueError("hop attention needs K >= 1 precomputed hops")
     if hops.K != config.K:
@@ -250,10 +253,14 @@ def sagn_forward(hops: HopFeatures, params: SAGNParams, config: SAGNConfig,
     fused = np.zeros_like(x0)
     for k in range(config.K):
         fused += t[:, k:k + 1] * hops.hops[k + 1]
-    mlp_in = fused + x0 @ params.skip
+    mlp_in = x0 @ params.skip
+    mlp_in += fused
+    if mode != "train":
+        del fused  # n x d, not needed by the eval MLP pass
+        return mlp_forward(params.mlp, config.mlp_config(), mlp_in, mode="eval")[0], None
     logits, mlp_trace = mlp_forward(params.mlp, config.mlp_config(), mlp_in,
-                                    mode="train" if mode == "train" else "eval",
-                                    rng=rng, update_running=update_running)
+                                    mode="train", rng=rng,
+                                    update_running=update_running)
     trace = {"t": t, "pre": pre, "mlp_trace": mlp_trace, "mlp_in": mlp_in}
     return logits, trace
 
@@ -343,7 +350,7 @@ def sampled_gnn_forward(plan: BatchPlan, x: np.ndarray, params: SampledGNNParams
         l = depth - 1 - i  # block index: deepest first
         agg = csr_matmul(plan.block(l), h)
         pos = plan.self_positions(l)
-        self_h = _gather_self(h, pos)
+        self_h = h if plan.shared else _gather_self(h, pos)  # shared: B_l is B_{l+1}
         z = self_h @ params.w_self[i] + agg @ params.w_neigh[i] + params.bias[i]
         if not train:
             del agg, self_h
@@ -384,6 +391,6 @@ def sampled_gnn_backward(plan: BatchPlan, params: SampledGNNParams,
             self_part = g @ params.w_self[i].T
             pos = rec["pos"]
             ok = pos >= 0
-            np.add.at(back, pos[ok], self_part[ok])
+            back[pos[ok]] += self_part[ok]  # positions are unique
             g = back
     return grads

@@ -11,6 +11,10 @@ remainder re-solved). That makes the per-node inclusion probability exact,
 so the 1/(Q p(v)) importance weights give an exactly unbiased estimate of
 the full aggregation, which plain sequential without-replacement draws do
 not (their realized inclusion probabilities drift from Q*p for skewed p).
+
+The samplers that draw from a graph-wide distribution (saint-node,
+saint-edge, layer-wise) take it prebuilt, so a trial builds it once;
+called without it, they build their own.
 """
 
 from __future__ import annotations
@@ -75,6 +79,13 @@ def _gather_neighborhood(g: Graph, rows: np.ndarray):
     return src, g.col_indices[data_idx], data_idx
 
 
+def _unique_nodes(nodes: np.ndarray, num_nodes: int) -> np.ndarray:
+    """np.unique(nodes) for node ids below num_nodes, by marking, sort-free."""
+    mark = np.zeros(num_nodes, dtype=bool)
+    mark[nodes] = True
+    return np.flatnonzero(mark)
+
+
 def _restrict_block(a: NormalizedAdjacency, rows: np.ndarray, cols: np.ndarray,
                     col_weights=None) -> sp.csr_matrix:
     """CSR block of a with all edges from `rows` into `cols` (both sorted
@@ -91,6 +102,33 @@ def _restrict_block(a: NormalizedAdjacency, rows: np.ndarray, cols: np.ndarray,
     indptr = np.zeros(rows.size + 1, dtype=np.int64)
     np.cumsum(np.bincount(np.searchsorted(rows, src[keep]), minlength=rows.size), out=indptr[1:])
     return sp.csr_matrix((data, indices, indptr), shape=(rows.size, cols.size))
+
+
+def _smallest_per_row(counts: np.ndarray, keys: np.ndarray, Q: int) -> np.ndarray:
+    """Mask over row-grouped keys (row i holds counts[i] consecutive entries)
+    that keeps each row's min(Q, count) smallest keys.
+
+    Rows with count <= Q are kept whole. Longer rows are grouped by count
+    rounded up to a power of two, padded with inf and argpartitioned per
+    group, so the padded work stays under twice the entries.
+    """
+    keep = np.repeat(counts <= Q, counts)
+    big = np.flatnonzero(counts > Q)
+    if Q < 1 or big.size == 0:
+        return keep
+    starts = (np.cumsum(counts) - counts)[big]
+    widths = 1 << np.ceil(np.log2(counts[big])).astype(np.int64)
+    for w in np.unique(widths):
+        rows = widths == w
+        start, count = starts[rows], counts[big[rows]]
+        slot = np.arange(w)
+        valid = slot < count[:, None]
+        pos = start[:, None] + slot
+        padded = np.full(pos.shape, np.inf)
+        padded[valid] = keys[pos[valid]]
+        part = np.argpartition(padded, Q - 1, axis=1)[:, :Q]
+        keep[np.take_along_axis(pos, part, axis=1)] = True
+    return keep
 
 
 def node_wise_sample(g: Graph, a: NormalizedAdjacency, seeds, Q: int, K: int,
@@ -115,18 +153,13 @@ def node_wise_sample(g: Graph, a: NormalizedAdjacency, seeds, Q: int, K: int,
             # uniform without replacement per source: keep the Q smallest
             # random keys within each row segment
             keys = rng.random(src.size)
-            order = np.lexsort((keys, src))
-            src_o, dst_o, didx_o = src[order], dst[order], didx[order]
-            seg_start = np.flatnonzero(np.r_[True, src_o[1:] != src_o[:-1]])
-            seg_id = np.cumsum(np.r_[True, src_o[1:] != src_o[:-1]]) - 1
-            rank = np.arange(src_o.size) - seg_start[seg_id]
-            keep = rank < Q
-            src_s, dst_s, didx_s = src_o[keep], dst_o[keep], didx_o[keep]
+            counts = struct.row_offsets[b + 1] - struct.row_offsets[b]
+            keep = _smallest_per_row(counts, keys, Q)
+            src_s, dst_s, didx_s = src[keep], dst[keep], didx[keep]
         else:
             src_s = dst_s = didx_s = np.zeros(0, dtype=np.int64)
-        nxt = np.union1d(b, dst_s)
         edge_layers.append((src_s, dst_s, a.values[didx_s]))
-        node_sets.append(nxt)
+        node_sets.append(_unique_nodes(np.concatenate([b, dst_s]), struct.num_nodes))
     blocks = []
     for l in range(K):
         b_l, b_next = node_sets[l], node_sets[l + 1]
@@ -200,30 +233,32 @@ def pps_systematic(probs: np.ndarray, q: int, rng: np.random.Generator):
 
 
 def layer_wise_sample(g: Graph, a: NormalizedAdjacency, B0, Q: int, K: int,
-                      variant: str, rng: np.random.Generator) -> BatchPlan:
+                      variant: str, rng: np.random.Generator,
+                      p_global: np.ndarray | None = None) -> BatchPlan:
     """Layer-wise importance sampling.
 
     Candidate pool per layer is N(B_l) (fastgcn) or N(B_l) ∪ B_l (ladies),
     with the global row-norm distribution restricted to the pool and
     renormalized. Sampled columns are reweighted by 1/(Q * p(v)) via exact
     inclusion probabilities; when Q covers the whole pool, the pool is taken
-    whole with weights 1/(|pool| * p(v)).
+    whole with weights 1/(|pool| * p(v)). p_global is fastgcn_layer_probs(a),
+    built here when not passed.
     """
     if variant not in ("fastgcn", "ladies"):
         raise ValueError(f"unknown layer-wise variant {variant!r}")
     B0 = np.unique(np.asarray(B0, dtype=np.int64))
     if B0.size == 0:
         raise ValueError("layer_wise_sample needs non-empty B0")
-    p_global = fastgcn_layer_probs(a)
+    if p_global is None:
+        p_global = fastgcn_layer_probs(a)
     struct = a.structure
     node_sets = [B0]
     blocks = []
     for _ in range(K):
         b = node_sets[-1]
         _, nbrs, _ = _gather_neighborhood(struct, b)
-        pool = np.unique(nbrs)
-        if variant == "ladies":
-            pool = np.union1d(pool, b)
+        pool = _unique_nodes(np.concatenate([nbrs, b]) if variant == "ladies" else nbrs,
+                             struct.num_nodes)
         if pool.size == 0:
             raise ValueError("layer-wise candidate pool is empty")
         p_pool = _norm_probs(p_global[pool], "restricted layer distribution")
@@ -240,35 +275,68 @@ def layer_wise_sample(g: Graph, a: NormalizedAdjacency, B0, Q: int, K: int,
     return BatchPlan(node_sets, blocks, kind=variant)
 
 
+def probs_cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF that Generator.choice(p=p) builds: cumsum scaled to end at 1."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def draw_from_cdf(cdf: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """size i.i.d. draws from probs_cdf(p): the same indices as
+    rng.choice(p.size, size, replace=True, p=p), leaving rng in the same
+    state, without rebuilding the CDF on every call."""
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
 def saint_node_sample(a: NormalizedAdjacency, batch_size: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    """batch_size i.i.d. draws from saint_node_probs; returns the node set."""
-    p = saint_node_probs(a)
-    draws = rng.choice(a.num_nodes, size=batch_size, replace=True, p=p)
-    return np.unique(draws)
+                      rng: np.random.Generator, cdf: np.ndarray | None = None) -> np.ndarray:
+    """batch_size i.i.d. draws from saint_node_probs; returns the node set.
+    cdf is probs_cdf(saint_node_probs(a)), built here when not passed."""
+    if cdf is None:
+        cdf = probs_cdf(saint_node_probs(a))
+    return np.unique(draw_from_cdf(cdf, batch_size, rng))
 
 
 def undirected_edge_probs(g: Graph):
-    """(edge endpoint arrays, probabilities) over undirected edges u <= v,
-    with P(u,v) proportional to 1/deg(u) + 1/deg(v)."""
+    """(CSR positions, probabilities) of the undirected edges u <= v, with
+    P(u,v) proportional to 1/deg(u) + 1/deg(v). A non-symmetric graph keeps
+    every entry."""
     if g.num_edges == 0:
         raise ValueError("graph has no edges")
-    src = np.repeat(np.arange(g.num_nodes, dtype=np.int64), np.diff(g.row_offsets))
-    dst = g.col_indices
+    deg = np.diff(g.row_offsets)
+    src = np.repeat(np.arange(g.num_nodes, dtype=np.int64), deg)
     if g.is_symmetric:
-        keep = src <= dst
-        src, dst = src[keep], dst[keep]
-    deg = np.diff(g.row_offsets).astype(np.float64)
-    weight = 1.0 / deg[src] + 1.0 / deg[dst]
-    return src, dst, _norm_probs(weight, "edge weights")
+        pos = np.flatnonzero(src <= g.col_indices)
+        src = src[pos]
+    else:
+        pos = np.arange(g.num_edges, dtype=np.int64)
+    deg = deg.astype(np.float64)
+    weight = 1.0 / deg[src]
+    weight += 1.0 / deg[g.col_indices[pos]]
+    return pos, _norm_probs(weight, "edge weights")
 
 
-def saint_edge_sample(g: Graph, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+def edge_endpoints(g: Graph, pos: np.ndarray):
+    """(row, column) of the CSR entries at positions pos."""
+    return np.searchsorted(g.row_offsets, pos, side="right") - 1, g.col_indices[pos]
+
+
+def saint_edge_table(g: Graph):
+    """(CSR positions of the undirected edges, CDF of their probabilities):
+    what saint_edge_sample draws from."""
+    pos, p = undirected_edge_probs(g)
+    return pos, probs_cdf(p)
+
+
+def saint_edge_sample(g: Graph, batch_size: int, rng: np.random.Generator,
+                      table=None) -> np.ndarray:
     """batch_size independent edge draws, degree-inverse weighted; returns
-    the set of endpoints for subgraph induction."""
-    src, dst, p = undirected_edge_probs(g)
-    picks = rng.choice(src.size, size=batch_size, replace=True, p=p)
-    return np.unique(np.concatenate([src[picks], dst[picks]]))
+    the set of endpoints for subgraph induction. table is
+    saint_edge_table(g), built here when not passed."""
+    pos, cdf = saint_edge_table(g) if table is None else table
+    src, dst = edge_endpoints(g, pos[draw_from_cdf(cdf, batch_size, rng)])
+    return np.unique(np.concatenate([src, dst]))
 
 
 def random_walk_sample(g: Graph, num_roots: int, walk_length: int,
@@ -301,8 +369,7 @@ def _bfs_distances(g: Graph, sources: np.ndarray) -> np.ndarray:
     level = 0
     while frontier.size:
         _, nbrs, _ = _gather_neighborhood(g, frontier)
-        nbrs = np.unique(nbrs)
-        fresh = nbrs[dist[nbrs] < 0]
+        fresh = _unique_nodes(nbrs[dist[nbrs] < 0], g.num_nodes)
         level += 1
         dist[fresh] = level
         frontier = fresh
@@ -357,8 +424,7 @@ def partition_graph(g: Graph, num_clusters: int, seed: int = 0) -> Partitioning:
             if frontiers[c].size == 0:
                 continue
             _, nbrs, _ = _gather_neighborhood(g, frontiers[c])
-            nbrs = np.unique(nbrs)
-            fresh = nbrs[assignment[nbrs] < 0]
+            fresh = _unique_nodes(nbrs[assignment[nbrs] < 0], n)
             assignment[fresh] = c
             frontiers[c] = fresh
             if fresh.size:

@@ -37,9 +37,11 @@ from scalegnn.nn import (AdamState, FitLog, MLPConfig, accuracy, adam_step,
                          cross_entropy, fit, init_mlp, mlp_backward,
                          mlp_forward, shuffled_batches, softmax_row)
 from scalegnn.rng import spawn_rngs
-from scalegnn.samplers import (BatchPlan, layer_wise_sample, node_wise_sample,
-                               partition_graph, random_walk_sample,
-                               saint_edge_sample, saint_node_sample,
+from scalegnn.samplers import (BatchPlan, fastgcn_layer_probs,
+                               layer_wise_sample, node_wise_sample,
+                               partition_graph, probs_cdf, random_walk_sample,
+                               saint_edge_sample, saint_edge_table,
+                               saint_node_probs, saint_node_sample,
                                subgraph_batch)
 from scalegnn.synth import SyntheticSpec, generate_sbm
 
@@ -145,47 +147,63 @@ def _best_epoch(dataset, full_logits):
     return evaluate, best
 
 
-def full_plan(a, depth: int) -> BatchPlan:
-    """Whole-graph plan: every layer holds all nodes and the full normalized
-    adjacency, which makes the sampled forward a plain full-batch forward."""
+def full_plan(a) -> BatchPlan:
+    """Whole-graph plan: one node set holding every node and one block, the
+    full normalized adjacency, shared by all layers, which makes the sampled
+    forward a plain full-batch forward."""
     nodes = np.arange(a.num_nodes, dtype=np.int64)
-    mat = a.to_scipy()
-    return BatchPlan([nodes] * (depth + 1), [mat] * depth, kind="full")
+    return BatchPlan([nodes], [a.to_scipy()], shared=True, kind="full")
 
 
 # ----------------------------------------------------------- sampled GNNs
 
 
-def _epoch_plans(method, cfg, dataset, a, parts, rng):
-    """One epoch of batch plans drawn from rng: a sampled block stack per
-    shuffled chunk of training seeds, or one induced subgraph per node set."""
+def _sampling_table(method, cfg, g, a):
+    """What a trial's sampler draws from, built once per trial: the
+    partition for clustergcn, the node or edge CDF for saint-node and
+    saint-edge, the global layer distribution for fastgcn and ladies."""
+    if method == "clustergcn":
+        return partition_graph(g, cfg["num_clusters"])
+    if method == "saint-node":
+        return probs_cdf(saint_node_probs(a))
+    if method == "saint-edge":
+        return saint_edge_table(g)
+    if method in ("fastgcn", "ladies"):
+        return fastgcn_layer_probs(a)
+    return None
+
+
+def _epoch_plans(method, cfg, dataset, a, table, rng):
+    """One epoch of batch plans drawn from rng and the trial's
+    _sampling_table: a sampled block stack per shuffled chunk of training
+    seeds, or one induced subgraph per node set."""
     g, L, bs = dataset.graph, int(cfg["num_layers"]), cfg["batch_size"]
     if method == "clustergcn":
         per = max(1, int(round(bs / (dataset.num_nodes / cfg["num_clusters"]))))
         order = rng.permutation(cfg["num_clusters"])
-        node_sets = (np.concatenate([parts.cluster_nodes(c) for c in order[s:s + per]])
+        node_sets = (np.concatenate([table.cluster_nodes(c) for c in order[s:s + per]])
                      for s in range(0, order.size, per))
     elif METHODS[method].category == "subgraph-wise":
-        node_sets = (_saint_nodes(method, cfg, g, a, rng)
+        node_sets = (_saint_nodes(method, cfg, g, a, table, rng)
                      for _ in range(max(1, int(round(dataset.num_nodes / bs)))))
     else:
         for batch in shuffled_batches(rng, dataset.split.train, int(bs)):
             if method == "graphsage":
                 yield node_wise_sample(g, a, batch, cfg["fanout"], L, rng)
             else:
-                yield layer_wise_sample(g, a, batch, cfg["fanout"], L, method, rng)
+                yield layer_wise_sample(g, a, batch, cfg["fanout"], L, method, rng, table)
         return
     for nodes in node_sets:
         if nodes.size:
             yield subgraph_batch(g, a, nodes)
 
 
-def _saint_nodes(method, cfg, g, a, rng):
+def _saint_nodes(method, cfg, g, a, table, rng):
     bs = cfg["batch_size"]
     if method == "saint-node":
-        return saint_node_sample(a, bs, rng)
+        return saint_node_sample(a, bs, rng, table)
     if method == "saint-edge":
-        return saint_edge_sample(g, max(1, bs // 2), rng)
+        return saint_edge_sample(g, max(1, bs // 2), rng, table)
     walk = cfg["walk_length"]
     return random_walk_sample(g, max(1, bs // (walk + 1)), walk, rng)
 
@@ -199,14 +217,14 @@ def _train_sampled(method, cfg, dataset, seed):
     params = init_sampled_gnn(model_cfg)
     opt = AdamState(cfg["learning_rate"], cfg["weight_decay"])
     sample_rng, drop_rng = spawn_rngs(seed, 2)
-    eval_plan = full_plan(a, L)
-    parts = partition_graph(g, cfg["num_clusters"]) if method == "clustergcn" else None
+    eval_plan = full_plan(a)
+    table = _sampling_table(method, cfg, g, a)
     train_set = np.zeros(dataset.num_nodes, dtype=bool)
     train_set[dataset.split.train] = True
     active_sizes = []
 
     def batches(epoch):  # (plan, training mask of its targets)
-        for plan in _epoch_plans(method, cfg, dataset, a, parts, sample_rng):
+        for plan in _epoch_plans(method, cfg, dataset, a, table, sample_rng):
             mask = train_set[plan.target_nodes]
             if mask.any():
                 if epoch == 0:

@@ -2,6 +2,8 @@
 precedence, locking."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -221,5 +223,13 @@ class TestLock:
 
     def test_lock_excludes_second_holder(self, tmp_path):
         with DirectoryLock(tmp_path):
-            with pytest.raises(RuntimeError, match="locked"):
+            with pytest.raises(RuntimeError, match="locked by another run"):
                 DirectoryLock(tmp_path).__enter__()
+
+    def test_stale_lock_names_dead_pid_and_stays(self, tmp_path):
+        proc = subprocess.Popen([sys.executable, "-c", "pass"])
+        proc.wait(timeout=60)
+        (tmp_path / ".lock").write_text(str(proc.pid))
+        with pytest.raises(RuntimeError, match=f"stale lock.*PID {proc.pid}"):
+            DirectoryLock(tmp_path).__enter__()
+        assert (tmp_path / ".lock").read_text() == str(proc.pid)

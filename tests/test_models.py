@@ -183,6 +183,16 @@ def test_sign_eval_keeps_no_trace_and_matches_train():
         assert np.array_equal(logits, sign_forward(hops, params, config, mode="train")[0])
 
 
+def test_sagn_eval_keeps_no_trace_and_matches_train():
+    g = small_graph()
+    hops = precompute_hops(normalize_adjacency(g, "sym"), RNG.normal(size=(6, 3)), 2)
+    config = SAGNConfig(K=2, in_dim=3, num_classes=3, mlp_hidden=[4], seed=5)
+    params = init_sagn(config)
+    logits, trace = sagn_forward(hops, params, config)
+    assert trace is None
+    assert np.array_equal(logits, sagn_forward(hops, params, config, mode="train")[0])
+
+
 def test_sagn_k1_attention_trivial():
     g = small_graph()
     a = normalize_adjacency(g, "sym")
@@ -190,7 +200,7 @@ def test_sagn_k1_attention_trivial():
     hops = precompute_hops(a, x, 1)
     config = SAGNConfig(K=1, in_dim=3, num_classes=2, mlp_hidden=[4], seed=5)
     params = init_sagn(config)
-    _, trace = sagn_forward(hops, params, config)
+    _, trace = sagn_forward(hops, params, config, mode="train")
     assert np.allclose(trace["t"], 1.0)
     assert np.allclose(trace["mlp_in"], hops.hops[1] + x @ params.skip, atol=1e-12)
 
@@ -205,7 +215,7 @@ def test_sagn_zero_vectors_uniform_attention():
     params.att_u[:] = 0
     for v in params.att_v:
         v[:] = 0
-    _, trace = sagn_forward(hops, params, config)
+    _, trace = sagn_forward(hops, params, config, mode="train")
     assert np.allclose(trace["t"], 1.0 / 3.0, atol=1e-12)
     mean_hops = (hops.hops[1] + hops.hops[2] + hops.hops[3]) / 3.0
     assert np.allclose(trace["mlp_in"], mean_hops + x @ params.skip, atol=1e-12)
@@ -216,7 +226,7 @@ def test_sagn_attention_rows_sum_one():
     a = normalize_adjacency(g, "sym")
     hops = precompute_hops(a, RNG.normal(size=(8, 5)), 2)
     config = SAGNConfig(K=2, in_dim=5, num_classes=3, mlp_hidden=[6], seed=7)
-    _, trace = sagn_forward(hops, init_sagn(config), config)
+    _, trace = sagn_forward(hops, init_sagn(config), config, mode="train")
     assert np.allclose(trace["t"].sum(axis=1), 1.0, atol=1e-9)
 
 

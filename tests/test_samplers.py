@@ -7,14 +7,20 @@ from scalegnn.graph import build_graph, normalize_adjacency
 from scalegnn.rng import make_rng
 from scalegnn.samplers import (
     BatchPlan,
+    _gather_neighborhood,
     _restrict_block,
+    _smallest_per_row,
+    draw_from_cdf,
+    edge_endpoints,
     fastgcn_layer_probs,
     layer_wise_sample,
     node_wise_sample,
     partition_graph,
     pps_systematic,
+    probs_cdf,
     random_walk_sample,
     saint_edge_sample,
+    saint_edge_table,
     saint_node_probs,
     saint_node_sample,
     subgraph_batch,
@@ -230,7 +236,8 @@ def test_restrict_block_matches_scipy_indexing(kind):
 def test_saint_edge_hand_ratio():
     # edge A joins two degree-1 nodes, edge B two degree-2 nodes
     g = build_graph([(0, 1), (2, 3), (2, 4), (3, 5)], 6, symmetrize=True)
-    src, dst, p = undirected_edge_probs(g)
+    pos, p = undirected_edge_probs(g)
+    src, dst = edge_endpoints(g, pos)
     def prob_of(u, v):
         m = (src == u) & (dst == v)
         return p[m][0]
@@ -239,7 +246,7 @@ def test_saint_edge_hand_ratio():
 
 def test_saint_edge_regular_uniform():
     g = ring_graph(8)
-    _, _, p = undirected_edge_probs(g)
+    _, p = undirected_edge_probs(g)
     assert np.allclose(p, 1.0 / p.size, atol=1e-12)
 
 
@@ -360,3 +367,157 @@ def test_plan_self_positions():
     # node-wise keeps B_l inside B_{l+1}
     assert np.all(pos >= 0)
     assert np.array_equal(plan.nodes(1)[pos], plan.nodes(0))
+
+
+def test_cdf_draws_match_generator_choice():
+    # the prebuilt-CDF draw must reproduce Generator.choice(p=) exactly, and
+    # leave the generator where choice leaves it, or seeded curves change
+    for seed in range(6):
+        gen = np.random.default_rng(100 + seed)
+        weights = gen.random(int(gen.integers(1, 60))) ** 3
+        weights[gen.random(weights.size) < 0.2] = 0.0
+        weights[0] += 1e-3
+        p = weights / weights.sum()
+        cdf = probs_cdf(p)
+        ours, ref = make_rng(seed), make_rng(seed)
+        for size in (1, 7, 500):
+            assert np.array_equal(draw_from_cdf(cdf, size, ours),
+                                  ref.choice(p.size, size=size, replace=True, p=p))
+        np.testing.assert_equal(ours.bit_generator.state, ref.bit_generator.state)
+        assert ours.random() == ref.random()
+
+
+def test_saint_edge_table_endpoints_are_the_undirected_edges():
+    rng = np.random.default_rng(4)
+    g = build_graph(rng.integers(0, 30, size=(70, 2)), 33, symmetrize=True)  # 30..32 isolated
+    pos, cdf = saint_edge_table(g)
+    src, dst = edge_endpoints(g, pos)
+    want = sorted((u, int(v)) for u in range(g.num_nodes) for v in g.neighbors(u) if u <= v)
+    assert list(zip(src.tolist(), dst.tolist())) == want
+    assert cdf[-1] == 1.0 and np.all(np.diff(cdf) > 0)
+
+
+def _smallest_per_row_lexsort(counts, keys, Q):
+    """Reference: sort each row's keys with a global lexsort, keep rank < Q."""
+    src = np.repeat(np.arange(counts.size), counts)
+    order = np.lexsort((keys, src))
+    rank = np.empty(keys.size, dtype=np.int64)
+    rank[order] = np.arange(keys.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return rank < Q
+
+
+def test_smallest_per_row_matches_lexsort():
+    Q = 5
+    # deg 0, deg < Q, deg = Q, and rows over Q in widths 8, 32, 128 and 1024,
+    # one of them an exact power of two
+    counts = np.array([0, 3, 5, 6, 0, 8, 17, 100, 5, 1000, 1, 33], dtype=np.int64)
+    for seed in range(4):
+        keys = np.random.default_rng(seed).random(int(counts.sum()))
+        got = _smallest_per_row(counts, keys, Q)
+        assert np.array_equal(got, _smallest_per_row_lexsort(counts, keys, Q))
+        kept = np.add.reduceat(got, np.cumsum(counts) - counts)[counts > 0]
+        assert np.array_equal(kept, np.minimum(counts, Q)[counts > 0])
+    keys = np.random.default_rng(9).random(int(counts.sum()))
+    for q in (0, 1, 2, 1000, 2000):
+        assert np.array_equal(_smallest_per_row(counts, keys, q),
+                              _smallest_per_row_lexsort(counts, keys, q))
+
+
+def _partition_graph_unique(g, num_clusters):
+    """Reference: partition_graph as it was written with np.unique on every
+    BFS and cluster-growth frontier."""
+    n = g.num_nodes
+    if not g.is_symmetric:
+        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.row_offsets))
+        both = np.concatenate([np.stack([src, g.col_indices], 1),
+                               np.stack([g.col_indices, src], 1)])
+        g = build_graph(both, n, symmetrize=True)
+
+    def bfs(sources):
+        dist = np.full(n, -1, dtype=np.int64)
+        dist[sources] = 0
+        frontier, level = sources, 0
+        while frontier.size:
+            _, nbrs, _ = _gather_neighborhood(g, frontier)
+            nbrs = np.unique(nbrs)
+            fresh = nbrs[dist[nbrs] < 0]
+            level += 1
+            dist[fresh] = level
+            frontier = fresh
+        return dist
+
+    seeds, dist = [0], bfs(np.array([0]))
+    for _ in range(num_clusters - 1):
+        unreached = dist < 0
+        nxt = int(np.flatnonzero(unreached)[0]) if unreached.any() else int(np.argmax(dist))
+        seeds.append(nxt)
+        d2 = bfs(np.array([nxt]))
+        dist = np.where(dist < 0, d2, np.where(d2 < 0, dist, np.minimum(dist, d2)))
+    assignment = np.full(n, -1, dtype=np.int64)
+    frontiers = []
+    for c, s in enumerate(seeds):
+        if assignment[s] < 0:
+            assignment[s] = c
+            frontiers.append(np.array([s], dtype=np.int64))
+        else:
+            frontiers.append(np.zeros(0, dtype=np.int64))
+    active = True
+    while active:
+        active = False
+        for c in range(num_clusters):
+            if frontiers[c].size == 0:
+                continue
+            _, nbrs, _ = _gather_neighborhood(g, frontiers[c])
+            nbrs = np.unique(nbrs)
+            fresh = nbrs[assignment[nbrs] < 0]
+            assignment[fresh] = c
+            frontiers[c] = fresh
+            if fresh.size:
+                active = True
+    leftovers = np.flatnonzero(assignment < 0)
+    if leftovers.size:
+        sizes = np.bincount(assignment[assignment >= 0], minlength=num_clusters)
+        for v in leftovers:
+            c = int(np.argmin(sizes))
+            assignment[v] = c
+            sizes[c] += 1
+    cap = int(np.ceil(2.0 * n / num_clusters))
+    sizes = np.bincount(assignment, minlength=num_clusters)
+    while (sizes > cap).any():
+        c = int(np.argmax(sizes))
+        members = np.flatnonzero(assignment == c)
+        moved = False
+        src, nbrs, _ = _gather_neighborhood(g, members)
+        outside = assignment[nbrs] != c
+        for u, other in zip(src[outside], assignment[nbrs[outside]]):
+            if sizes[other] < cap and assignment[u] == c:
+                assignment[u] = other
+                sizes[c] -= 1
+                sizes[other] += 1
+                moved = True
+                if sizes[c] <= cap:
+                    break
+        if not moved:
+            recv = int(np.argmin(sizes))
+            take = members[: sizes[c] - cap]
+            assignment[take] = recv
+            sizes[recv] += take.size
+            sizes[c] -= take.size
+    return assignment
+
+
+def test_partition_matches_unique_frontier_reference():
+    rng = np.random.default_rng(11)
+    graphs = []
+    for _ in range(6):  # sparse random graphs: several components, isolated nodes
+        n = int(rng.integers(20, 90))
+        graphs.append(build_graph(rng.integers(0, n, size=(n // 2 + 3, 2)), n, symmetrize=True))
+    for _ in range(4):  # directed edges only
+        n = int(rng.integers(20, 90))
+        graphs.append(build_graph(rng.integers(0, n, size=(2 * n, 2)), n))
+    edges = [(i, j) for i in range(12) for j in range(i + 1, 12)]
+    graphs.append(build_graph(edges + [(12, 13)], 16, symmetrize=True))  # one clique holds most
+    for g in graphs:
+        for k in (2, 3, 5, min(8, g.num_nodes)):
+            assert np.array_equal(partition_graph(g, k).assignment,
+                                  _partition_graph_unique(g, k)), (g.num_nodes, k)

@@ -9,8 +9,15 @@ from scalegnn.harness import (METHODS, default_space,
                               estimate_activation_memory)
 from scalegnn.models import precompute_hops
 from scalegnn.synth import SyntheticSpec
-from scalegnn.trainers import (Dataset, _subset_hops, dataset_from_sbm,
-                               default_config, full_plan, run_trial)
+from scalegnn.nn import shuffled_batches
+from scalegnn.rng import make_rng
+from scalegnn.samplers import (layer_wise_sample, node_wise_sample,
+                               partition_graph, random_walk_sample,
+                               saint_edge_sample, saint_node_sample,
+                               subgraph_batch)
+from scalegnn.trainers import (Dataset, _epoch_plans, _sampling_table,
+                               _subset_hops, dataset_from_sbm, default_config,
+                               full_plan, run_trial)
 
 SMOKE_CONFIGS = {
     "graphsage": dict(epochs=8, hidden_dim=32, batch_size=64),
@@ -237,10 +244,50 @@ class TestEnsembleTrainer:
 class TestHelpers:
     def test_full_plan_layout(self, dataset):
         a = normalize_adjacency(dataset.graph, "sym")
-        plan = full_plan(a, 2)
+        plan = full_plan(a)
+        assert plan.shared and len(plan.blocks) == 1
         assert plan.target_nodes.size == dataset.num_nodes
         assert plan.nodes(2).size == dataset.num_nodes
         assert plan.block(0).shape == (dataset.num_nodes, dataset.num_nodes)
+
+    def test_prebuilt_table_plans_match_one_shot_calls(self, dataset):
+        g, train = dataset.graph, dataset.split.train
+        a = normalize_adjacency(g, "sym")
+
+        def one_shot(method, cfg, rng):
+            """The epoch _epoch_plans draws, from samplers that build their
+            own distributions on every call."""
+            bs, L, q = cfg["batch_size"], cfg["num_layers"], cfg.get("fanout")
+            if method in ("graphsage", "fastgcn", "ladies"):
+                for b in shuffled_batches(rng, train, bs):
+                    yield (node_wise_sample(g, a, b, q, L, rng) if method == "graphsage"
+                           else layer_wise_sample(g, a, b, q, L, method, rng))
+                return
+            if method == "clustergcn":
+                parts, per = partition_graph(g, 8), max(1, round(bs / (g.num_nodes / 8)))
+                order = rng.permutation(8)
+                sets = [np.concatenate([parts.cluster_nodes(c) for c in order[s:s + per]])
+                        for s in range(0, 8, per)]
+            else:
+                draw = {"saint-node": lambda: saint_node_sample(a, bs, rng),
+                        "saint-edge": lambda: saint_edge_sample(g, bs // 2, rng),
+                        "saint-rw": lambda: random_walk_sample(g, bs // 3, 2, rng)}[method]
+                sets = [draw() for _ in range(round(g.num_nodes / bs))]
+            for nodes in sets:
+                yield subgraph_batch(g, a, nodes)
+
+        for method in ("graphsage", "fastgcn", "ladies", "clustergcn",
+                       "saint-node", "saint-edge", "saint-rw"):
+            cfg = {**default_config(method), **SMOKE_CONFIGS[method], "num_layers": 2,
+                   "batch_size": 24}
+            table = _sampling_table(method, cfg, g, a)
+            got = list(_epoch_plans(method, cfg, dataset, a, table, make_rng(3)))
+            want = list(one_shot(method, cfg, make_rng(3)))
+            assert len(got) == len(want) > 1, method
+            for p, q in zip(got, want):
+                assert all(np.array_equal(x, y) for x, y in zip(p.node_sets, q.node_sets))
+                for x, y in zip(p.blocks, q.blocks):
+                    assert (x != y).nnz == 0 and np.array_equal(x.indices, y.indices), method
 
     def test_subset_hops_rows(self, dataset):
         a = normalize_adjacency(dataset.graph, "sym")
