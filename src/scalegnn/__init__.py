@@ -10,9 +10,7 @@ a greedy hyperparameter search.
 from scalegnn.bundle import (
     bundle_from_csv,
     load_bundle,
-    load_hop_cache,
     save_bundle,
-    save_hop_cache,
     write_synthetic_bundle,
 )
 from scalegnn.engcn import SLEConfig, engcn_run
@@ -35,7 +33,7 @@ from scalegnn.harness import (
     estimate_complexity,
     greedy_search,
 )
-from scalegnn.instrument import memory_meter, op_counter
+from scalegnn.instrument import op_counter
 from scalegnn.labelprop import DiffusionConfig, correct_and_smooth, lp_iterate
 from scalegnn.nn import TrainingDiverged
 from scalegnn.synth import SyntheticSpec, generate_sbm
@@ -51,7 +49,6 @@ __all__ = [
     "spmm",
     "induced_subgraph",
     "op_counter",
-    "memory_meter",
     "SyntheticSpec",
     "generate_sbm",
     "DiffusionConfig",
@@ -74,8 +71,6 @@ __all__ = [
     "save_bundle",
     "load_bundle",
     "write_synthetic_bundle",
-    "save_hop_cache",
-    "load_hop_cache",
     "bundle_from_csv",
 ]
 

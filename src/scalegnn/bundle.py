@@ -12,9 +12,6 @@ plus a JSON manifest:
     labels.bin      magic "SGNLABL1", uint64 node count, uint64 class ids
     splits.bin      magic "SGNSPLT1", uint64 node count, uint64 codes
                     (0 train, 1 val, 2 test)
-    hops/<norm>_<K>/x_<l>.bin
-                    optional propagated-feature cache, one float32 matrix
-                    per hop with magic "SGNHOPS1", plus its own manifest
 
 Fixed widths and endianness make bundles portable across platforms without
 a serialization library. Corrupt inputs surface as distinct error types:
@@ -37,7 +34,6 @@ from pathlib import Path
 import numpy as np
 
 from scalegnn.graph import DataSplit, Graph, LabelVector, build_graph
-from scalegnn.models import HopFeatures, precompute_hops
 from scalegnn.synth import SyntheticSpec, generate_sbm
 
 SCHEMA_VERSION = 1
@@ -47,7 +43,6 @@ MAGIC = {
     "features.bin": b"SGNFEAT1",
     "labels.bin": b"SGNLABL1",
     "splits.bin": b"SGNSPLT1",
-    "hops": b"SGNHOPS1",
 }
 _SPLIT_CODES = {"train": 0, "val": 1, "test": 2}
 
@@ -215,69 +210,6 @@ def write_synthetic_bundle(spec: SyntheticSpec, directory,
     g, x, labels, split = generate_sbm(spec)
     return save_bundle(directory, g, x, labels, split,
                        name=name or f"sbm-{spec.num_nodes}")
-
-
-# ----------------------------------------------------------- hop sidecars
-
-
-def hop_cache_dir(directory, norm_kind: str, K: int) -> Path:
-    return Path(directory) / "hops" / f"{norm_kind}_{K}"
-
-
-def save_hop_cache(directory, hops: HopFeatures) -> Path:
-    out = hop_cache_dir(directory, hops.norm_kind, hops.K)
-    out.mkdir(parents=True, exist_ok=True)
-    names = []
-    for l, h in enumerate(hops.hops):
-        fname = f"x_{l}.bin"
-        _write_array(out / fname, MAGIC["hops"], h.astype(np.float32))
-        names.append(fname)
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "norm_kind": hops.norm_kind,
-        "K": hops.K,
-        "num_nodes": int(hops.hops[0].shape[0]),
-        "feature_dim": int(hops.hops[0].shape[1]),
-        "checksums": {f: _sha256(out / f) for f in names},
-    }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return out
-
-
-def load_hop_cache(directory, norm_kind: str, K: int) -> HopFeatures:
-    out = hop_cache_dir(directory, norm_kind, K)
-    if not (out / "manifest.json").exists():
-        raise BundleFormatError(f"no hop cache at {out}")
-    manifest = json.loads((out / "manifest.json").read_text())
-    if manifest.get("schema_version") != SCHEMA_VERSION:
-        raise BundleVersionError(f"hop cache schema "
-                                 f"{manifest.get('schema_version')!r}")
-    n, d = int(manifest["num_nodes"]), int(manifest["feature_dim"])
-    mats = []
-    for l in range(manifest["K"] + 1):
-        fname = f"x_{l}.bin"
-        path = out / fname
-        flat = _read_array(path, MAGIC["hops"], "<f4", fname)
-        if flat.size != n * d:
-            raise BundleCountError(f"{fname}: {flat.size} scalars, expected "
-                                   f"{n * d}")
-        if _sha256(path) != manifest["checksums"][fname]:
-            raise BundleChecksumError(f"{fname}: checksum mismatch")
-        mats.append(flat.reshape(n, d).copy())
-    return HopFeatures(mats, int(manifest["K"]), manifest["norm_kind"])
-
-
-def build_hop_cache(directory, norm_kind: str, K: int) -> Path:
-    """Load the bundle, propagate features K times, persist the cache."""
-    from scalegnn.graph import normalize_adjacency
-    g, x, _, _ = load_bundle(directory)
-    a = normalize_adjacency(g, norm_kind)
-    hops = precompute_hops(a, x.astype(np.float64), K)
-    out = save_hop_cache(directory, hops)
-    hops.release()
-    return out
 
 
 # ------------------------------------------------------------- converters

@@ -1,9 +1,9 @@
 """Command-line entry point.
 
-Subcommands: gen (synthetic bundle), precompute (hop cache), train (one
-trial), hpsearch (greedy axis search), bench (throughput + memory preset),
-report (aggregate trial files into a table). Every subcommand honors
---seed, --out and --config FILE.
+Subcommands: gen (synthetic bundle), train (one trial), hpsearch (greedy
+axis search), bench (throughput + memory preset), report (aggregate trial
+files into a table). Every subcommand honors --seed, --out and --config
+FILE.
 
 Config files are flat key=value text ('#' comments allowed). Values parse
 as JSON scalars when possible, else strings. Precedence, lowest to
@@ -35,7 +35,6 @@ from pathlib import Path
 RUN_KEYS = {
     "gen": {"nodes", "classes", "p_in", "p_out", "feature_dim", "separation",
             "noise", "fractions", "name", "seed", "out"},
-    "precompute": {"bundle", "k", "norm", "seed", "out"},
     "train": {"method", "bundle", "repeats", "stages", "allow_custom",
               "seed", "out"},
     "hpsearch": {"method", "bundle", "budget", "repeats", "axes", "stages",
@@ -228,21 +227,6 @@ def _cmd_gen(args) -> int:
         write_synthetic_bundle(spec, out, name=options["name"])
         _write_resolved(out, "gen", options, {})
     print(f"bundle written to {out}")
-    return 0
-
-
-def _cmd_precompute(args) -> int:
-    options, _ = _merge("precompute", args, {
-        "bundle": None, "k": 2, "norm": "sym", "seed": 0, "out": None})
-    if options["bundle"] is None:
-        raise UsageError("precompute requires --bundle")
-    from scalegnn.bundle import build_hop_cache
-    bundle = Path(options["bundle"])
-    out = Path(options["out"]) if options["out"] else bundle
-    with DirectoryLock(out):
-        cache = build_hop_cache(bundle, options["norm"], int(options["k"]))
-        _write_resolved(out, "precompute", options, {})
-    print(f"hop cache written to {cache}")
     return 0
 
 
@@ -447,12 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="train,val,test fractions, e.g. 0.1,0.2,0.7")
     p.add_argument("--name", default=None)
 
-    p = sub.add_parser("precompute", help="persist a hop-feature cache")
-    common(p)
-    p.add_argument("--bundle", default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--norm", choices=["row", "col", "sym"], default=None)
-
     from scalegnn.harness import METHODS  # names only, cheap import
     method_names = sorted(METHODS)
 
@@ -498,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 _HANDLERS = {
     "gen": _cmd_gen,
-    "precompute": _cmd_precompute,
     "train": _cmd_train,
     "hpsearch": _cmd_hpsearch,
     "bench": _cmd_bench,

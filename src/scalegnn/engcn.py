@@ -2,12 +2,14 @@
 propagated feature and label matrices, a growing pseudo-labeled training set,
 and centered log-softmax majority voting over per-stage snapshots.
 
-Only two feature-width matrices are ever resident: the current propagated
-features and, transiently inside a propagation step, their predecessor. The
-voting cache holds per-stage logits, which are label-width and therefore
-outside the feature-memory accounting (see instrument.MemoryMeter). Feature
-propagation costs exactly one sparse product per stage for X and one for Y,
-outside the training loop.
+One propagated feature matrix is kept: the current one, which overlaps its
+predecessor only inside a propagation step. The voting cache holds
+per-stage logits, which are label-width. Measured with tracemalloc on
+2000 nodes with 128-dim float64 features and 4 classes (acceptance test 9),
+a run allocates at most 3 feature matrices beyond its input (2.7 at 5
+stages), and less than a quarter of a matrix more at 5 stages than at 1.
+Feature propagation costs exactly one sparse product per stage for X and
+one for Y, outside the training loop.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from scalegnn.graph import DataSplit, Graph, LabelVector, normalize_adjacency, spmm
-from scalegnn.instrument import memory_meter
 from scalegnn.nn import (AdamState, MLPConfig, MLPParams, accuracy, adam_step,
                          cross_entropy, fit, init_mlp, log_softmax_row,
                          mlp_backward, mlp_forward, one_hot,
@@ -90,7 +91,6 @@ def engcn_init(x: np.ndarray, labels: LabelVector, split: DataSplit,
     y0[split.train] = one_hot(labels.labels[split.train], c)
     pseudo = np.full(n, -1, dtype=np.int64)
     pseudo[split.train] = labels.labels[split.train]
-    memory_meter.alloc("engcn/x_cur", x)
     return EnGCNState(stage=0, x_cur=x, y_cur=y0, pseudo_labels=pseudo,
                       pseudo_train=np.sort(np.asarray(split.train, dtype=np.int64)),
                       num_classes=c, true_labels=labels.labels.copy(),
@@ -102,16 +102,12 @@ def engcn_propagate(state: EnGCNState, a) -> EnGCNState:
 
     Stage 0 consumes raw inputs, so this is only legal once sle_update has
     advanced the state to stage >= 1. The old and new feature matrices
-    overlap for one step; the meter sees that transient pair and nothing
-    wider, which is the whole point of stage-wise propagation.
+    overlap for this one step and never more, which is the whole point of
+    stage-wise propagation.
     """
     if state.stage < 1:
         raise ValueError("stage 0 uses raw inputs; propagation starts at stage 1")
-    new_x = spmm(a, state.x_cur)
-    memory_meter.alloc("engcn/x_prev", state.x_cur)
-    memory_meter.alloc("engcn/x_cur", new_x)
-    memory_meter.free("engcn/x_prev")
-    state.x_cur = new_x
+    state.x_cur = spmm(a, state.x_cur)
     state.y_cur = spmm(a, state.y_cur)
     return state
 
@@ -124,7 +120,7 @@ def engcn_stage_forward(state: EnGCNState, phi_params: MLPParams,
     batch = np.asarray(batch, dtype=np.int64)
     if batch.size == 0:
         raise ValueError("empty batch")
-    xb = state.x_cur[batch].astype(np.float64)
+    xb = state.x_cur[batch].astype(np.float64, copy=False)
     logits, _ = mlp_forward(phi_params, config.phi, xb, mode="eval")
     if state.stage >= 1:
         psi_logits, _ = mlp_forward(psi_params, config.psi,
@@ -151,7 +147,7 @@ def engcn_train_stage(state: EnGCNState, phi_params: MLPParams,
     use_psi = state.stage >= 1
 
     def step(batch):
-        xb = state.x_cur[batch].astype(np.float64)
+        xb = state.x_cur[batch].astype(np.float64, copy=False)
         logits, trace_phi = mlp_forward(phi_params, config.phi, xb,
                                         mode="train", rng=rng)
         if use_psi:

@@ -30,12 +30,6 @@ class Graph:
     def neighbors(self, u: int) -> np.ndarray:
         return self.col_indices[self.row_offsets[u]:self.row_offsets[u + 1]]
 
-    def out_degrees(self) -> np.ndarray:
-        return np.diff(self.row_offsets)
-
-    def in_degrees(self) -> np.ndarray:
-        return np.bincount(self.col_indices, minlength=self.num_nodes).astype(np.int64)
-
 
 @dataclass(frozen=True)
 class NormalizedAdjacency:

@@ -277,16 +277,21 @@ def greedy_search(method: str, space: HPSpace, dataset, seed: int = 0,
 # ------------------------------------------------------------- estimators
 
 
-def estimate_activation_memory(method: str, b: int, r: int, L: int, D: int,
-                               bytes_per_scalar: int = 8) -> int:
-    """Analytic bytes of cached per-layer activations for a training step.
+_BYTES_PER_SCALAR = 8  # trials train in float64
+
+
+def estimate_activation_memory(method: str, b: int, r: int, L: int, D: int) -> int:
+    """Analytic bytes of the activations one training step caches for
+    backward, in float64.
 
     Scaling by category: node-wise b*r^L*D, layer-wise b*r*L*D, everything
     trained as plain mini-batch MLP layers (subgraph-wise, precompute,
-    stagewise, residual-diffusion base predictor) b*L*D. A one-layer linear
-    readout on fixed precomputed features caches nothing for backward (the
-    input matrix is not an activation), so sgc reports 0; plain diffusion
-    (lp) has no backward pass at all.
+    stagewise, the cs base MLP) b*L*D. A one-layer linear readout on fixed
+    precomputed features caches nothing for backward (the input matrix is
+    not an activation), so sgc reports 0; plain diffusion (lp) has no
+    backward pass at all. This is one step's cache only: stored hops
+    ((K+1)*N*d), full-graph evaluation and the float64 feature copy are
+    not counted.
     """
     if min(b, L, D) < 0 or r < 0:
         raise ValueError("estimate needs non-negative parameters")
@@ -294,10 +299,10 @@ def estimate_activation_memory(method: str, b: int, r: int, L: int, D: int,
     if spec.name in ("sgc", "lp"):
         return 0
     if spec.category == "node-wise":
-        return int(b * r ** L * D * bytes_per_scalar)
+        return int(b * r ** L * D * _BYTES_PER_SCALAR)
     if spec.category == "layer-wise":
-        return int(b * r * L * D * bytes_per_scalar)
-    return int(b * L * D * bytes_per_scalar)
+        return int(b * r * L * D * _BYTES_PER_SCALAR)
+    return int(b * L * D * _BYTES_PER_SCALAR)
 
 
 @dataclass(frozen=True)
@@ -313,12 +318,13 @@ class ComplexityEstimate:
 
 
 def estimate_complexity(method: str, b: int, r: int, L: int, D: int,
-                        num_nodes: int, nnz: int,
-                        bytes_per_scalar: int = 8) -> ComplexityEstimate:
+                        num_nodes: int, nnz: int) -> ComplexityEstimate:
     """Per-category cost model evaluated with concrete run parameters:
     node-wise r^L*N*D^2, layer-wise r*L*N*D^2, subgraph-wise
     L*nnz*D + L*N*D^2, precompute (and everything trained as an MLP)
-    L*N*D^2; space terms match estimate_activation_memory."""
+    L*N*D^2. The space term is estimate_activation_memory: one training
+    step's cached activations only, without stored hops, full-graph
+    evaluation or the float64 feature copy."""
     spec = METHODS[method]
     n, d = float(num_nodes), float(D)
     if spec.category == "node-wise":
@@ -329,7 +335,7 @@ def estimate_complexity(method: str, b: int, r: int, L: int, D: int,
         t = L * float(nnz) * d + L * n * d * d
     else:
         t = L * n * d * d
-    s = estimate_activation_memory(method, b, r, L, D, bytes_per_scalar)
+    s = estimate_activation_memory(method, b, r, L, D)
     return ComplexityEstimate(spec.name, spec.category, t, float(s))
 
 

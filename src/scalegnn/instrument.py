@@ -1,17 +1,12 @@
-"""Lightweight counters for sparse-op and feature-memory accounting.
+"""Sparse-op counter.
 
-Two module-level singletons, ``op_counter`` and ``memory_meter``, are shared
-by the whole package. The op counter is bumped by every sparse*dense product
-that goes through ``graph.spmm`` (and the sampler block products). The memory
-meter is a voluntary registry: code that materializes a node-feature-sized
-matrix registers it under a name and unregisters it when it lets go, so tests
-can check high-water marks (bytes and simultaneously-live matrix count)
-without depending on the allocator.
+The module-level singleton ``op_counter`` is shared by the whole package.
+It is bumped by every sparse*dense product that goes through ``graph.spmm``
+(and the sampler block products). Feature memory is not counted here:
+tests measure it with ``tracemalloc``.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 
 class OpCounter:
@@ -32,56 +27,4 @@ class OpCounter:
         return {"spmm_calls": self.spmm_calls, "spmm_madds": self.spmm_madds}
 
 
-class MemoryMeter:
-    """High-water meter over explicitly registered feature matrices.
-
-    ``alloc`` either takes an ndarray (bytes inferred) or an int byte count.
-    Re-registering a live name replaces its size, which is how an in-place
-    "propagate and overwrite" step is reported: the old buffer dies as the
-    new one appears, so the transient double-residency is charged explicitly
-    by the caller via ``alloc(name, ...)`` on a temp name followed by
-    ``replace``.
-    """
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self._live: dict[str, int] = {}
-        self.peak_bytes = 0
-        self.peak_count = 0
-
-    def _update_peaks(self) -> None:
-        cur = sum(self._live.values())
-        if cur > self.peak_bytes:
-            self.peak_bytes = cur
-        if len(self._live) > self.peak_count:
-            self.peak_count = len(self._live)
-
-    def alloc(self, name: str, size) -> None:
-        nbytes = size.nbytes if isinstance(size, np.ndarray) else int(size)
-        self._live[name] = nbytes
-        self._update_peaks()
-
-    def free(self, name: str) -> None:
-        self._live.pop(name, None)
-
-    @property
-    def current_bytes(self) -> int:
-        return sum(self._live.values())
-
-    @property
-    def live_count(self) -> int:
-        return len(self._live)
-
-    def snapshot(self) -> dict:
-        return {
-            "current_bytes": self.current_bytes,
-            "live_count": self.live_count,
-            "peak_bytes": self.peak_bytes,
-            "peak_count": self.peak_count,
-        }
-
-
 op_counter = OpCounter()
-memory_meter = MemoryMeter()

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from scalegnn.graph import NormalizedAdjacency, csr_matmul, spmm
-from scalegnn.instrument import memory_meter
 from scalegnn.nn import (
     MLPConfig,
     MLPParams,
@@ -39,22 +38,18 @@ class HopFeatures:
         return self.hops[0].shape[1]
 
     def release(self) -> None:
-        for l in range(self.K + 1):
-            memory_meter.free(f"hop/{l}")
+        """Drop this object's references to its hop matrices."""
+        self.hops.clear()
 
 
 def precompute_hops(a: NormalizedAdjacency, x: np.ndarray, K: int) -> HopFeatures:
-    """X^l = Â X^{l-1} for l = 1..K, all kept resident (that is the point of
-    the cache, and what the memory meter records)."""
+    """X^l = Â X^{l-1} for l = 1..K, all kept resident: K new matrices
+    beside the caller's X^0 (that is the point of the cache)."""
     if K < 0:
         raise ValueError("hop count must be >= 0")
-    x = np.asarray(x)
-    hops = [x]
-    memory_meter.alloc("hop/0", x)
+    hops = [np.asarray(x)]
     for l in range(1, K + 1):
-        nxt = spmm(a, hops[-1])
-        memory_meter.alloc(f"hop/{l}", nxt)
-        hops.append(nxt)
+        hops.append(spmm(a, hops[-1]))
     return HopFeatures(hops, K, a.norm_kind)
 
 

@@ -9,6 +9,7 @@ exercises a user-converted real-data bundle and skips when none is supplied.
 
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from scalegnn.harness import (
     greedy_search,
     record_convergence,
 )
-from scalegnn.instrument import memory_meter
 from scalegnn.labelprop import lp_iterate, residual_error_iterate
 from scalegnn.models import (
     SAGNConfig,
@@ -480,39 +480,51 @@ def test_08_efficiency_patterns(capsys):
 # ---------------------------------------- 9: feature-memory high water
 
 
-def test_09_stagewise_memory_flat_vs_hop_cache_linear(capsys):
+def traced_peak(fn) -> int:
+    """Peak bytes fn allocates, measured by tracemalloc (arrays that exist
+    before the call are not counted)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_09_stagewise_memory_flat_vs_precomputed_hops_linear(capsys):
+    # 128-dim features keep the label-width vote cache (4 classes, one
+    # matrix per stage) small next to a feature matrix, so the flat-vs-
+    # linear shape is not hidden by it.
     t0 = time.perf_counter()
-    spec = SyntheticSpec(2000, 4, 0.01, 0.002, feature_dim=24, seed=0)
+    spec = SyntheticSpec(2000, 4, 0.01, 0.002, feature_dim=128, seed=0)
     g, x, labels, split = generate_sbm(spec)
     x = x.astype(np.float64)
     matrix_bytes = x.nbytes
 
     stage_peaks = {}
     for k in (1, 3, 5):
-        memory_meter.reset()
         config = SLEConfig(threshold=0.9, num_stages=k, epochs_per_stage=2,
-                           phi=MLPConfig([24, 16, 4], seed=0),
+                           phi=MLPConfig([128, 16, 4], seed=0),
                            psi=MLPConfig([4, 16, 4], seed=1),
                            batch_size=512, seed=0)
-        engcn_run(x, g, labels, split, config)
-        stage_peaks[k] = (memory_meter.peak_count, memory_meter.peak_bytes)
-    assert all(peak == (2, 2 * matrix_bytes) for peak in stage_peaks.values()), stage_peaks
+        peak = traced_peak(lambda: engcn_run(x, g, labels, split, config))
+        stage_peaks[k] = peak / matrix_bytes
+    assert stage_peaks[5] - stage_peaks[1] < 0.25, stage_peaks
+    assert stage_peaks[5] <= 3.0, stage_peaks
 
     a = normalize_adjacency(g, "sym")
-    cache_peaks = {}
-    for k in (1, 3, 5):
-        memory_meter.reset()
-        hops = precompute_hops(a, x, k)
-        cache_peaks[k] = (memory_meter.peak_count, memory_meter.peak_bytes)
-        hops.release()
-    assert all(cache_peaks[k] == (k + 1, (k + 1) * matrix_bytes)
+    cache_peaks = {k: traced_peak(lambda: precompute_hops(a, x, k)) / matrix_bytes
+                   for k in (1, 3, 5)}
+    assert all(abs(cache_peaks[k] - cache_peaks[1] - (k - 1)) <= 0.1
                for k in (1, 3, 5)), cache_peaks
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
-    announce(capsys, 9, f"stage-wise peak fixed at 2 matrices "
-                        f"({2 * matrix_bytes} B) for 1/3/5 stages; hop cache "
-                        f"peaks K+1 matrices ({elapsed:.1f}s < 120s)")
+    announce(capsys, 9, "stage-wise peak " + "/".join(
+        f"{stage_peaks[k]:.2f}" for k in (1, 3, 5)) + " feature matrices at "
+        "1/3/5 stages; hop cache peak " + "/".join(
+        f"{cache_peaks[k]:.2f}" for k in (1, 3, 5)) + " at K = 1/3/5 "
+        f"(tracemalloc, {elapsed:.1f}s < 120s)")
 
 
 # ------------------------------------------------ 10: real-data stretch

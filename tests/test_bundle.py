@@ -1,5 +1,4 @@
-"""Bundle format: round trips, corruption detection, hop cache, CSV
-converter."""
+"""Bundle format: round trips, corruption detection, CSV converter."""
 
 import json
 import struct
@@ -9,12 +8,8 @@ import pytest
 
 from scalegnn.bundle import (BundleChecksumError, BundleCountError,
                              BundleFormatError, BundleVersionError,
-                             build_hop_cache, bundle_from_csv, hop_cache_dir,
-                             load_bundle, load_hop_cache, read_manifest,
-                             save_bundle, save_hop_cache,
+                             bundle_from_csv, load_bundle, read_manifest,
                              write_synthetic_bundle)
-from scalegnn.graph import normalize_adjacency, spmm
-from scalegnn.models import HopFeatures
 from scalegnn.synth import SyntheticSpec, generate_sbm
 
 SPEC = SyntheticSpec(120, 3, 0.1, 0.01, feature_dim=6, separation=1.0, seed=2)
@@ -109,46 +104,6 @@ class TestCorruption:
         (bundle_dir / "splits.bin").unlink()
         with pytest.raises(BundleFormatError):
             load_bundle(bundle_dir)
-
-
-class TestHopCache:
-    def test_build_matches_direct_propagation(self, bundle_dir):
-        build_hop_cache(bundle_dir, "sym", 2)
-        hops = load_hop_cache(bundle_dir, "sym", 2)
-        g, x, _, _ = load_bundle(bundle_dir)
-        a = normalize_adjacency(g, "sym")
-        cur = x.astype(np.float64)
-        for l in range(3):
-            assert np.array_equal(hops.hops[l], cur.astype(np.float32))
-            cur = spmm(a, cur)
-        assert hops.K == 2 and hops.norm_kind == "sym"
-
-    def test_cache_directory_layout(self, bundle_dir):
-        out = build_hop_cache(bundle_dir, "row", 1)
-        assert out == hop_cache_dir(bundle_dir, "row", 1)
-        assert (out / "x_0.bin").exists() and (out / "x_1.bin").exists()
-        assert (out / "manifest.json").exists()
-
-    def test_missing_cache(self, bundle_dir):
-        with pytest.raises(BundleFormatError):
-            load_hop_cache(bundle_dir, "sym", 4)
-
-    def test_corrupt_cache_checksum(self, bundle_dir):
-        out = build_hop_cache(bundle_dir, "sym", 1)
-        path = out / "x_1.bin"
-        blob = bytearray(path.read_bytes())
-        blob[-1] ^= 0x10
-        path.write_bytes(bytes(blob))
-        with pytest.raises(BundleChecksumError):
-            load_hop_cache(bundle_dir, "sym", 1)
-
-    def test_save_load_roundtrip(self, tmp_path):
-        mats = [np.arange(12, dtype=np.float32).reshape(4, 3) * (l + 1)
-                for l in range(3)]
-        save_hop_cache(tmp_path, HopFeatures(mats, 2, "col"))
-        back = load_hop_cache(tmp_path, "col", 2)
-        for a, b in zip(mats, back.hops):
-            assert np.array_equal(a, b)
 
 
 class TestCsvConverter:

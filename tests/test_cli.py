@@ -42,15 +42,6 @@ class TestGen:
         assert main(GEN) == 2
 
 
-class TestPrecompute:
-    def test_writes_hop_cache(self, bundle):
-        rc = main(["precompute", "--bundle", str(bundle), "--k", "2",
-                   "--norm", "sym"])
-        assert rc == 0
-        for l in range(3):
-            assert (bundle / "hops" / "sym_2" / f"x_{l}.bin").exists()
-
-
 class TestTrain:
     def test_sgc_writes_one_trial_record(self, bundle, tmp_path):
         out = tmp_path / "run"

@@ -1,10 +1,11 @@
 """Precompute predictors and sampled GNN against oracles and gradchecks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from scalegnn.graph import build_graph, normalize_adjacency, spmm
-from scalegnn.instrument import memory_meter
 from scalegnn.models import (
     HopFeatures,
     SAGNConfig,
@@ -75,14 +76,20 @@ def test_hops_negative_k():
 
 
 def test_hops_metered():
-    memory_meter.reset()
     g = small_graph()
     a = normalize_adjacency(g, "sym")
-    hops = precompute_hops(a, np.zeros((6, 4)), 3)
-    assert memory_meter.live_count == 4
-    assert memory_meter.peak_count == 4
-    hops.release()
-    assert memory_meter.live_count == 0
+    x = np.zeros((6, 256))
+    tracemalloc.start()
+    try:
+        hops = precompute_hops(a, x, 3)
+        live, peak = tracemalloc.get_traced_memory()
+        hops.release()
+        released, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # X^1..X^3 are new and all resident; release drops them (X^0 is x)
+    assert 3 * x.nbytes <= live <= peak < 3.25 * x.nbytes
+    assert hops.hops == [] and released < 0.25 * x.nbytes
 
 
 def test_sgc_identity_readout():
