@@ -332,6 +332,11 @@ def sampled_gnn_forward(plan: BatchPlan, x: np.ndarray, params: SampledGNNParams
     final layer linear. Plan and model depth must agree (shared subgraph
     plans fit any depth by construction). Returns (logits, trace) in train
     mode and (logits, None) otherwise.
+
+    Eval mode multiplies the block Â at the narrower of each layer's input
+    and output widths: Â (h W_neigh) when W_neigh narrows, (Â h) W_neigh
+    otherwise. Train mode does not: it always forms Â h, which the backward
+    pass needs.
     """
     depth = config.depth
     if not plan.shared and len(plan.blocks) != depth:
@@ -343,14 +348,21 @@ def sampled_gnn_forward(plan: BatchPlan, x: np.ndarray, params: SampledGNNParams
     layers = []
     for i in range(depth):
         l = depth - 1 - i  # block index: deepest first
-        agg = csr_matmul(plan.block(l), h)
+        block, w_neigh = plan.block(l), params.w_neigh[i]
         pos = plan.self_positions(l)
         self_h = h if plan.shared else _gather_self(h, pos)  # shared: B_l is B_{l+1}
-        z = self_h @ params.w_self[i] + agg @ params.w_neigh[i] + params.bias[i]
         if not train:
-            del agg, self_h
+            z = self_h @ params.w_self[i]
+            del self_h
+            if w_neigh.shape[1] < w_neigh.shape[0]:
+                z += csr_matmul(block, h @ w_neigh)
+            else:
+                z += csr_matmul(block, h) @ w_neigh
+            z += params.bias[i]
             h = np.maximum(z, 0.0, out=z) if i < depth - 1 else z
             continue
+        agg = csr_matmul(block, h)
+        z = self_h @ params.w_self[i] + agg @ w_neigh + params.bias[i]
         rec = {"h": h, "agg": agg, "self_h": self_h, "pos": pos, "z": z, "mask": None}
         if i < depth - 1:
             h = np.maximum(z, 0.0)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from scalegnn.graph import Graph, NormalizedAdjacency, add_self_loops, induced_subgraph, normalize_adjacency
+from scalegnn.graph import Graph, NormalizedAdjacency, induced_subgraph, normalize_adjacency
 
 
 @dataclass

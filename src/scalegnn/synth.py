@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scalegnn.graph import DataSplit, Graph, LabelVector, build_graph
+from scalegnn.graph import DataSplit, LabelVector, build_graph
 from scalegnn.rng import make_rng
 
 

@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from scalegnn.engcn import (EnGCNState, SLEConfig, engcn_init, engcn_propagate,
-                            engcn_run, engcn_stage_forward, engcn_train_stage,
+from scalegnn.engcn import (SLEConfig, engcn_init, engcn_propagate, engcn_run,
+                            engcn_stage_forward, engcn_train_stage,
                             majority_vote, sle_update)
 from scalegnn.graph import (DataSplit, LabelVector, build_graph,
                             normalize_adjacency)

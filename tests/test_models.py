@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from scalegnn.graph import build_graph, normalize_adjacency, spmm
+from scalegnn.instrument import op_counter
 from scalegnn.models import (
     HopFeatures,
     SAGNConfig,
@@ -29,6 +30,7 @@ from scalegnn.models import (
 from scalegnn.nn import MLPParams, cross_entropy, gradcheck
 from scalegnn.rng import make_rng
 from scalegnn.samplers import BatchPlan, node_wise_sample
+from scalegnn.trainers import full_plan
 
 RNG = np.random.default_rng(42)
 
@@ -283,15 +285,39 @@ def test_sampled_gnn_full_batch_equals_dense():
 
 
 def test_sampled_gnn_eval_keeps_no_trace_and_matches_train():
+    """Eval equals train bit for bit while no layer narrows; a narrowing
+    layer multiplies Â at its output width in eval, so only rounding moves."""
     g = small_graph(8, 12, seed=3)
     a = normalize_adjacency(g, "sym")
     x = RNG.normal(size=(8, 4))
-    plan = node_wise_sample(g, a, [0, 3, 5], Q=2, K=3, rng=make_rng(9))
-    config = SampledGNNConfig([4, 5, 5, 3], seed=10)
+    for dims, K in (([4, 5, 6], 2), ([4, 5, 5, 3], 3)):
+        plan = node_wise_sample(g, a, [0, 3, 5], Q=2, K=K, rng=make_rng(9))
+        config = SampledGNNConfig(dims, seed=10)
+        params = init_sampled_gnn(config)
+        logits, trace = sampled_gnn_forward(plan, x, params, config)
+        assert trace is None
+        train_logits = sampled_gnn_forward(plan, x, params, config, mode="train")[0]
+        if all(a <= b for a, b in zip(dims, dims[1:])):  # no layer narrows
+            assert np.array_equal(logits, train_logits)
+        else:
+            assert np.max(np.abs(logits - train_logits)) <= 1e-12
+
+
+def test_sampled_gnn_eval_full_plan_multiplies_at_class_width():
+    """On the trainers' shared full plan, eval multiplies Â at width d in the
+    widening first layer and at the class width C, not H, in the last."""
+    n, d, H, C = 30, 4, 9, 3
+    g = small_graph(n, 60, seed=7)
+    a = normalize_adjacency(g, "sym")
+    x = RNG.normal(size=(n, d))
+    config = SampledGNNConfig([d, H, C], seed=14)
     params = init_sampled_gnn(config)
-    logits, trace = sampled_gnn_forward(plan, x, params, config)
-    assert trace is None
-    assert np.array_equal(logits, sampled_gnn_forward(plan, x, params, config, mode="train")[0])
+    dense_a = a.to_scipy().toarray()
+    op_counter.reset()
+    logits, _ = sampled_gnn_forward(full_plan(a), x, params, config)
+    assert op_counter.spmm_madds == np.count_nonzero(dense_a) * (d + C)
+    oracle = dense_gnn_forward(dense_a, x, params)
+    assert np.max(np.abs(logits - oracle)) < 1e-10
 
 
 def test_sampled_gnn_zero_neighbor_weights_ignore_plan():

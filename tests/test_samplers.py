@@ -6,7 +6,6 @@ import pytest
 from scalegnn.graph import build_graph, normalize_adjacency
 from scalegnn.rng import make_rng
 from scalegnn.samplers import (
-    BatchPlan,
     _gather_neighborhood,
     _restrict_block,
     _smallest_per_row,

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from scalegnn.graph import normalize_adjacency
-from scalegnn.harness import (METHODS, default_space,
-                              estimate_activation_memory)
+from scalegnn.harness import default_space, estimate_activation_memory
 from scalegnn.models import precompute_hops
 from scalegnn.synth import SyntheticSpec
 from scalegnn.nn import shuffled_batches
