@@ -12,7 +12,9 @@ It also runs three EnGCN stages by hand and keeps a sha256 of every
 snapshot's weights and the per-epoch logs. To check the samplers
 directly, it keeps a sha256 of `partition_graph(g, k).assignment` for
 k = 4 and 16, and of one epoch of batch plans per sampled method (node
-sets and block arrays), drawn through the public sampler calls. Every
+sets and block arrays), drawn through the public sampler calls. Two
+greedy searches at seed 0 keep their `GreedySearchLog.to_dict()`: sgc over
+epochs x num_layers and cs over norm_kind x num_mlp_layers. Every
 key that holds a duration (`*seconds`, `iterations_per_second`) is
 dropped. `compare`
 prints "<n> entries, <k> differ", names the differing entries and their
@@ -33,6 +35,8 @@ SHORT = {"graphsage": H32, "fastgcn": H32, "ladies": H32, "clustergcn": H32,
          "sagn": dict(H32, dropout=0.2), "lp": dict(num_propagations=5),
          "cs": dict(H32, dropout=0.2),
          "engcn": dict(epochs=2, hidden_dim=32, batch_size=256, num_layers=2, dropout=0.2)}
+# (method, axes searched); every other knob stays at its default
+SEARCHES = (("sgc", ("epochs", "num_layers")), ("cs", ("norm_kind", "num_mlp_layers")))
 
 
 def _untimed(value):
@@ -130,6 +134,11 @@ def run(path: str) -> None:
             out[f"{method}/{seed}"] = run_trial(method, cfg, ds, seed=seed).to_dict()
         out[f"engcn-stages/{seed}"] = _stage_snapshots(ds, seed)
         out[f"plans/{seed}"] = _plan_digests(ds, seed)
+    from scalegnn.harness import default_space, greedy_search
+    for method, axes in SEARCHES:
+        space = default_space(method)
+        space = space.without(*(n for n in space.axis_names() if n not in axes))
+        out[f"search-{method}/0"] = greedy_search(method, space, ds, seed=0).to_dict()
     from scalegnn.samplers import partition_graph
     out["partitions"] = {str(k): hashlib.sha256(partition_graph(ds.graph, k).assignment.tobytes())
                          .hexdigest() for k in (4, 16)}

@@ -299,8 +299,8 @@ def _cmd_hpsearch(args) -> int:
             if name not in wanted:
                 space = space.without(name)
     # fixed overrides ride along under every trial of the search
-    runner = (lambda m, cfg, ds, seed, repeats=1:
-              run_trial(m, {**cfg, **hp}, ds, seed, repeats=repeats))
+    runner = (lambda m, cfg, ds, seed, repeats=1, cache=None:
+              run_trial(m, {**cfg, **hp}, ds, seed, repeats=repeats, cache=cache))
     dataset = _load_dataset(options["bundle"])
     out = Path(options["out"])
     with DirectoryLock(out):

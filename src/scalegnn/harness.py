@@ -11,6 +11,11 @@ candidate set contains the incumbent value, so the final config's
 validation accuracy can never fall below any logged trial. It also means
 a config seen before (the incumbent, on every axis after the first) is run
 once: its earlier result is logged again rather than recomputed.
+
+Within one search the trials also share one trainers.TrialCache: a trial
+that needs the normalized adjacency, hops or cs base model the cache last
+built reuses it instead of rebuilding it. The cache is made per call and
+dropped when the search returns, so nothing outlives the search.
 """
 
 from __future__ import annotations
@@ -230,12 +235,19 @@ def greedy_search(method: str, space: HPSpace, dataset, seed: int = 0,
                   runner=None) -> GreedySearchLog:
     """Axis-by-axis search. Winner per axis = highest validation accuracy,
     first candidate on exact ties. A budget (max trials) cuts the search
-    short and flags the log incomplete."""
+    short and flags the log incomplete.
+
+    runner(method, cfg, dataset, seed, repeats=, cache=) runs one trial
+    (run_trial by default). Every call gets the same TrialCache, made for
+    this search alone: trials reuse the normalized adjacency, hops and cs
+    base model that an earlier trial of the search built, and the cache,
+    with all it holds, is dropped when the search returns."""
     if not space.axes:
         raise ValueError("empty search space")
     if runner is None:
         from scalegnn.trainers import run_trial as runner
-    from scalegnn.trainers import default_config
+    from scalegnn.trainers import TrialCache, default_config
+    cache = TrialCache(dataset)
     base = default_config(method)
     base.update(space.defaults())
     chosen: dict = {}
@@ -254,7 +266,8 @@ def greedy_search(method: str, space: HPSpace, dataset, seed: int = 0,
             cfg[axis.name] = cand
             key = repr(sorted(cfg.items()))
             if key not in seen:
-                seen[key] = runner(method, cfg, dataset, seed, repeats=repeats)
+                seen[key] = runner(method, cfg, dataset, seed, repeats=repeats,
+                                   cache=cache)
             res = seen[key]
             results.append(res)
             trials.append(res)

@@ -10,6 +10,11 @@ their one final evaluation. epoch_seconds times the training steps only;
 the per-epoch evaluations are timed apart and summed in
 extras["eval_seconds"]. One-off work is in neither: for precompute methods
 the propagation cost is reported in extras["precompute_seconds"].
+
+A TrialCache bound to one Dataset holds what trials can share: the
+normalized adjacency, the precomputed hops and the cs base model. Each has
+one slot holding one value, so a search that revisits a structure reuses
+it and one that moves on frees it before building the next.
 """
 
 from __future__ import annotations
@@ -72,6 +77,50 @@ def dataset_from_sbm(spec: SyntheticSpec) -> Dataset:
     return Dataset(g, x, labels, split, name=f"sbm-{spec.num_nodes}")
 
 
+# the knobs of the cs base MLP: all that _train_mlp_base reads, and its cache key
+MLP_BASE_KNOBS = ("num_mlp_layers", "hidden_dim", "dropout", "learning_rate",
+                  "weight_decay", "epochs", "batch_size")
+
+
+class TrialCache:
+    """Inputs that trials on one Dataset share, one slot per kind: the
+    normalized adjacency by norm kind, (HopFeatures, build seconds) by
+    (norm kind, K), and the cs base model (params, logits, FitLog) by seed
+    and MLP_BASE_KNOBS. A slot holds one value; on a miss it drops the old
+    value before building the new one, so two never coexist. greedy_search
+    shares one across its trials; run_trial makes a private one otherwise."""
+
+    def __init__(self, dataset: Dataset):
+        self.dataset = dataset
+        self._slots = {}  # slot name -> (key, value)
+
+    def _get(self, slot, key, build):
+        held = self._slots.get(slot)
+        if held is not None and held[0] == key:
+            return held[1]
+        held = self._slots[slot] = None  # drops the old value, this local's too
+        value = build()
+        self._slots[slot] = (key, value)
+        return value
+
+    def adjacency(self, norm_kind: str):
+        return self._get("adjacency", norm_kind,
+                         lambda: normalize_adjacency(self.dataset.graph, norm_kind))
+
+    def hops(self, norm_kind: str, K: int):
+        def build():
+            a = self.adjacency(norm_kind)
+            t0 = time.perf_counter()
+            hops = precompute_hops(a, self.dataset.features.astype(np.float64), K)
+            return hops, time.perf_counter() - t0
+        return self._get("hops", (norm_kind, K), build)
+
+    def mlp_base(self, cfg: dict, seed: int):
+        knobs = {k: cfg[k] for k in MLP_BASE_KNOBS}
+        return self._get("mlp_base", (seed, *knobs.values()),
+                         lambda: _train_mlp_base(knobs, self.dataset, seed))
+
+
 def default_config(method: str) -> dict:
     """Full default config: the method's search-space defaults plus the
     fixed knobs the axes do not cover."""
@@ -122,8 +171,8 @@ def _finish(method, cfg, dataset, seed, *, log: FitLog, best, extras):
         method=method, config=dict(cfg), seed=seed,
         train_acc=best["train_acc"], val_acc=best["val_acc"],
         test_acc=best["test_acc"], best_epoch=best["epoch"],
-        loss_curve=log.loss_curve, val_acc_curve=log.val_curve,
-        epoch_seconds=log.epoch_seconds, iterations_per_second=its,
+        loss_curve=list(log.loss_curve), val_acc_curve=list(log.val_curve),
+        epoch_seconds=list(log.epoch_seconds), iterations_per_second=its,
         activation_bytes=est, extras=extras)
 
 
@@ -208,9 +257,9 @@ def _saint_nodes(method, cfg, g, a, table, rng):
     return random_walk_sample(g, max(1, bs // (walk + 1)), walk, rng)
 
 
-def _train_sampled(method, cfg, dataset, seed):
+def _train_sampled(method, cfg, dataset, seed, cache):
     g, x, y = dataset.graph, dataset.features.astype(np.float64), dataset.labels.labels
-    a = normalize_adjacency(g, cfg["norm_kind"])
+    a = cache.adjacency(cfg["norm_kind"])
     L = int(cfg["num_layers"])
     dims = [dataset.feature_dim] + [int(cfg["hidden_dim"])] * (L - 1) + [dataset.num_classes]
     model_cfg = SampledGNNConfig(dims, dropout=float(cfg["dropout"]), seed=seed)
@@ -257,17 +306,13 @@ def _subset_hops(hops: HopFeatures, idx: np.ndarray) -> HopFeatures:
     return HopFeatures([h[idx] for h in hops.hops], hops.K, hops.norm_kind)
 
 
-def _train_precompute(method, cfg, dataset, seed):
-    x = dataset.features.astype(np.float64)
+def _train_precompute(method, cfg, dataset, seed, cache):
     y = dataset.labels.labels
     split = dataset.split
     K = int(cfg["num_layers"])
     if method == "sagn" and K < 1:
         raise ValueError("sagn needs num_layers >= 1 (hop attention)")
-    a = normalize_adjacency(dataset.graph, cfg["norm_kind"])
-    t0 = time.perf_counter()
-    hops = precompute_hops(a, x, K)
-    precompute_seconds = time.perf_counter() - t0
+    hops, precompute_seconds = cache.hops(cfg["norm_kind"], K)
     d, c = dataset.feature_dim, dataset.num_classes
     if method == "sgc":
         model_cfg = SGCConfig(K, d, c, seed=seed)
@@ -300,7 +345,6 @@ def _train_precompute(method, cfg, dataset, seed):
     evaluate, best = _best_epoch(dataset, lambda: fwd(hops, "eval", None)[0])
     batches = lambda _: shuffled_batches(shuffle_rng, split.train, int(cfg["batch_size"]))
     log = fit(int(cfg["epochs"]), batches, step, evaluate)
-    hops.release()
     extras = {"active_input_nodes": float(min(int(cfg["batch_size"]), split.train.size)),
               "precompute_seconds": precompute_seconds,
               "param_checksum": _checksum(params.trainable())}
@@ -310,18 +354,19 @@ def _train_precompute(method, cfg, dataset, seed):
 # -------------------------------------------------------- label diffusion
 
 
-def _train_mlp_base(cfg, dataset, seed):
-    """Plain feature MLP, the base predictor of correct-and-smooth. Returns
-    (params, final full-graph logits, training log)."""
+def _train_mlp_base(knobs, dataset, seed):
+    """Plain feature MLP, the base predictor of correct-and-smooth, trained
+    with the MLP_BASE_KNOBS in knobs. Returns (params, final full-graph
+    logits, training log)."""
     x = dataset.features.astype(np.float64)
     y = dataset.labels.labels
     split = dataset.split
     x_val, y_val = x[split.val], y[split.val]
-    depth = int(cfg["num_mlp_layers"])
-    dims = [dataset.feature_dim] + [int(cfg["hidden_dim"])] * (depth - 1) + [dataset.num_classes]
-    mlp_cfg = MLPConfig(dims, dropout_rate=float(cfg["dropout"]), seed=seed)
+    depth = int(knobs["num_mlp_layers"])
+    dims = [dataset.feature_dim] + [int(knobs["hidden_dim"])] * (depth - 1) + [dataset.num_classes]
+    mlp_cfg = MLPConfig(dims, dropout_rate=float(knobs["dropout"]), seed=seed)
     params = init_mlp(mlp_cfg)
-    opt = AdamState(cfg["learning_rate"], cfg["weight_decay"])
+    opt = AdamState(knobs["learning_rate"], knobs["weight_decay"])
     shuffle_rng, drop_rng = spawn_rngs(seed, 2)
 
     def step(batch):
@@ -335,13 +380,13 @@ def _train_mlp_base(cfg, dataset, seed):
     def evaluate(_):  # per-epoch val accuracy needs only the val rows
         return accuracy(mlp_forward(params, mlp_cfg, x_val, mode="eval")[0], y_val)
 
-    batches = lambda _: shuffled_batches(shuffle_rng, split.train, int(cfg["batch_size"]))
-    log = fit(int(cfg["epochs"]), batches, step, evaluate)
+    batches = lambda _: shuffled_batches(shuffle_rng, split.train, int(knobs["batch_size"]))
+    log = fit(int(knobs["epochs"]), batches, step, evaluate)
     logits, _ = mlp_forward(params, mlp_cfg, x, mode="eval")
     return params, logits, log
 
 
-def _train_labelprop(method, cfg, dataset, seed):
+def _train_labelprop(method, cfg, dataset, seed, cache):
     """lp: label propagation from the one-hot training labels. cs: a base
     MLP, then correct-and-smooth of its softmax scores."""
     y = dataset.labels
@@ -349,7 +394,7 @@ def _train_labelprop(method, cfg, dataset, seed):
     diff = DiffusionConfig(alpha=float(cfg["alpha"]),
                            num_propagations=int(cfg["num_propagations"]),
                            autoscale=method == "cs" and bool(cfg["autoscale"]))
-    a = normalize_adjacency(dataset.graph, str(cfg["norm_kind"]))
+    a = cache.adjacency(str(cfg["norm_kind"]))
     extras = {}
     if method == "lp":
         # one propagation step per epoch; the "loss" is the step's max change
@@ -365,7 +410,7 @@ def _train_labelprop(method, cfg, dataset, seed):
                   lambda _: accuracy(scores[split.val], y.labels[split.val]))
         extras["param_checksum"] = 0.0
     else:
-        params, base_logits, log = _train_mlp_base(cfg, dataset, seed)
+        params, base_logits, log = cache.mlp_base(cfg, seed)
         z = softmax_row(base_logits)
         scores = correct_and_smooth(a, z, y, split, diff)
         extras["base_val_acc"] = accuracy(base_logits[split.val],
@@ -424,20 +469,33 @@ def _train_engcn(method, cfg, dataset, seed):
 
 
 def run_trial(method: str, config: dict, dataset: Dataset, seed: int = 0,
-              repeats: int = 1, instrument: bool = True) -> TrialResult:
+              repeats: int = 1, instrument: bool = True,
+              cache: TrialCache | None = None) -> TrialResult:
     """Train and evaluate one method/config pair. repeats > 1 reruns with
     seeds seed..seed+repeats-1 and reports mean accuracies with per-run
-    values and standard deviations in extras."""
+    values and standard deviations in extras.
+
+    cache (a TrialCache of this dataset) supplies the normalized adjacency,
+    the hops and the cs base model, built by an earlier trial when it needed
+    the same one; without it the trial builds its own. A reused stage
+    reports the timings of the run that built it: precompute_seconds for
+    hops, and the base model's curves and epoch_seconds for cs."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; known: {sorted(METHODS)}")
     if dataset.features.shape[0] != dataset.labels.labels.shape[0]:
         raise ValueError(f"method {method!r}: dataset features and labels "
                          "disagree on node count")
+    cache = TrialCache(dataset) if cache is None else cache
+    if cache.dataset is not dataset:
+        raise ValueError(f"method {method!r}: the cache belongs to dataset "
+                         f"{cache.dataset.name!r}, not to the one this trial "
+                         f"runs on ({dataset.name!r})")
     cfg = default_config(method)
     cfg.update(config)
     if repeats > 1:
         runs = [run_trial(method, cfg, dataset, seed + i, repeats=1,
-                          instrument=instrument) for i in range(repeats)]
+                          instrument=instrument, cache=cache)
+                for i in range(repeats)]
         out = runs[0]
         vals = [r.val_acc for r in runs]
         tests = [r.test_acc for r in runs]
@@ -451,11 +509,11 @@ def run_trial(method: str, config: dict, dataset: Dataset, seed: int = 0,
         return out
     category = METHODS[method].category
     if category in ("node-wise", "layer-wise", "subgraph-wise"):
-        result = _train_sampled(method, cfg, dataset, seed)
+        result = _train_sampled(method, cfg, dataset, seed, cache)
     elif category == "precompute":
-        result = _train_precompute(method, cfg, dataset, seed)
+        result = _train_precompute(method, cfg, dataset, seed, cache)
     elif category == "labelprop":
-        result = _train_labelprop(method, cfg, dataset, seed)
+        result = _train_labelprop(method, cfg, dataset, seed, cache)
     else:
         result = _train_engcn(method, cfg, dataset, seed)
     if not instrument:

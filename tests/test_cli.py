@@ -166,6 +166,19 @@ class TestHpsearch:
         assert log["complete"] is False
         assert log["trial_count"] <= 2
 
+    def test_hp_overrides_reach_every_trial(self, bundle, tmp_path):
+        out = tmp_path / "search"
+        rc = main(["hpsearch", "--method", "cs", "--bundle", str(bundle),
+                   "--out", str(out), "--axes", "norm_kind,num_mlp_layers",
+                   "--hp", "epochs=3", "--hp", "hidden_dim=16",
+                   "--allow-custom"])
+        assert rc == 0
+        rows = [json.loads(r) for r in (out / "trials.jsonl").read_text().splitlines()]
+        assert len(rows) == 3 + 3
+        assert all(r["config"]["epochs"] == 3 and r["config"]["hidden_dim"] == 16
+                   for r in rows)
+        assert all(len(r["loss_curve"]) == 3 for r in rows)
+
     def test_unknown_axis_exits_2(self, bundle, tmp_path):
         rc = main(["hpsearch", "--method", "sgc", "--bundle", str(bundle),
                    "--out", str(tmp_path / "x"), "--axes", "nope"])

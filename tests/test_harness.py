@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from scalegnn import trainers
 from scalegnn.harness import (GNN_SEARCH_SPACE, LP_SEARCH_SPACE, METHODS,
                               Axis, ComplexityEstimate, ConvergenceCurve,
                               GreedySearchLog, HPSpace, TrialResult,
@@ -16,7 +17,14 @@ from scalegnn.harness import (GNN_SEARCH_SPACE, LP_SEARCH_SPACE, METHODS,
                               write_curves, write_search_log,
                               write_trials_jsonl)
 from scalegnn.synth import SyntheticSpec
-from scalegnn.trainers import dataset_from_sbm
+from scalegnn.trainers import dataset_from_sbm, run_trial
+
+
+@pytest.fixture(scope="module")
+def sbm3k():
+    """The acceptance tests' 3k-node SBM."""
+    return dataset_from_sbm(SyntheticSpec(3000, 5, 0.05, 0.005, feature_dim=16,
+                                          separation=0.6, noise=1.0, seed=0))
 
 
 @pytest.fixture(scope="module")
@@ -33,11 +41,34 @@ def stub_result(method, cfg, seed, val_acc):
                        activation_bytes=0, extras={})
 
 
+def untimed(value):
+    """value with every duration key removed, at any depth."""
+    if isinstance(value, dict):
+        return {k: untimed(v) for k, v in value.items()
+                if not (k.endswith("seconds") or k == "iterations_per_second")}
+    if isinstance(value, list):
+        return [untimed(v) for v in value]
+    return value
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name with a wrapper that counts its calls."""
+    original = getattr(module, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 def make_stub_runner(score):
     """Deterministic runner whose val acc is score(cfg); records calls."""
     calls = []
 
-    def runner(method, cfg, dataset, seed, repeats=1):
+    def runner(method, cfg, dataset, seed, repeats=1, cache=None):
         calls.append(dict(cfg))
         return stub_result(method, cfg, seed, score(cfg))
 
@@ -188,6 +219,38 @@ class TestGreedySearch:
         assert a.final_config == b.final_config
         assert a.final_val_acc == b.final_val_acc
         assert [t.val_acc for t in a.trials] == [t.val_acc for t in b.trials]
+
+    @pytest.mark.parametrize("method, axes", [
+        ("sgc", ("epochs", "num_layers")),
+        ("cs", ("norm_kind", "num_mlp_layers")),
+    ])
+    def test_shared_cache_changes_nothing(self, sbm3k, monkeypatch, method, axes):
+        space = default_space(method)
+        space = space.without(*(n for n in space.axis_names() if n not in axes))
+        runs = []
+
+        def uncached(m, cfg, ds, seed, repeats=1, cache=None):
+            runs.append(dict(cfg))
+            return run_trial(m, cfg, ds, seed, repeats=repeats)
+
+        alone = greedy_search(method, space, sbm3k, runner=uncached)
+        norms = counting(monkeypatch, trainers, "normalize_adjacency")
+        bases = counting(monkeypatch, trainers, "_train_mlp_base")
+        hops = counting(monkeypatch, trainers, "precompute_hops")
+        shared = greedy_search(method, space, sbm3k)
+        assert untimed(shared.to_dict()) == untimed(alone.to_dict())
+        # the one-value adjacency slot rebuilds whenever the norm kind
+        # differs from the previous run trial's
+        kinds = [c["norm_kind"] for c in runs]
+        assert len(norms) == 1 + sum(a != b for a, b in zip(kinds, kinds[1:]))
+        assert len(norms) < len(runs)
+        if method == "sgc":
+            assert len(norms) == 1
+            assert len(hops) == len({c["num_layers"] for c in runs}) == 3
+        else:
+            base = [tuple(c[k] for k in trainers.MLP_BASE_KNOBS) for c in runs]
+            assert len(bases) == len(set(base)) == 3
+            assert not hops
 
     def test_log_serializes(self, tiny_dataset):
         runner = make_stub_runner(lambda c: 0.5)

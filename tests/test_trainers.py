@@ -1,9 +1,12 @@
 """End-to-end trainers: per-method smoke accuracy against a majority-class
 baseline, configuration merging, determinism, repeats, instrumentation."""
 
+import weakref
+
 import numpy as np
 import pytest
 
+from scalegnn import trainers
 from scalegnn.graph import normalize_adjacency
 from scalegnn.harness import default_space, estimate_activation_memory
 from scalegnn.models import precompute_hops
@@ -14,9 +17,9 @@ from scalegnn.samplers import (layer_wise_sample, node_wise_sample,
                                partition_graph, random_walk_sample,
                                saint_edge_sample, saint_node_sample,
                                subgraph_batch)
-from scalegnn.trainers import (Dataset, _epoch_plans, _sampling_table,
-                               _subset_hops, dataset_from_sbm, default_config,
-                               full_plan, run_trial)
+from scalegnn.trainers import (Dataset, TrialCache, _epoch_plans,
+                               _sampling_table, _subset_hops, dataset_from_sbm,
+                               default_config, full_plan, run_trial)
 
 SMOKE_CONFIGS = {
     "graphsage": dict(epochs=8, hidden_dim=32, batch_size=64),
@@ -297,3 +300,53 @@ class TestHelpers:
         for full, small in zip(hops.hops, sub.hops):
             assert np.array_equal(small, full[idx])
         hops.release()
+
+
+class TestTrialCache:
+    # per slot: the builder patched in trainers, two calls with different
+    # keys, and the weakref-able part of the slot's value
+    SLOTS = [
+        ("normalize_adjacency",
+         lambda c: c.adjacency("sym"), lambda c: c.adjacency("row"), lambda v: v),
+        ("precompute_hops",
+         lambda c: c.hops("sym", 1), lambda c: c.hops("sym", 2), lambda v: v[0]),
+        ("_train_mlp_base",
+         lambda c: c.mlp_base({**default_config("cs"), "epochs": 2}, 0),
+         lambda c: c.mlp_base({**default_config("cs"), "epochs": 3}, 0),
+         lambda v: v[0]),
+    ]
+
+    @pytest.mark.parametrize("builder, first, second, part", SLOTS,
+                             ids=["adjacency", "hops", "mlp_base"])
+    def test_slot_drops_old_value_before_building(self, dataset, monkeypatch,
+                                                  builder, first, second, part):
+        cache = TrialCache(dataset)
+        assert part(first(cache)) is part(first(cache))  # a hit returns the held value
+        old = weakref.ref(part(first(cache)))
+        original = getattr(trainers, builder)
+        dead_at_build = []
+
+        def build(*args, **kwargs):
+            dead_at_build.append(old() is None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(trainers, builder, build)
+        second(cache)
+        assert dead_at_build == [True]
+
+    def test_cache_of_another_dataset_rejected(self, dataset):
+        other = Dataset(dataset.graph, dataset.features, dataset.labels,
+                        dataset.split, name="other")
+        with pytest.raises(ValueError, match="cache belongs to dataset"):
+            run_trial("sgc", {"epochs": 20}, other, cache=TrialCache(dataset))
+
+    def test_trials_sharing_a_base_model_do_not_share_lists(self, dataset):
+        cache = TrialCache(dataset)
+        cfg = {"epochs": 20, "num_propagations": 2}
+        a = run_trial("cs", {**cfg, "alpha": 0.5}, dataset, cache=cache)
+        b = run_trial("cs", {**cfg, "alpha": 0.9}, dataset, cache=cache)
+        assert a.loss_curve == b.loss_curve  # one base model, trained once
+        want = (list(b.loss_curve), list(b.val_acc_curve), list(b.epoch_seconds))
+        for curve in (a.loss_curve, a.val_acc_curve, a.epoch_seconds):
+            curve.append(-1.0)
+        assert (b.loss_curve, b.val_acc_curve, b.epoch_seconds) == want
