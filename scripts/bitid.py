@@ -9,16 +9,25 @@ Run it against two checkouts, then compare the two outputs:
 `run` trains every method with a short config on the 3k-node SBM of the
 acceptance tests at seeds 0 and 1 and keeps `run_trial(...).to_dict()`.
 It also runs three EnGCN stages by hand and keeps a sha256 of every
-snapshot's weights and the per-epoch logs. To check the samplers
-directly, it keeps a sha256 of `partition_graph(g, k).assignment` for
-k = 4 and 16, and of one epoch of batch plans per sampled method (node
-sets and block arrays), drawn through the public sampler calls. Two
-greedy searches at seed 0 keep their `GreedySearchLog.to_dict()`: sgc over
-epochs x num_layers and cs over norm_kind x num_mlp_layers. Every
-key that holds a duration (`*seconds`, `iterations_per_second`) is
-dropped. `compare`
-prints "<n> entries, <k> differ", names the differing entries and their
-differing fields, and exits 1 when any differ.
+snapshot's weights and the per-epoch logs. Two greedy searches at seed 0
+keep their `GreedySearchLog.to_dict()`: sgc over epochs x num_layers and
+cs over norm_kind x num_mlp_layers. All of this runs twice: on the SBM's
+float32 features (entries named as above, e.g. "sgc/0") and on a float64
+copy of them (the same names under "f64:", e.g. "f64:sgc/0"). Trials
+compute in their features' dtype, so the "f64:" entries show whether
+the float64 path moved.
+
+To check the samplers directly, it keeps a sha256 of
+`partition_graph(g, k).assignment` for k = 4 and 16, and of one epoch of
+batch plans per sampled method (node sets and block arrays, float64
+blocks), drawn through the public sampler calls. These do not depend on
+the features.
+
+Every key that holds a duration (`*seconds`, `iterations_per_second`) is
+dropped. `compare` prints "<n> entries, <k> differ", names the differing
+entries and their differing fields, and exits 1 when any differ. For a
+differing trial it also prints the largest relative gap between the two
+loss curves and whether the reported accuracies are equal.
 """
 
 from __future__ import annotations
@@ -50,6 +59,8 @@ def _untimed(value):
 
 
 def _stage_snapshots(ds, seed: int) -> dict:
+    """Three EnGCN stages run by hand the way engcn_run runs them: phi in
+    the features' dtype, psi in float64."""
     import numpy as np
     from scalegnn.engcn import (SLEConfig, engcn_init, engcn_propagate,
                                 engcn_stage_forward, engcn_train_stage, sle_update)
@@ -64,7 +75,8 @@ def _stage_snapshots(ds, seed: int) -> dict:
                     batch_size=256, seed=seed)
     a = normalize_adjacency(ds.graph, "sym")
     state = engcn_init(ds.features, ds.labels, ds.split)
-    phi, psi, rngs, logs = init_mlp(cfg.phi), init_mlp(cfg.psi), spawn_rngs(seed, 3), []
+    phi, psi = init_mlp(cfg.phi, ds.features.dtype), init_mlp(cfg.psi)
+    rngs, logs = spawn_rngs(seed, 3), []
     for stage in range(3):
         if stage:
             engcn_propagate(state, a)
@@ -123,27 +135,47 @@ def _plan_digests(ds, seed: int) -> dict:
 
 
 def run(path: str) -> None:
+    import dataclasses
+
+    import numpy as np
+    from scalegnn.harness import default_space, greedy_search
     from scalegnn.synth import SyntheticSpec
     from scalegnn.trainers import dataset_from_sbm, run_trial
 
     ds = dataset_from_sbm(SyntheticSpec(3000, 5, 0.05, 0.005, feature_dim=16,
                                         separation=0.6, noise=1.0, seed=0))
+    ds64 = dataclasses.replace(ds, features=ds.features.astype(np.float64))
     out = {}
     for seed in (0, 1):
-        for method, cfg in SHORT.items():
-            out[f"{method}/{seed}"] = run_trial(method, cfg, ds, seed=seed).to_dict()
-        out[f"engcn-stages/{seed}"] = _stage_snapshots(ds, seed)
         out[f"plans/{seed}"] = _plan_digests(ds, seed)
-    from scalegnn.harness import default_space, greedy_search
-    for method, axes in SEARCHES:
-        space = default_space(method)
-        space = space.without(*(n for n in space.axis_names() if n not in axes))
-        out[f"search-{method}/0"] = greedy_search(method, space, ds, seed=0).to_dict()
+    for prefix, data in (("", ds), ("f64:", ds64)):
+        for seed in (0, 1):
+            for method, cfg in SHORT.items():
+                out[f"{prefix}{method}/{seed}"] = run_trial(method, cfg, data,
+                                                            seed=seed).to_dict()
+            out[f"{prefix}engcn-stages/{seed}"] = _stage_snapshots(data, seed)
+        for method, axes in SEARCHES:
+            space = default_space(method)
+            space = space.without(*(n for n in space.axis_names() if n not in axes))
+            out[f"{prefix}search-{method}/0"] = greedy_search(method, space, data,
+                                                              seed=0).to_dict()
     from scalegnn.samplers import partition_graph
     out["partitions"] = {str(k): hashlib.sha256(partition_graph(ds.graph, k).assignment.tobytes())
                          .hexdigest() for k in (4, 16)}
     with open(path, "w") as fh:
         json.dump(_untimed(out), fh, sort_keys=True)
+
+
+def _band(ea: dict, eb: dict) -> str:
+    """For two trial entries: the largest relative loss-curve gap and
+    whether the reported accuracies are equal; "" for other entries."""
+    la, lb = ea.get("loss_curve"), eb.get("loss_curve")
+    if not (la and lb and len(la) == len(lb)):
+        return ""
+    gap = max(abs(x - y) / max(abs(y), 1e-300) for x, y in zip(la, lb))
+    accs = ("train_acc", "val_acc", "test_acc", "val_acc_curve")
+    same = all(ea.get(k) == eb.get(k) for k in accs)
+    return f" (loss rel gap {gap:.1e}, accuracies {'equal' if same else 'DIFFER'})"
 
 
 def compare(path_a: str, path_b: str) -> int:
@@ -158,7 +190,7 @@ def compare(path_a: str, path_b: str) -> int:
         ea, eb = a.get(n), b.get(n)
         if isinstance(ea, dict) and isinstance(eb, dict):
             fields = sorted(k for k in set(ea) | set(eb) if ea.get(k) != eb.get(k))
-            print(f"  {n}: {', '.join(fields)}")
+            print(f"  {n}: {', '.join(fields)}{_band(ea, eb)}")
         else:
             print(f"  {n}: present in only one file")
     return 1 if differ else 0

@@ -324,8 +324,9 @@ def _cmd_bench(args) -> int:
     if options["bundle"] is None or options["out"] is None:
         raise UsageError("bench requires --bundle and --out")
     from scalegnn.harness import estimate_complexity, write_bench_report
-    from scalegnn.trainers import default_config, run_trial
+    from scalegnn.trainers import TrialCache, default_config, run_trial
     dataset = _load_dataset(options["bundle"])
+    cache = TrialCache(dataset)  # the methods share the adjacency and hops
     methods = [m.strip() for m in str(options["methods"]).split(",")]
     for m in methods:
         _validate_hp(m, {k: v for k, v in hp.items()
@@ -338,7 +339,7 @@ def _cmd_bench(args) -> int:
             cfg = {k: v for k, v in hp.items() if k in merged}
             if "epochs" in merged:  # lp propagates, it has no epochs knob
                 cfg["epochs"] = int(options["epochs"])
-            r = run_trial(m, cfg, dataset, seed=int(options["seed"]))
+            r = run_trial(m, cfg, dataset, seed=int(options["seed"]), cache=cache)
             merged.update(cfg)
             est = estimate_complexity(
                 m, b=int(merged.get("batch_size", 0)),
@@ -346,7 +347,8 @@ def _cmd_bench(args) -> int:
                 L=int(merged.get("num_layers",
                                  merged.get("num_mlp_layers", 0))),
                 D=int(merged.get("hidden_dim", dataset.feature_dim)),
-                num_nodes=dataset.num_nodes, nnz=dataset.graph.num_edges)
+                num_nodes=dataset.num_nodes, nnz=dataset.graph.num_edges,
+                itemsize=dataset.features.itemsize)
             rows.append({
                 "method": m, "val_acc": r.val_acc, "test_acc": r.test_acc,
                 "iterations_per_second": r.iterations_per_second,

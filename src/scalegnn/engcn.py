@@ -10,6 +10,10 @@ a run allocates at most 3 feature matrices beyond its input (2.7 at 5
 stages), and less than a quarter of a matrix more at 5 stages than at 1.
 Feature propagation costs exactly one sparse product per stage for X and
 one for Y, outside the training loop.
+
+The feature side (X, phi's parameters and optimizer state, its
+activations) computes in the features' dtype; the label side (Y, psi, the
+losses and the vote) in float64.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from scalegnn.graph import DataSplit, Graph, LabelVector, normalize_adjacency, spmm
+from scalegnn.graph import DataSplit, LabelVector, NormalizedAdjacency, spmm
 from scalegnn.nn import (AdamState, MLPConfig, MLPParams, accuracy, adam_step,
                          cross_entropy, fit, init_mlp, log_softmax_row,
                          mlp_backward, mlp_forward, one_hot,
@@ -47,7 +51,6 @@ class SLEConfig:
     learning_rate: float = 0.01
     weight_decay: float = 0.0
     warm_start: bool = True
-    norm_kind: str = "sym"
     seed: int = 0
 
     def __post_init__(self):
@@ -79,8 +82,9 @@ class EnGCNState:
 
 def engcn_init(x: np.ndarray, labels: LabelVector, split: DataSplit,
                num_classes: int | None = None) -> EnGCNState:
-    """Stage-0 state: raw features, one-hot label matrix on training rows
-    (zero elsewhere), pseudo set = training set."""
+    """Stage-0 state: raw features (kept in their dtype), float64 one-hot
+    label matrix on training rows (zero elsewhere), pseudo set = training
+    set."""
     if split.train.size == 0:
         raise ValueError("training set is empty")
     c = labels.num_classes if num_classes is None else int(num_classes)
@@ -120,8 +124,7 @@ def engcn_stage_forward(state: EnGCNState, phi_params: MLPParams,
     batch = np.asarray(batch, dtype=np.int64)
     if batch.size == 0:
         raise ValueError("empty batch")
-    xb = state.x_cur[batch].astype(np.float64, copy=False)
-    logits, _ = mlp_forward(phi_params, config.phi, xb, mode="eval")
+    logits, _ = mlp_forward(phi_params, config.phi, state.x_cur[batch], mode="eval")
     if state.stage >= 1:
         psi_logits, _ = mlp_forward(psi_params, config.psi,
                                     state.y_cur[batch], mode="eval")
@@ -147,8 +150,7 @@ def engcn_train_stage(state: EnGCNState, phi_params: MLPParams,
     use_psi = state.stage >= 1
 
     def step(batch):
-        xb = state.x_cur[batch].astype(np.float64, copy=False)
-        logits, trace_phi = mlp_forward(phi_params, config.phi, xb,
+        logits, trace_phi = mlp_forward(phi_params, config.phi, state.x_cur[batch],
                                         mode="train", rng=rng)
         if use_psi:
             psi_logits, trace_psi = mlp_forward(
@@ -156,7 +158,9 @@ def engcn_train_stage(state: EnGCNState, phi_params: MLPParams,
                 mode="train", rng=rng)
             logits = logits + psi_logits
         loss, grad = cross_entropy(logits, targets_all[batch])
-        grads_phi, _ = mlp_backward(phi_params, config.phi, trace_phi, grad)
+        # the float64 loss gradient goes back into phi in phi's dtype
+        grads_phi, _ = mlp_backward(phi_params, config.phi, trace_phi,
+                                    grad.astype(phi_params.weights[0].dtype, copy=False))
         adam_step(opt_phi, phi_params.trainable(), grads_phi)
         if use_psi:
             grads_psi, _ = mlp_backward(psi_params, config.psi,
@@ -215,10 +219,12 @@ def majority_vote(stage_logits: list, nodes: np.ndarray | None = None) -> np.nda
     return np.argmax(total, axis=1)
 
 
-def engcn_run(x: np.ndarray, g: Graph, labels: LabelVector, split: DataSplit,
-              config: SLEConfig):
-    """Full run: init, then per stage [propagate (stage >= 1), train,
-    evaluate, grow pseudo set], then vote over the cached per-stage logits.
+def engcn_run(x: np.ndarray, a: NormalizedAdjacency, labels: LabelVector,
+              split: DataSplit, config: SLEConfig):
+    """Full run on the normalized adjacency a: init, then per stage
+    [propagate (stage >= 1), train, evaluate, grow pseudo set], then vote
+    over the cached per-stage logits. phi is initialised in x's dtype,
+    psi in float64.
 
     Returns (per-node vote classes, metrics dict). Metrics carry per-stage
     train/val/test accuracy, per-epoch curves, pseudo-set sizes at training
@@ -231,9 +237,8 @@ def engcn_run(x: np.ndarray, g: Graph, labels: LabelVector, split: DataSplit,
     if (config.psi.layer_dims[0] != labels.num_classes
             or config.psi.layer_dims[-1] != labels.num_classes):
         raise ValueError("psi must map class scores to class scores")
-    a = normalize_adjacency(g, config.norm_kind)
     state = engcn_init(x, labels, split, labels.num_classes)
-    phi_params = init_mlp(config.phi)
+    phi_params = init_mlp(config.phi, x.dtype)
     psi_params = init_mlp(config.psi)
     stage_rngs = spawn_rngs(config.seed, config.num_stages + 1)
     all_nodes = np.arange(x.shape[0])
@@ -245,7 +250,7 @@ def engcn_run(x: np.ndarray, g: Graph, labels: LabelVector, split: DataSplit,
             engcn_propagate(state, a)
             if not config.warm_start:
                 phi_params = init_mlp(replace(config.phi,
-                                              seed=config.phi.seed + stage))
+                                              seed=config.phi.seed + stage), x.dtype)
                 psi_params = init_mlp(replace(config.psi,
                                               seed=config.psi.seed + stage))
         metrics["pseudo_sizes"].append(int(state.pseudo_train.size))

@@ -8,7 +8,7 @@ construction and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,20 +34,31 @@ class Graph:
 @dataclass(frozen=True)
 class NormalizedAdjacency:
     structure: Graph
-    values: np.ndarray  # float64, aligned with structure.col_indices
+    # float64 whatever the features' dtype, aligned with structure.col_indices:
+    # sampling distributions are built from these
+    values: np.ndarray
     norm_kind: str  # "sym" | "row" | "col"
     self_loops_added: bool
+    _scipy: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_nodes(self) -> int:
         return self.structure.num_nodes
 
-    def to_scipy(self) -> sp.csr_matrix:
-        g = self.structure
-        return sp.csr_matrix(
-            (self.values, g.col_indices, g.row_offsets),
-            shape=(g.num_nodes, g.num_nodes),
-        )
+    def to_scipy(self, dtype=np.float64) -> sp.csr_matrix:
+        """The matrix as scipy CSR with values in dtype, built on the first
+        call per dtype and shared after it, so callers must not modify it.
+        The forms of all dtypes share one set of (int32) index arrays."""
+        dtype = np.dtype(dtype)
+        mat = self._scipy.get(dtype)
+        if mat is None:
+            g, shape = self.structure, (self.num_nodes, self.num_nodes)
+            held = next(iter(self._scipy.values()), None)
+            indices, indptr = ((g.col_indices, g.row_offsets) if held is None
+                               else (held.indices, held.indptr))
+            mat = self._scipy[dtype] = sp.csr_matrix(
+                (self.values.astype(dtype, copy=False), indices, indptr), shape=shape)
+        return mat
 
 
 @dataclass(frozen=True)
@@ -197,12 +208,16 @@ def normalize_adjacency(g: Graph, kind: str, with_self_loops: bool = True) -> No
     return NormalizedAdjacency(g, values, kind, bool(with_self_loops))
 
 
-def spmm(a: NormalizedAdjacency, x: np.ndarray) -> np.ndarray:
-    """Sparse-dense product a @ x. Counts one op on the global op counter.
+def _compute_dtype(x: np.ndarray) -> np.dtype:
+    """The dtype a product with x runs in: x's own for float32 and float64
+    (non-float input promotes to float64)."""
+    return np.promote_types(x.dtype, np.float32)
 
-    Output dtype follows x (float32 in, float32 out), so memory accounting
-    of feature pipelines stays honest.
-    """
+
+def spmm(a: NormalizedAdjacency, x: np.ndarray) -> np.ndarray:
+    """Sparse-dense product a @ x in x's dtype (float32 in, float32 out),
+    with a's scipy form of that dtype (built once per adjacency and dtype).
+    Counts one op on the global op counter."""
     x = np.asarray(x)
     if x.ndim == 1:
         x = x[:, None]
@@ -211,16 +226,18 @@ def spmm(a: NormalizedAdjacency, x: np.ndarray) -> np.ndarray:
         squeeze = False
     if x.shape[0] != a.num_nodes:
         raise ValueError(f"spmm shape mismatch: adjacency has {a.num_nodes} nodes, x has {x.shape[0]} rows")
-    mat = a.to_scipy()
-    if x.dtype == np.float32:
-        mat = mat.astype(np.float32)
-    out = mat @ x
+    out = a.to_scipy(_compute_dtype(x)) @ x
     op_counter.record_spmm(a.structure.num_edges, x.shape[1])
     return out[:, 0] if squeeze else out
 
 
 def csr_matmul(mat: sp.spmatrix, x: np.ndarray) -> np.ndarray:
-    """Sparse block @ dense, with the same op accounting as spmm."""
+    """Sparse block @ dense in x's dtype, with the same op accounting as
+    spmm. Samplers build blocks in the features' dtype, so the cast here
+    only runs for a caller that mixes dtypes."""
+    dtype = _compute_dtype(x)
+    if mat.dtype != dtype:
+        mat = mat.astype(dtype)
     out = mat @ x
     op_counter.record_spmm(mat.nnz, x.shape[1] if x.ndim > 1 else 1)
     return out

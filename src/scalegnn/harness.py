@@ -290,12 +290,11 @@ def greedy_search(method: str, space: HPSpace, dataset, seed: int = 0,
 # ------------------------------------------------------------- estimators
 
 
-_BYTES_PER_SCALAR = 8  # trials train in float64
-
-
-def estimate_activation_memory(method: str, b: int, r: int, L: int, D: int) -> int:
+def estimate_activation_memory(method: str, b: int, r: int, L: int, D: int,
+                               itemsize: int) -> int:
     """Analytic bytes of the activations one training step caches for
-    backward, in float64.
+    backward, at itemsize bytes per scalar (the features' itemsize, which
+    a trial computes in: 4 for float32).
 
     Scaling by category: node-wise b*r^L*D, layer-wise b*r*L*D, everything
     trained as plain mini-batch MLP layers (subgraph-wise, precompute,
@@ -303,19 +302,18 @@ def estimate_activation_memory(method: str, b: int, r: int, L: int, D: int) -> i
     precomputed features caches nothing for backward (the input matrix is
     not an activation), so sgc reports 0; plain diffusion (lp) has no
     backward pass at all. This is one step's cache only: stored hops
-    ((K+1)*N*d), full-graph evaluation and the float64 feature copy are
-    not counted.
+    ((K+1)*N*d) and full-graph evaluation are not counted.
     """
-    if min(b, L, D) < 0 or r < 0:
+    if min(b, L, D) < 0 or r < 0 or itemsize < 1:
         raise ValueError("estimate needs non-negative parameters")
     spec = METHODS[method] if isinstance(method, str) else method
     if spec.name in ("sgc", "lp"):
         return 0
     if spec.category == "node-wise":
-        return int(b * r ** L * D * _BYTES_PER_SCALAR)
+        return int(b * r ** L * D * itemsize)
     if spec.category == "layer-wise":
-        return int(b * r * L * D * _BYTES_PER_SCALAR)
-    return int(b * L * D * _BYTES_PER_SCALAR)
+        return int(b * r * L * D * itemsize)
+    return int(b * L * D * itemsize)
 
 
 @dataclass(frozen=True)
@@ -331,13 +329,13 @@ class ComplexityEstimate:
 
 
 def estimate_complexity(method: str, b: int, r: int, L: int, D: int,
-                        num_nodes: int, nnz: int) -> ComplexityEstimate:
+                        num_nodes: int, nnz: int, itemsize: int) -> ComplexityEstimate:
     """Per-category cost model evaluated with concrete run parameters:
     node-wise r^L*N*D^2, layer-wise r*L*N*D^2, subgraph-wise
     L*nnz*D + L*N*D^2, precompute (and everything trained as an MLP)
-    L*N*D^2. The space term is estimate_activation_memory: one training
-    step's cached activations only, without stored hops, full-graph
-    evaluation or the float64 feature copy."""
+    L*N*D^2. The space term is estimate_activation_memory at itemsize
+    bytes per scalar: one training step's cached activations only, without
+    stored hops or full-graph evaluation."""
     spec = METHODS[method]
     n, d = float(num_nodes), float(D)
     if spec.category == "node-wise":
@@ -348,7 +346,7 @@ def estimate_complexity(method: str, b: int, r: int, L: int, D: int,
         t = L * float(nnz) * d + L * n * d * d
     else:
         t = L * n * d * d
-    s = estimate_activation_memory(method, b, r, L, D)
+    s = estimate_activation_memory(method, b, r, L, D, itemsize)
     return ComplexityEstimate(spec.name, spec.category, t, float(s))
 
 

@@ -3,7 +3,8 @@
 The precompute family trains plain feed-forward heads on hop-propagated
 features computed once up front; the sampled GNN consumes BatchPlans from
 the samplers module. All backward passes are hand-written and covered by
-finite-difference checks in the tests.
+finite-difference checks in the tests. Every function computes in the
+dtype of its inputs and parameters; the init_* functions take that dtype.
 """
 
 from __future__ import annotations
@@ -223,7 +224,7 @@ def _leaky(z, slope):
 
 
 def _leaky_grad(z, slope):
-    return np.where(z > 0, 1.0, slope)
+    return np.where(z > 0, 1.0, slope).astype(z.dtype, copy=False)
 
 
 def sagn_forward(hops: HopFeatures, params: SAGNParams, config: SAGNConfig,

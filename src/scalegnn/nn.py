@@ -1,10 +1,13 @@
 """Hand-rolled dense numerics: MLP forward/backward, losses, AdamW, the
 mini-batch training loop (fit), gradcheck.
 
-Everything is plain numpy. Arrays default to float64 because the gradient
-checks need double precision; large training runs can pass dtype=float32 at
-init. Backward passes are written out by hand and verified against central
-finite differences, so there is no autodiff tape to trust.
+Everything is plain numpy and computes in the dtype of its inputs and
+parameters. init_mlp takes that dtype: trials pass their features' dtype
+(float32 from a bundle), while the gradient checks use the float64 default
+because they need double precision. Losses and softmax scores are float64
+whatever the logits' dtype; cross_entropy hands its gradient back in the
+logits' dtype. Backward passes are written out by hand and verified
+against central finite differences, so there is no autodiff tape to trust.
 
 Weight convention: x @ W + b with W of shape (fan_in, fan_out). Hidden
 layers run linear -> batchnorm (optional) -> activation -> dropout; the

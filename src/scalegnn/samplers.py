@@ -3,7 +3,10 @@
 Every sampler returns a BatchPlan: per-layer node sets B_0..B_K plus sparse
 blocks mapping features on B_{l+1} to aggregated features on B_l. Blocks are
 scipy CSR with importance/normalization weights baked into the values, so a
-model's forward pass is just block @ h per layer.
+model's forward pass is just block @ h per layer. The weights are computed
+from the adjacency's float64 values and stored in the block's dtype (the
+features' dtype in a trial, float64 by default); the draws never depend
+on it.
 
 Layer-wise node selection uses randomized systematic sampling with target
 inclusion probability min(1, Q * p(v)) (certainty units clamped and the
@@ -87,9 +90,10 @@ def _unique_nodes(nodes: np.ndarray, num_nodes: int) -> np.ndarray:
 
 
 def _restrict_block(a: NormalizedAdjacency, rows: np.ndarray, cols: np.ndarray,
-                    col_weights=None) -> sp.csr_matrix:
+                    col_weights=None, dtype=np.float64) -> sp.csr_matrix:
     """CSR block of a with all edges from `rows` into `cols` (both sorted
-    unique node ids), optionally scaling column v by col_weights[v-position]."""
+    unique node ids), optionally scaling column v by col_weights[v-position],
+    with values in dtype."""
     src, dst, didx = _gather_neighborhood(a.structure, rows)
     pos = np.searchsorted(cols, dst)
     keep = pos < cols.size
@@ -101,7 +105,8 @@ def _restrict_block(a: NormalizedAdjacency, rows: np.ndarray, cols: np.ndarray,
         data *= np.asarray(col_weights, dtype=np.float64)[indices]
     indptr = np.zeros(rows.size + 1, dtype=np.int64)
     np.cumsum(np.bincount(np.searchsorted(rows, src[keep]), minlength=rows.size), out=indptr[1:])
-    return sp.csr_matrix((data, indices, indptr), shape=(rows.size, cols.size))
+    return sp.csr_matrix((data.astype(dtype, copy=False), indices, indptr),
+                         shape=(rows.size, cols.size))
 
 
 def _smallest_per_row(counts: np.ndarray, keys: np.ndarray, Q: int) -> np.ndarray:
@@ -132,7 +137,7 @@ def _smallest_per_row(counts: np.ndarray, keys: np.ndarray, Q: int) -> np.ndarra
 
 
 def node_wise_sample(g: Graph, a: NormalizedAdjacency, seeds, Q: int, K: int,
-                     rng: np.random.Generator) -> BatchPlan:
+                     rng: np.random.Generator, dtype=np.float64) -> BatchPlan:
     """Fixed-fanout recursive neighbor sampling.
 
     Per node of B_l, min(Q, deg) neighbors are drawn uniformly without
@@ -166,7 +171,8 @@ def node_wise_sample(g: Graph, a: NormalizedAdjacency, seeds, Q: int, K: int,
         src_s, dst_s, vals = edge_layers[l]
         r = np.searchsorted(b_l, src_s)
         c = np.searchsorted(b_next, dst_s)
-        blocks.append(sp.csr_matrix((vals, (r, c)), shape=(b_l.size, b_next.size)))
+        blocks.append(sp.csr_matrix((vals.astype(dtype, copy=False), (r, c)),
+                                    shape=(b_l.size, b_next.size)))
     return BatchPlan(node_sets, blocks, kind="node_wise")
 
 
@@ -234,7 +240,8 @@ def pps_systematic(probs: np.ndarray, q: int, rng: np.random.Generator):
 
 def layer_wise_sample(g: Graph, a: NormalizedAdjacency, B0, Q: int, K: int,
                       variant: str, rng: np.random.Generator,
-                      p_global: np.ndarray | None = None) -> BatchPlan:
+                      p_global: np.ndarray | None = None,
+                      dtype=np.float64) -> BatchPlan:
     """Layer-wise importance sampling.
 
     Candidate pool per layer is N(B_l) (fastgcn) or N(B_l) ∪ B_l (ladies),
@@ -270,7 +277,7 @@ def layer_wise_sample(g: Graph, a: NormalizedAdjacency, B0, Q: int, K: int,
             sel, incl = pps_systematic(p_pool, Q, rng)
             chosen = pool[sel]
             w = 1.0 / incl
-        blocks.append(_restrict_block(a, b, chosen, col_weights=w))
+        blocks.append(_restrict_block(a, b, chosen, col_weights=w, dtype=dtype))
         node_sets.append(chosen)
     return BatchPlan(node_sets, blocks, kind=variant)
 
@@ -464,7 +471,8 @@ def partition_graph(g: Graph, num_clusters: int, seed: int = 0) -> Partitioning:
     return Partitioning(assignment, num_clusters)
 
 
-def subgraph_batch(g: Graph, a: NormalizedAdjacency, node_set) -> BatchPlan:
+def subgraph_batch(g: Graph, a: NormalizedAdjacency, node_set,
+                   dtype=np.float64) -> BatchPlan:
     """Shared-block plan: induce the subgraph on node_set from the raw graph
     and re-normalize it with the pipeline's norm kind and self-loop flag."""
     node_set = np.unique(np.asarray(node_set, dtype=np.int64))
@@ -472,4 +480,4 @@ def subgraph_batch(g: Graph, a: NormalizedAdjacency, node_set) -> BatchPlan:
         raise ValueError("subgraph_batch needs a non-empty node set")
     sub, _ = induced_subgraph(g, node_set)
     sub_norm = normalize_adjacency(sub, a.norm_kind, a.self_loops_added)
-    return BatchPlan([node_set], [sub_norm.to_scipy()], shared=True, kind="subgraph")
+    return BatchPlan([node_set], [sub_norm.to_scipy(dtype)], shared=True, kind="subgraph")

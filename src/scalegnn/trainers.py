@@ -11,10 +11,16 @@ the per-epoch evaluations are timed apart and summed in
 extras["eval_seconds"]. One-off work is in neither: for precompute methods
 the propagation cost is reported in extras["precompute_seconds"].
 
+A trial computes in its features' dtype: hops, model parameters, Adam
+state, activations and every feature-width sparse product follow
+Dataset.features (float32 from a bundle). Label-width arrays (EnGCN's
+label embeddings, lp and cs scores, the losses) stay float64.
+
 A TrialCache bound to one Dataset holds what trials can share: the
-normalized adjacency, the precomputed hops and the cs base model. Each has
-one slot holding one value, so a search that revisits a structure reuses
-it and one that moves on frees it before building the next.
+normalized adjacency (with its scipy forms), the precomputed hops and the
+cs base model. Each has one slot holding one value, so a search that
+revisits a structure reuses it and one that moves on frees it before
+building the next.
 """
 
 from __future__ import annotations
@@ -25,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from scalegnn.engcn import SLEConfig, engcn_run
-from scalegnn.graph import (DataSplit, Graph, LabelVector,
-                            normalize_adjacency)
+from scalegnn.graph import DataSplit, Graph, LabelVector, normalize_adjacency
 from scalegnn.harness import (METHODS, TrialResult, default_space,
                               estimate_activation_memory)
 from scalegnn.labelprop import (DiffusionConfig, build_zeros_source,
@@ -59,6 +64,12 @@ class Dataset:
     split: DataSplit
     name: str = "synthetic"
 
+    def __post_init__(self):
+        # trials compute in the features' dtype, so it must be a float one:
+        # integer or boolean features (counts, one-hots) compute in float64
+        if not np.issubdtype(np.asarray(self.features).dtype, np.floating):
+            self.features = np.asarray(self.features, dtype=np.float64)
+
     @property
     def num_nodes(self) -> int:
         return self.graph.num_nodes
@@ -88,7 +99,8 @@ class TrialCache:
     (norm kind, K), and the cs base model (params, logits, FitLog) by seed
     and MLP_BASE_KNOBS. A slot holds one value; on a miss it drops the old
     value before building the new one, so two never coexist. greedy_search
-    shares one across its trials; run_trial makes a private one otherwise."""
+    shares one across its trials, and so does `scalegnn bench` across its
+    methods; run_trial makes a private one otherwise."""
 
     def __init__(self, dataset: Dataset):
         self.dataset = dataset
@@ -111,7 +123,7 @@ class TrialCache:
         def build():
             a = self.adjacency(norm_kind)
             t0 = time.perf_counter()
-            hops = precompute_hops(a, self.dataset.features.astype(np.float64), K)
+            hops = precompute_hops(a, self.dataset.features, K)
             return hops, time.perf_counter() - t0
         return self._get("hops", (norm_kind, K), build)
 
@@ -161,7 +173,8 @@ def _finish(method, cfg, dataset, seed, *, log: FitLog, best, extras):
     est = estimate_activation_memory(
         method, b=int(cfg.get("batch_size", 0)), r=int(cfg.get("fanout", 0)),
         L=int(cfg.get("num_layers", cfg.get("num_mlp_layers", 0))),
-        D=int(cfg.get("hidden_dim", dataset.feature_dim)))
+        D=int(cfg.get("hidden_dim", dataset.feature_dim)),
+        itemsize=dataset.features.itemsize)
     train_seconds = sum(log.epoch_seconds)
     its = log.steps / train_seconds if train_seconds > 0 else 0.0
     extras = {**extras, "category": spec.category,
@@ -196,12 +209,12 @@ def _best_epoch(dataset, full_logits):
     return evaluate, best
 
 
-def full_plan(a) -> BatchPlan:
+def full_plan(a, dtype=np.float64) -> BatchPlan:
     """Whole-graph plan: one node set holding every node and one block, the
-    full normalized adjacency, shared by all layers, which makes the sampled
-    forward a plain full-batch forward."""
+    full normalized adjacency in dtype, shared by all layers, which makes
+    the sampled forward a plain full-batch forward."""
     nodes = np.arange(a.num_nodes, dtype=np.int64)
-    return BatchPlan([nodes], [a.to_scipy()], shared=True, kind="full")
+    return BatchPlan([nodes], [a.to_scipy(dtype)], shared=True, kind="full")
 
 
 # ----------------------------------------------------------- sampled GNNs
@@ -227,6 +240,7 @@ def _epoch_plans(method, cfg, dataset, a, table, rng):
     _sampling_table: a sampled block stack per shuffled chunk of training
     seeds, or one induced subgraph per node set."""
     g, L, bs = dataset.graph, int(cfg["num_layers"]), cfg["batch_size"]
+    dtype = dataset.features.dtype
     if method == "clustergcn":
         per = max(1, int(round(bs / (dataset.num_nodes / cfg["num_clusters"]))))
         order = rng.permutation(cfg["num_clusters"])
@@ -238,13 +252,14 @@ def _epoch_plans(method, cfg, dataset, a, table, rng):
     else:
         for batch in shuffled_batches(rng, dataset.split.train, int(bs)):
             if method == "graphsage":
-                yield node_wise_sample(g, a, batch, cfg["fanout"], L, rng)
+                yield node_wise_sample(g, a, batch, cfg["fanout"], L, rng, dtype)
             else:
-                yield layer_wise_sample(g, a, batch, cfg["fanout"], L, method, rng, table)
+                yield layer_wise_sample(g, a, batch, cfg["fanout"], L, method, rng,
+                                        table, dtype)
         return
     for nodes in node_sets:
         if nodes.size:
-            yield subgraph_batch(g, a, nodes)
+            yield subgraph_batch(g, a, nodes, dtype)
 
 
 def _saint_nodes(method, cfg, g, a, table, rng):
@@ -258,15 +273,15 @@ def _saint_nodes(method, cfg, g, a, table, rng):
 
 
 def _train_sampled(method, cfg, dataset, seed, cache):
-    g, x, y = dataset.graph, dataset.features.astype(np.float64), dataset.labels.labels
+    g, x, y = dataset.graph, dataset.features, dataset.labels.labels
     a = cache.adjacency(cfg["norm_kind"])
     L = int(cfg["num_layers"])
     dims = [dataset.feature_dim] + [int(cfg["hidden_dim"])] * (L - 1) + [dataset.num_classes]
     model_cfg = SampledGNNConfig(dims, dropout=float(cfg["dropout"]), seed=seed)
-    params = init_sampled_gnn(model_cfg)
+    params = init_sampled_gnn(model_cfg, x.dtype)
     opt = AdamState(cfg["learning_rate"], cfg["weight_decay"])
     sample_rng, drop_rng = spawn_rngs(seed, 2)
-    eval_plan = full_plan(a)
+    eval_plan = full_plan(a, x.dtype)
     table = _sampling_table(method, cfg, g, a)
     train_set = np.zeros(dataset.num_nodes, dtype=bool)
     train_set[dataset.split.train] = True
@@ -313,22 +328,22 @@ def _train_precompute(method, cfg, dataset, seed, cache):
     if method == "sagn" and K < 1:
         raise ValueError("sagn needs num_layers >= 1 (hop attention)")
     hops, precompute_seconds = cache.hops(cfg["norm_kind"], K)
-    d, c = dataset.feature_dim, dataset.num_classes
+    d, c, dtype = dataset.feature_dim, dataset.num_classes, hops.hops[0].dtype
     if method == "sgc":
         model_cfg = SGCConfig(K, d, c, seed=seed)
-        params = init_sgc(model_cfg)
+        params = init_sgc(model_cfg, dtype)
         fwd = lambda h, mode, rng: (sgc_forward(h, params, model_cfg), None)
         bwd = lambda h, tr, gr: sgc_backward(h, params, model_cfg, gr)
     elif method == "sign":
         model_cfg = SIGNConfig(K, d, int(cfg["hidden_dim"]), c,
                                dropout=float(cfg["dropout"]), seed=seed)
-        params = init_sign(model_cfg)
+        params = init_sign(model_cfg, dtype)
         fwd = lambda h, mode, rng: sign_forward(h, params, model_cfg, mode, rng)
         bwd = lambda h, tr, gr: sign_backward(h, params, model_cfg, tr, gr)
     else:
         model_cfg = SAGNConfig(K, d, c, mlp_hidden=[int(cfg["hidden_dim"])],
                                dropout=float(cfg["dropout"]), seed=seed)
-        params = init_sagn(model_cfg)
+        params = init_sagn(model_cfg, dtype)
         fwd = lambda h, mode, rng: sagn_forward(h, params, model_cfg, mode, rng)
         bwd = lambda h, tr, gr: sagn_backward(h, params, model_cfg, tr, gr)
     opt = AdamState(cfg["learning_rate"], cfg["weight_decay"])
@@ -358,14 +373,14 @@ def _train_mlp_base(knobs, dataset, seed):
     """Plain feature MLP, the base predictor of correct-and-smooth, trained
     with the MLP_BASE_KNOBS in knobs. Returns (params, final full-graph
     logits, training log)."""
-    x = dataset.features.astype(np.float64)
+    x = dataset.features
     y = dataset.labels.labels
     split = dataset.split
     x_val, y_val = x[split.val], y[split.val]
     depth = int(knobs["num_mlp_layers"])
     dims = [dataset.feature_dim] + [int(knobs["hidden_dim"])] * (depth - 1) + [dataset.num_classes]
     mlp_cfg = MLPConfig(dims, dropout_rate=float(knobs["dropout"]), seed=seed)
-    params = init_mlp(mlp_cfg)
+    params = init_mlp(mlp_cfg, x.dtype)
     opt = AdamState(knobs["learning_rate"], knobs["weight_decay"])
     shuffle_rng, drop_rng = spawn_rngs(seed, 2)
 
@@ -427,7 +442,7 @@ def _train_labelprop(method, cfg, dataset, seed, cache):
 # --------------------------------------------------------------- stagewise
 
 
-def _train_engcn(method, cfg, dataset, seed):
+def _train_engcn(method, cfg, dataset, seed, cache):
     d, c, hid = dataset.feature_dim, dataset.num_classes, int(cfg["hidden_dim"])
     sle = SLEConfig(threshold=float(cfg["threshold"]),
                     num_stages=int(cfg["num_layers"]),
@@ -438,10 +453,9 @@ def _train_engcn(method, cfg, dataset, seed):
                     batch_size=int(cfg["batch_size"]),
                     learning_rate=float(cfg["learning_rate"]),
                     weight_decay=float(cfg["weight_decay"]),
-                    warm_start=bool(cfg["warm_start"]),
-                    norm_kind=str(cfg["norm_kind"]), seed=seed)
-    votes, metrics = engcn_run(dataset.features, dataset.graph, dataset.labels,
-                               dataset.split, sle)
+                    warm_start=bool(cfg["warm_start"]), seed=seed)
+    votes, metrics = engcn_run(dataset.features, cache.adjacency(str(cfg["norm_kind"])),
+                               dataset.labels, dataset.split, sle)
     epochs = [e for stage_log in metrics["epoch_curves"] for e in stage_log]
     if not epochs:  # zero-epoch stages: one row of per-stage metrics each
         epochs = [{"train_loss": 0.0, "val_acc": v, "seconds": 0.0, "eval_seconds": 0.0}
@@ -474,6 +488,10 @@ def run_trial(method: str, config: dict, dataset: Dataset, seed: int = 0,
     """Train and evaluate one method/config pair. repeats > 1 reruns with
     seeds seed..seed+repeats-1 and reports mean accuracies with per-run
     values and standard deviations in extras.
+
+    instrument=False zeroes every timing field: epoch_seconds,
+    iterations_per_second, and extras["eval_seconds"] and
+    extras["precompute_seconds"].
 
     cache (a TrialCache of this dataset) supplies the normalized adjacency,
     the hops and the cs base model, built by an earlier trial when it needed
@@ -515,9 +533,11 @@ def run_trial(method: str, config: dict, dataset: Dataset, seed: int = 0,
     elif category == "labelprop":
         result = _train_labelprop(method, cfg, dataset, seed, cache)
     else:
-        result = _train_engcn(method, cfg, dataset, seed)
+        result = _train_engcn(method, cfg, dataset, seed, cache)
     if not instrument:
         result.epoch_seconds = [0.0] * len(result.epoch_seconds)
         result.iterations_per_second = 0.0
         result.extras["eval_seconds"] = 0.0
+        if "precompute_seconds" in result.extras:
+            result.extras["precompute_seconds"] = 0.0
     return result

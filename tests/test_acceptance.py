@@ -377,8 +377,8 @@ def test_06_stagewise_ensemble_vote_pattern(capsys):
                            phi=MLPConfig([16, 64, 5], dropout_rate=0.5, seed=seed),
                            psi=MLPConfig([5, 64, 5], seed=seed + 1),
                            batch_size=512, learning_rate=0.01, weight_decay=0.0,
-                           warm_start=True, norm_kind="sym", seed=seed)
-        _, metrics = engcn_run(x, g, labels, split, config)
+                           warm_start=True, seed=seed)
+        _, metrics = engcn_run(x, normalize_adjacency(g, "sym"), labels, split, config)
         vote = metrics["vote_test_acc"]
         stages = metrics["stage_test_acc"]
         sizes = metrics["pseudo_sizes"] + [metrics["final_pseudo_size"]]
@@ -437,7 +437,7 @@ def test_08_efficiency_patterns(capsys):
     ds = dataset_from_sbm(spec)
 
     sgc = run_trial("sgc", {"epochs": 1, "batch_size": 1000}, ds, seed=0)
-    assert estimate_activation_memory("sgc", 1000, 10, 2, 128) == 0
+    assert estimate_activation_memory("sgc", 1000, 10, 2, 128, 4) == 0
     assert sgc.activation_bytes == 0
 
     sage = run_trial("graphsage", {"epochs": 1, "batch_size": 1000,
@@ -461,12 +461,12 @@ def test_08_efficiency_patterns(capsys):
         wins += e_pre <= e_sub
     assert wins >= 4, (pre_epochs, sub_epochs)
 
-    sub_base = estimate_activation_memory("saint-node", 2000, 10, 2, 64)
-    assert estimate_activation_memory("saint-node", 2000, 10, 4, 64) == 2 * sub_base
-    assert estimate_activation_memory("saint-node", 2000, 10, 6, 64) == 3 * sub_base
+    sub_base = estimate_activation_memory("saint-node", 2000, 10, 2, 64, 4)
+    assert estimate_activation_memory("saint-node", 2000, 10, 4, 64, 4) == 2 * sub_base
+    assert estimate_activation_memory("saint-node", 2000, 10, 6, 64, 4) == 3 * sub_base
     for depth in (1, 2, 3):
-        grown = estimate_activation_memory("graphsage", 1000, 4, depth + 1, 64)
-        assert grown == 4 * estimate_activation_memory("graphsage", 1000, 4, depth, 64)
+        grown = estimate_activation_memory("graphsage", 1000, 4, depth + 1, 64, 4)
+        assert grown == 4 * estimate_activation_memory("graphsage", 1000, 4, depth, 64, 4)
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 600.0
@@ -507,7 +507,8 @@ def test_09_stagewise_memory_flat_vs_precomputed_hops_linear(capsys):
                            phi=MLPConfig([128, 16, 4], seed=0),
                            psi=MLPConfig([4, 16, 4], seed=1),
                            batch_size=512, seed=0)
-        peak = traced_peak(lambda: engcn_run(x, g, labels, split, config))
+        peak = traced_peak(lambda: engcn_run(x, normalize_adjacency(g, "sym"),
+                                             labels, split, config))
         stage_peaks[k] = peak / matrix_bytes
     assert stage_peaks[5] - stage_peaks[1] < 0.25, stage_peaks
     assert stage_peaks[5] <= 3.0, stage_peaks

@@ -197,6 +197,22 @@ class TestBenchAndReport:
         assert [r["method"] for r in report["rows"]] == ["sgc", "saint-node"]
         assert report["rows"][0]["activation_bytes"] == 0
 
+    def test_bench_methods_share_one_adjacency(self, bundle, tmp_path, monkeypatch):
+        from scalegnn import trainers
+        kinds = []
+        original = trainers.normalize_adjacency
+
+        def counting(g, kind, *args, **kwargs):
+            kinds.append(kind)
+            return original(g, kind, *args, **kwargs)
+
+        monkeypatch.setattr(trainers, "normalize_adjacency", counting)
+        rc = main(["bench", "--bundle", str(bundle), "--out", str(tmp_path / "bench"),
+                   "--methods", "sgc,graphsage,sign", "--epochs", "1",
+                   "--hp", "hidden_dim=16", "--hp", "batch_size=64"])
+        assert rc == 0
+        assert kinds == ["sym"]
+
     def test_report_aggregates(self, bundle, tmp_path):
         t1, t2 = tmp_path / "t1", tmp_path / "t2"
         for out, seed in ((t1, "0"), (t2, "1")):

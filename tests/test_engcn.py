@@ -366,7 +366,7 @@ class TestRun:
                              seed=1)
         g, x, labels, split = generate_sbm(spec)
         config = small_config(6, 3, **kw)
-        return engcn_run(x, g, labels, split, config), config
+        return engcn_run(x, normalize_adjacency(g, "sym"), labels, split, config), config
 
     def test_metric_lengths(self):
         (votes, metrics), config = self.run_fixture(num_stages=2)
@@ -394,7 +394,8 @@ class TestRun:
         for k in (1, 2, 4):
             config = small_config(256, 3, num_stages=k, batch_size=64)
             peaks.append(traced_peak(
-                lambda: engcn_run(x, g, labels, split, config)) / x.nbytes)
+                lambda: engcn_run(x, normalize_adjacency(g, "sym"), labels, split,
+                                  config)) / x.nbytes)
         assert peaks[2] - peaks[0] < 0.25, peaks
         assert peaks[2] <= 3.0, peaks
 
@@ -434,4 +435,4 @@ class TestRun:
         g, x, labels, split = generate_sbm(spec)
         bad = small_config(5, 3)  # wrong input dim
         with pytest.raises(ValueError):
-            engcn_run(x, g, labels, split, bad)
+            engcn_run(x, normalize_adjacency(g, "sym"), labels, split, bad)

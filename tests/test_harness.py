@@ -252,6 +252,18 @@ class TestGreedySearch:
             assert len(bases) == len(set(base)) == 3
             assert not hops
 
+    def test_engcn_search_builds_adjacency_once(self, tiny_dataset, monkeypatch):
+        space = HPSpace([Axis("epochs", [1, 2], 1), Axis("hidden_dim", [8, 16], 8)])
+
+        def uncached(m, cfg, ds, seed, repeats=1, cache=None):
+            return run_trial(m, cfg, ds, seed, repeats=repeats)
+
+        alone = greedy_search("engcn", space, tiny_dataset, runner=uncached)
+        norms = counting(monkeypatch, trainers, "normalize_adjacency")
+        shared = greedy_search("engcn", space, tiny_dataset)
+        assert [args[1] for args in norms] == ["sym"]  # one build for all its trials
+        assert untimed(shared.to_dict()) == untimed(alone.to_dict())
+
     def test_log_serializes(self, tiny_dataset):
         runner = make_stub_runner(lambda c: 0.5)
         log = greedy_search("sgc", self.space(), tiny_dataset, runner=runner)
@@ -264,52 +276,61 @@ class TestGreedySearch:
 
 class TestActivationMemory:
     def test_precompute_sgc_is_zero(self):
-        assert estimate_activation_memory("sgc", 1000, 10, 2, 128) == 0
+        assert estimate_activation_memory("sgc", 1000, 10, 2, 128, 4) == 0
 
     def test_plain_diffusion_is_zero_but_cs_base_mlp_counts(self):
-        assert estimate_activation_memory("lp", 1000, 10, 2, 128) == 0
-        assert estimate_activation_memory("cs", 1000, 10, 2, 128) == 1000 * 2 * 128 * 8
+        assert estimate_activation_memory("lp", 1000, 10, 2, 128, 4) == 0
+        assert estimate_activation_memory("cs", 1000, 10, 2, 128, 4) == 1000 * 2 * 128 * 4
 
     def test_node_wise_grows_with_fanout_power(self):
-        two = estimate_activation_memory("graphsage", 100, 2, 2, 64)
-        three = estimate_activation_memory("graphsage", 100, 2, 3, 64)
+        two = estimate_activation_memory("graphsage", 100, 2, 2, 64, 4)
+        three = estimate_activation_memory("graphsage", 100, 2, 3, 64, 4)
         assert three == 2 * two  # extra layer multiplies by r
-        assert two == 100 * 4 * 64 * 8
+        assert two == 100 * 4 * 64 * 4
 
     def test_layer_wise_linear_in_depth(self):
-        a = estimate_activation_memory("ladies", 100, 16, 2, 64)
-        b = estimate_activation_memory("ladies", 100, 16, 4, 64)
+        a = estimate_activation_memory("ladies", 100, 16, 2, 64, 4)
+        b = estimate_activation_memory("ladies", 100, 16, 4, 64, 4)
         assert b == 2 * a
-        assert a == 100 * 16 * 2 * 64 * 8
+        assert a == 100 * 16 * 2 * 64 * 4
 
     def test_subgraph_independent_of_fanout(self):
-        a = estimate_activation_memory("saint-node", 100, 5, 2, 64)
-        b = estimate_activation_memory("saint-node", 100, 50, 2, 64)
-        assert a == b == 100 * 2 * 64 * 8
+        a = estimate_activation_memory("saint-node", 100, 5, 2, 64, 4)
+        b = estimate_activation_memory("saint-node", 100, 50, 2, 64, 4)
+        assert a == b == 100 * 2 * 64 * 4
 
     def test_sign_like_precompute_batch_term(self):
-        assert estimate_activation_memory("sign", 100, 0, 3, 64) == 100 * 3 * 64 * 8
+        assert estimate_activation_memory("sign", 100, 0, 3, 64, 4) == 100 * 3 * 64 * 4
+
+    def test_bytes_scale_with_itemsize(self):
+        # a float64 trial caches twice the bytes of a float32 one
+        for method in ("graphsage", "ladies", "saint-node", "sign", "cs"):
+            f32 = estimate_activation_memory(method, 100, 4, 2, 64, itemsize=4)
+            assert estimate_activation_memory(method, 100, 4, 2, 64, itemsize=8) == 2 * f32 > 0
+        with pytest.raises(ValueError):
+            estimate_activation_memory("sign", 100, 0, 3, 64, itemsize=0)
 
 
 class TestComplexityEstimate:
     def test_node_wise_formula(self):
         est = estimate_complexity("graphsage", b=100, r=3, L=2, D=8,
-                                  num_nodes=500, nnz=2000)
+                                  num_nodes=500, nnz=2000, itemsize=4)
         assert est.time_ops == (3 ** 2) * 500 * 64
+        assert est.space_bytes == 100 * 9 * 8 * 4
 
     def test_layer_wise_formula(self):
         est = estimate_complexity("fastgcn", b=100, r=3, L=2, D=8,
-                                  num_nodes=500, nnz=2000)
+                                  num_nodes=500, nnz=2000, itemsize=4)
         assert est.time_ops == 3 * 2 * 500 * 64
 
     def test_subgraph_formula(self):
         est = estimate_complexity("saint-rw", b=100, r=3, L=2, D=8,
-                                  num_nodes=500, nnz=2000)
+                                  num_nodes=500, nnz=2000, itemsize=4)
         assert est.time_ops == 2 * 2000 * 8 + 2 * 500 * 64
 
     def test_precompute_formula(self):
         est = estimate_complexity("sgc", b=100, r=3, L=2, D=8,
-                                  num_nodes=500, nnz=2000)
+                                  num_nodes=500, nnz=2000, itemsize=4)
         assert est.time_ops == 2 * 500 * 64
         assert est.space_bytes == 0.0
 

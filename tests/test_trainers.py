@@ -163,6 +163,16 @@ class TestTrialSemantics:
         assert on.val_acc == off.val_acc
         assert on.extras["param_checksum"] == off.extras["param_checksum"]
 
+    def test_instrument_off_zeroes_precompute_seconds(self, dataset):
+        assert dataset.num_nodes == 300
+        on = run_trial("sgc", SMOKE_CONFIGS["sgc"], dataset, seed=0)
+        off = run_trial("sgc", SMOKE_CONFIGS["sgc"], dataset, seed=0,
+                        instrument=False)
+        assert on.extras["precompute_seconds"] > 0.0
+        assert off.extras["precompute_seconds"] == 0.0
+        assert off.extras["eval_seconds"] == 0.0
+        assert on.extras["param_checksum"] == off.extras["param_checksum"]
+
     def test_activation_bytes_match_estimator(self, dataset):
         cfg = dict(SMOKE_CONFIGS["graphsage"])
         r = run_trial("graphsage", cfg, dataset, seed=0)
@@ -170,7 +180,9 @@ class TestTrialSemantics:
         merged.update(cfg)
         want = estimate_activation_memory(
             "graphsage", b=merged["batch_size"], r=merged["fanout"],
-            L=merged["num_layers"], D=merged["hidden_dim"])
+            L=merged["num_layers"], D=merged["hidden_dim"],
+            itemsize=dataset.features.itemsize)
+        assert dataset.features.itemsize == 4  # float32 features: 4 bytes a scalar
         assert r.activation_bytes == want
 
     def test_extras_annotate_category(self, dataset):
@@ -253,17 +265,17 @@ class TestHelpers:
         assert plan.block(0).shape == (dataset.num_nodes, dataset.num_nodes)
 
     def test_prebuilt_table_plans_match_one_shot_calls(self, dataset):
-        g, train = dataset.graph, dataset.split.train
+        g, train, dtype = dataset.graph, dataset.split.train, dataset.features.dtype
         a = normalize_adjacency(g, "sym")
 
         def one_shot(method, cfg, rng):
             """The epoch _epoch_plans draws, from samplers that build their
-            own distributions on every call."""
+            own distributions on every call, in the features' dtype."""
             bs, L, q = cfg["batch_size"], cfg["num_layers"], cfg.get("fanout")
             if method in ("graphsage", "fastgcn", "ladies"):
                 for b in shuffled_batches(rng, train, bs):
-                    yield (node_wise_sample(g, a, b, q, L, rng) if method == "graphsage"
-                           else layer_wise_sample(g, a, b, q, L, method, rng))
+                    yield (node_wise_sample(g, a, b, q, L, rng, dtype) if method == "graphsage"
+                           else layer_wise_sample(g, a, b, q, L, method, rng, dtype=dtype))
                 return
             if method == "clustergcn":
                 parts, per = partition_graph(g, 8), max(1, round(bs / (g.num_nodes / 8)))
@@ -276,7 +288,7 @@ class TestHelpers:
                         "saint-rw": lambda: random_walk_sample(g, bs // 3, 2, rng)}[method]
                 sets = [draw() for _ in range(round(g.num_nodes / bs))]
             for nodes in sets:
-                yield subgraph_batch(g, a, nodes)
+                yield subgraph_batch(g, a, nodes, dtype)
 
         for method in ("graphsage", "fastgcn", "ladies", "clustergcn",
                        "saint-node", "saint-edge", "saint-rw"):
@@ -289,6 +301,7 @@ class TestHelpers:
             for p, q in zip(got, want):
                 assert all(np.array_equal(x, y) for x, y in zip(p.node_sets, q.node_sets))
                 for x, y in zip(p.blocks, q.blocks):
+                    assert x.dtype == y.dtype == dtype, method
                     assert (x != y).nnz == 0 and np.array_equal(x.indices, y.indices), method
 
     def test_subset_hops_rows(self, dataset):
