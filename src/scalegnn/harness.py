@@ -306,12 +306,12 @@ def estimate_activation_memory(method: str, b: int, r: int, L: int, D: int,
     """
     if min(b, L, D) < 0 or r < 0 or itemsize < 1:
         raise ValueError("estimate needs non-negative parameters")
-    spec = METHODS[method] if isinstance(method, str) else method
-    if spec.name in ("sgc", "lp"):
+    if method in ("sgc", "lp"):
         return 0
-    if spec.category == "node-wise":
+    category = METHODS[method].category
+    if category == "node-wise":
         return int(b * r ** L * D * itemsize)
-    if spec.category == "layer-wise":
+    if category == "layer-wise":
         return int(b * r * L * D * itemsize)
     return int(b * L * D * itemsize)
 

@@ -344,10 +344,10 @@ def fit(epochs: int, batches, step, evaluate=None) -> FitLog:
     """The mini-batch training loop of every epoch-trained method.
 
     Each epoch runs step(batch) over batches(epoch), then evaluate(epoch)
-    if given. step returns the batch loss, or None for a batch it skipped;
-    a skipped batch is neither counted nor averaged. The caller owns the
-    batch source, the rngs and the optimizers, so its draws happen in the
-    order it writes them. A non-finite loss raises TrainingDiverged.
+    if given. step returns the batch loss; the epoch's loss is their mean.
+    The caller owns the batch source, the rngs and the optimizers, so its
+    draws happen in the order it writes them. A non-finite loss raises
+    TrainingDiverged.
     """
     log = FitLog()
     for epoch in range(epochs):
@@ -355,8 +355,6 @@ def fit(epochs: int, batches, step, evaluate=None) -> FitLog:
         losses = []
         for batch in batches(epoch):
             loss = step(batch)
-            if loss is None:
-                continue
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"training diverged: loss {loss} at "
                                        f"epoch {epoch}, step {len(losses)}")

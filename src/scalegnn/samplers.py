@@ -15,9 +15,10 @@ so the 1/(Q p(v)) importance weights give an exactly unbiased estimate of
 the full aggregation, which plain sequential without-replacement draws do
 not (their realized inclusion probabilities drift from Q*p for skewed p).
 
-The samplers that draw from a graph-wide distribution (saint-node,
-saint-edge, layer-wise) take it prebuilt, so a trial builds it once;
-called without it, they build their own.
+A trial builds what its sampler draws from once, in trainers._plan_source:
+the clustergcn partition, or the table (layer-wise distribution, saint-node
+CDF, saint-edge table) it passes prebuilt to every draw. Called one-shot
+without it, a sampler builds its own table.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ class BatchPlan:
     node_sets: list  # B_0..B_K, global node ids, each sorted unique
     blocks: list  # blocks[l]: csr of shape (|B_l|, |B_{l+1}|)
     shared: bool = False  # subgraph-wise: one node set, one block for all layers
-    kind: str = ""
 
     @property
     def target_nodes(self) -> np.ndarray:
@@ -173,7 +173,7 @@ def node_wise_sample(g: Graph, a: NormalizedAdjacency, seeds, Q: int, K: int,
         c = np.searchsorted(b_next, dst_s)
         blocks.append(sp.csr_matrix((vals.astype(dtype, copy=False), (r, c)),
                                     shape=(b_l.size, b_next.size)))
-    return BatchPlan(node_sets, blocks, kind="node_wise")
+    return BatchPlan(node_sets, blocks)
 
 
 def _norm_probs(weights: np.ndarray, what: str) -> np.ndarray:
@@ -279,7 +279,7 @@ def layer_wise_sample(g: Graph, a: NormalizedAdjacency, B0, Q: int, K: int,
             w = 1.0 / incl
         blocks.append(_restrict_block(a, b, chosen, col_weights=w, dtype=dtype))
         node_sets.append(chosen)
-    return BatchPlan(node_sets, blocks, kind=variant)
+    return BatchPlan(node_sets, blocks)
 
 
 def probs_cdf(p: np.ndarray) -> np.ndarray:
@@ -383,15 +383,14 @@ def _bfs_distances(g: Graph, sources: np.ndarray) -> np.ndarray:
     return dist
 
 
-def partition_graph(g: Graph, num_clusters: int, seed: int = 0) -> Partitioning:
+def partition_graph(g: Graph, num_clusters: int) -> Partitioning:
     """Deterministic locality-biased partitioner.
 
     Seeds come from a farthest-point sweep (start at node 0; repeatedly take
     the node farthest from the current seed set, unreachable components
     first, ties to the lowest index). Clusters grow by multi-source BFS in
     round-robin level order, then oversized clusters shed boundary nodes
-    until every size is within 2x of balanced. The seed argument is accepted
-    for interface uniformity; the construction does not use randomness.
+    until every size is within 2x of balanced.
     """
     n = g.num_nodes
     if num_clusters > n:
@@ -480,4 +479,4 @@ def subgraph_batch(g: Graph, a: NormalizedAdjacency, node_set,
         raise ValueError("subgraph_batch needs a non-empty node set")
     sub, _ = induced_subgraph(g, node_set)
     sub_norm = normalize_adjacency(sub, a.norm_kind, a.self_loops_added)
-    return BatchPlan([node_set], [sub_norm.to_scipy(dtype)], shared=True, kind="subgraph")
+    return BatchPlan([node_set], [sub_norm.to_scipy(dtype)], shared=True)

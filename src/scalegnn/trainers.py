@@ -4,10 +4,13 @@ Every registered method maps (flat config dict, dataset, seed) to a fully
 instrumented TrialResult through run_trial. Epoch-trained methods run the
 one mini-batch loop, nn.fit, with their own batch source, rngs and
 optimizers; they evaluate on the full graph once per epoch and report
-accuracies at the best validation epoch. Single-shot methods (plain label
-diffusion, the correct-and-smooth pipeline, stage-wise ensembling) report
-their one final evaluation. epoch_seconds times the training steps only;
-the per-epoch evaluations are timed apart and summed in
+accuracies at the best validation epoch. A sampled method's batches are
+the BatchPlans of _plan_source, which builds what the method's sampler
+draws from (partition, CDF, edge table, layer distribution) once per
+trial and draws each epoch's plans from it. Single-shot methods (plain
+label diffusion, the correct-and-smooth pipeline, stage-wise ensembling)
+report their one final evaluation. epoch_seconds times the training
+steps only; the per-epoch evaluations are timed apart and summed in
 extras["eval_seconds"]. One-off work is in neither: for precompute methods
 the propagation cost is reported in extras["precompute_seconds"].
 
@@ -214,66 +217,59 @@ def full_plan(a, dtype=np.float64) -> BatchPlan:
     full normalized adjacency in dtype, shared by all layers, which makes
     the sampled forward a plain full-batch forward."""
     nodes = np.arange(a.num_nodes, dtype=np.int64)
-    return BatchPlan([nodes], [a.to_scipy(dtype)], shared=True, kind="full")
+    return BatchPlan([nodes], [a.to_scipy(dtype)], shared=True)
 
 
 # ----------------------------------------------------------- sampled GNNs
 
 
-def _sampling_table(method, cfg, g, a):
-    """What a trial's sampler draws from, built once per trial: the
-    partition for clustergcn, the node or edge CDF for saint-node and
-    saint-edge, the global layer distribution for fastgcn and ladies."""
-    if method == "clustergcn":
-        return partition_graph(g, cfg["num_clusters"])
-    if method == "saint-node":
-        return probs_cdf(saint_node_probs(a))
-    if method == "saint-edge":
-        return saint_edge_table(g)
+def _plan_source(method, cfg, dataset, a):
+    """A sampled trial's batch source: builds what the method draws from
+    once (layer distribution, per-cluster node lists, node CDF or edge
+    table) and returns epoch(rng), which yields one epoch of BatchPlans
+    drawn from rng: a sampled block stack per shuffled chunk of training
+    seeds, or one induced subgraph per non-empty node set."""
+    g, dtype, train = dataset.graph, dataset.features.dtype, dataset.split.train
+    bs, L, q = cfg["batch_size"], int(cfg["num_layers"]), cfg.get("fanout")
+    if method == "graphsage":
+        return lambda rng: (node_wise_sample(g, a, b, q, L, rng, dtype)
+                            for b in shuffled_batches(rng, train, int(bs)))
     if method in ("fastgcn", "ladies"):
-        return fastgcn_layer_probs(a)
-    return None
-
-
-def _epoch_plans(method, cfg, dataset, a, table, rng):
-    """One epoch of batch plans drawn from rng and the trial's
-    _sampling_table: a sampled block stack per shuffled chunk of training
-    seeds, or one induced subgraph per node set."""
-    g, L, bs = dataset.graph, int(cfg["num_layers"]), cfg["batch_size"]
-    dtype = dataset.features.dtype
+        p = fastgcn_layer_probs(a)
+        return lambda rng: (layer_wise_sample(g, a, b, q, L, method, rng, p, dtype)
+                            for b in shuffled_batches(rng, train, int(bs)))
     if method == "clustergcn":
-        per = max(1, int(round(bs / (dataset.num_nodes / cfg["num_clusters"]))))
-        order = rng.permutation(cfg["num_clusters"])
-        node_sets = (np.concatenate([table.cluster_nodes(c) for c in order[s:s + per]])
-                     for s in range(0, order.size, per))
-    elif METHODS[method].category == "subgraph-wise":
-        node_sets = (_saint_nodes(method, cfg, g, a, table, rng)
-                     for _ in range(max(1, int(round(dataset.num_nodes / bs)))))
+        k = cfg["num_clusters"]
+        parts = partition_graph(g, k)
+        clusters = [parts.cluster_nodes(c) for c in range(k)]
+        per = max(1, int(round(bs / (dataset.num_nodes / k))))
+
+        def node_sets(rng):
+            order = rng.permutation(k)
+            return (np.concatenate([clusters[c] for c in order[s:s + per]])
+                    for s in range(0, k, per))
     else:
-        for batch in shuffled_batches(rng, dataset.split.train, int(bs)):
-            if method == "graphsage":
-                yield node_wise_sample(g, a, batch, cfg["fanout"], L, rng, dtype)
-            else:
-                yield layer_wise_sample(g, a, batch, cfg["fanout"], L, method, rng,
-                                        table, dtype)
-        return
-    for nodes in node_sets:
-        if nodes.size:
-            yield subgraph_batch(g, a, nodes, dtype)
+        if method == "saint-node":
+            cdf = probs_cdf(saint_node_probs(a))
+            draw = lambda rng: saint_node_sample(a, bs, rng, cdf)
+        elif method == "saint-edge":
+            table = saint_edge_table(g)
+            draw = lambda rng: saint_edge_sample(g, max(1, bs // 2), rng, table)
+        else:
+            walk = cfg["walk_length"]
+            draw = lambda rng: random_walk_sample(g, max(1, bs // (walk + 1)), walk, rng)
+        count = max(1, int(round(dataset.num_nodes / bs)))
+        node_sets = lambda rng: (draw(rng) for _ in range(count))
 
-
-def _saint_nodes(method, cfg, g, a, table, rng):
-    bs = cfg["batch_size"]
-    if method == "saint-node":
-        return saint_node_sample(a, bs, rng, table)
-    if method == "saint-edge":
-        return saint_edge_sample(g, max(1, bs // 2), rng, table)
-    walk = cfg["walk_length"]
-    return random_walk_sample(g, max(1, bs // (walk + 1)), walk, rng)
+    def epoch(rng):
+        for nodes in node_sets(rng):
+            if nodes.size:
+                yield subgraph_batch(g, a, nodes, dtype)
+    return epoch
 
 
 def _train_sampled(method, cfg, dataset, seed, cache):
-    g, x, y = dataset.graph, dataset.features, dataset.labels.labels
+    x, y = dataset.features, dataset.labels.labels
     a = cache.adjacency(cfg["norm_kind"])
     L = int(cfg["num_layers"])
     dims = [dataset.feature_dim] + [int(cfg["hidden_dim"])] * (L - 1) + [dataset.num_classes]
@@ -282,13 +278,13 @@ def _train_sampled(method, cfg, dataset, seed, cache):
     opt = AdamState(cfg["learning_rate"], cfg["weight_decay"])
     sample_rng, drop_rng = spawn_rngs(seed, 2)
     eval_plan = full_plan(a, x.dtype)
-    table = _sampling_table(method, cfg, g, a)
+    epoch_plans = _plan_source(method, cfg, dataset, a)
     train_set = np.zeros(dataset.num_nodes, dtype=bool)
     train_set[dataset.split.train] = True
     active_sizes = []
 
     def batches(epoch):  # (plan, training mask of its targets)
-        for plan in _epoch_plans(method, cfg, dataset, a, table, sample_rng):
+        for plan in epoch_plans(sample_rng):
             mask = train_set[plan.target_nodes]
             if mask.any():
                 if epoch == 0:

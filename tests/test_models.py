@@ -354,7 +354,7 @@ def test_sampled_gnn_permuted_targets():
     logits, _ = sampled_gnn_forward(plan, x, params, config)
     perm = np.random.default_rng(0).permutation(7)
     permuted = BatchPlan([plan.node_sets[0][perm], plan.node_sets[1]],
-                         [plan.blocks[0][perm]], kind="node_wise")
+                         [plan.blocks[0][perm]])
     logits_p, _ = sampled_gnn_forward(permuted, x, params, config)
     assert np.allclose(logits_p, logits[perm], atol=1e-12)
 

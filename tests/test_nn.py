@@ -284,12 +284,6 @@ def test_accuracy_tie_breaks_low_index():
 
 
 class TestFit:
-    def test_none_step_is_neither_counted_nor_averaged(self):
-        losses = {1: 2.0, 2: None, 3: 4.0}
-        log = fit(1, lambda _: [1, 2, 3], losses.get)
-        assert log.steps == 2
-        assert log.loss_curve == [3.0]
-
     def test_epoch_without_steps_logs_nan(self):
         log = fit(2, lambda epoch: [] if epoch == 0 else [0], lambda _: 1.5)
         assert np.isnan(log.loss_curve[0]) and log.loss_curve[1] == 1.5

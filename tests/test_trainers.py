@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from scalegnn import trainers
+from scalegnn import samplers, trainers
 from scalegnn.graph import normalize_adjacency
 from scalegnn.harness import default_space, estimate_activation_memory
 from scalegnn.models import precompute_hops
@@ -17,9 +17,9 @@ from scalegnn.samplers import (layer_wise_sample, node_wise_sample,
                                partition_graph, random_walk_sample,
                                saint_edge_sample, saint_node_sample,
                                subgraph_batch)
-from scalegnn.trainers import (Dataset, TrialCache, _epoch_plans,
-                               _sampling_table, _subset_hops, dataset_from_sbm,
-                               default_config, full_plan, run_trial)
+from scalegnn.trainers import (Dataset, TrialCache, _plan_source, _subset_hops,
+                               dataset_from_sbm, default_config, full_plan,
+                               run_trial)
 
 SMOKE_CONFIGS = {
     "graphsage": dict(epochs=8, hidden_dim=32, batch_size=64),
@@ -269,7 +269,7 @@ class TestHelpers:
         a = normalize_adjacency(g, "sym")
 
         def one_shot(method, cfg, rng):
-            """The epoch _epoch_plans draws, from samplers that build their
+            """The epoch _plan_source draws, from samplers that build their
             own distributions on every call, in the features' dtype."""
             bs, L, q = cfg["batch_size"], cfg["num_layers"], cfg.get("fanout")
             if method in ("graphsage", "fastgcn", "ladies"):
@@ -294,8 +294,7 @@ class TestHelpers:
                        "saint-node", "saint-edge", "saint-rw"):
             cfg = {**default_config(method), **SMOKE_CONFIGS[method], "num_layers": 2,
                    "batch_size": 24}
-            table = _sampling_table(method, cfg, g, a)
-            got = list(_epoch_plans(method, cfg, dataset, a, table, make_rng(3)))
+            got = list(_plan_source(method, cfg, dataset, a)(make_rng(3)))
             want = list(one_shot(method, cfg, make_rng(3)))
             assert len(got) == len(want) > 1, method
             for p, q in zip(got, want):
@@ -303,6 +302,26 @@ class TestHelpers:
                 for x, y in zip(p.blocks, q.blocks):
                     assert x.dtype == y.dtype == dtype, method
                     assert (x != y).nnz == 0 and np.array_equal(x.indices, y.indices), method
+
+    @pytest.mark.parametrize("method,builder", [
+        ("clustergcn", "partition_graph"), ("saint-node", "saint_node_probs"),
+        ("saint-edge", "saint_edge_table"), ("fastgcn", "fastgcn_layer_probs"),
+        ("ladies", "fastgcn_layer_probs")])
+    def test_sampled_trial_builds_its_table_once(self, dataset, monkeypatch,
+                                                 method, builder):
+        """Counted in trainers and in samplers, so a sampler called without
+        its prebuilt table, which builds its own, counts too."""
+        calls = []
+        original = getattr(trainers, builder)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (trainers, samplers):
+            monkeypatch.setattr(module, builder, counting)
+        run_trial(method, {**SMOKE_CONFIGS[method], "epochs": 3}, dataset, seed=0)
+        assert len(calls) == 1
 
     def test_subset_hops_rows(self, dataset):
         a = normalize_adjacency(dataset.graph, "sym")
