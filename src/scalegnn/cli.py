@@ -323,14 +323,20 @@ def _cmd_bench(args) -> int:
         "out": None})
     if options["bundle"] is None or options["out"] is None:
         raise UsageError("bench requires --bundle and --out")
-    from scalegnn.harness import estimate_complexity, write_bench_report
+    from scalegnn.harness import METHODS, estimate_complexity, write_bench_report
     from scalegnn.trainers import TrialCache, default_config, run_trial
+    methods = [m.strip() for m in str(options["methods"]).split(",")]
+    unknown = sorted(set(methods) - set(METHODS))
+    if unknown:
+        raise UsageError(f"unknown methods: {', '.join(unknown)}; known: "
+                         f"{', '.join(sorted(METHODS))}")
+    # each method takes the --hp keys it knows; a key none of them knows is a typo
+    stray = sorted(set(hp).difference(*(default_config(m) for m in methods)))
+    if stray:
+        raise UsageError(f"no benched method takes the hyperparameters: "
+                         f"{', '.join(stray)}")
     dataset = _load_dataset(options["bundle"])
     cache = TrialCache(dataset)  # the methods share the adjacency and hops
-    methods = [m.strip() for m in str(options["methods"]).split(",")]
-    for m in methods:
-        _validate_hp(m, {k: v for k, v in hp.items()
-                         if k in default_config(m)}, allow_custom=True)
     out = Path(options["out"])
     rows = []
     with DirectoryLock(out):

@@ -33,10 +33,6 @@ from scalegnn.samplers import BatchPlan
 class HopFeatures:
     hops: list  # X^0..X^K
     K: int
-    norm_kind: str
-
-    def dim(self) -> int:
-        return self.hops[0].shape[1]
 
     def release(self) -> None:
         """Drop this object's references to its hop matrices."""
@@ -51,7 +47,7 @@ def precompute_hops(a: NormalizedAdjacency, x: np.ndarray, K: int) -> HopFeature
     hops = [np.asarray(x)]
     for l in range(1, K + 1):
         hops.append(spmm(a, hops[-1]))
-    return HopFeatures(hops, K, a.norm_kind)
+    return HopFeatures(hops, K)
 
 
 # ---------------------------------------------------------------------- SGC
@@ -97,7 +93,6 @@ class SIGNConfig:
     hidden: int
     num_classes: int
     dropout: float = 0.0
-    activation: str = "relu"  # "relu" | "identity"
     seed: int = 0
 
 
@@ -124,7 +119,7 @@ def init_sign(config: SIGNConfig, dtype=np.float64) -> SIGNParams:
 
 def sign_forward(hops: HopFeatures, params: SIGNParams, config: SIGNConfig,
                  mode: str = "eval", rng=None):
-    """Per-hop projection, concat, activation, optional dropout, readout.
+    """Per-hop projection, concat, ReLU, optional dropout, readout.
 
     Returns (logits, trace) in train mode and (logits, None) otherwise.
     """
@@ -136,12 +131,9 @@ def sign_forward(hops: HopFeatures, params: SIGNParams, config: SIGNConfig,
     for k in range(config.K + 1):
         np.matmul(hops.hops[k], params.omegas[k], out=pre[:, k * H:(k + 1) * H])
     if mode != "train":
-        h = np.maximum(pre, 0.0, out=pre) if config.activation == "relu" else pre
+        h = np.maximum(pre, 0.0, out=pre)
         return h @ params.readout_w + params.readout_b, None
-    if config.activation == "relu":
-        h = np.maximum(pre, 0.0)
-    else:
-        h = pre
+    h = np.maximum(pre, 0.0)
     mask = None
     if config.dropout > 0:
         if rng is None:
@@ -161,8 +153,7 @@ def sign_backward(hops: HopFeatures, params: SIGNParams, config: SIGNConfig,
     g = grad_logits @ params.readout_w.T
     if trace["mask"] is not None:
         g = g * trace["mask"]
-    if config.activation == "relu":
-        g = g * (trace["pre"] > 0)
+    g = g * (trace["pre"] > 0)
     H = config.hidden
     for k in range(config.K + 1):
         grads[f"omega{k}"] = hops.hops[k].T @ g[:, k * H:(k + 1) * H]
@@ -170,6 +161,8 @@ def sign_backward(hops: HopFeatures, params: SIGNParams, config: SIGNConfig,
 
 
 # --------------------------------------------------------------------- SAGN
+
+ATTENTION_SLOPE = 0.2  # leaky-ReLU slope of the hop-attention scores
 
 
 @dataclass
@@ -179,15 +172,11 @@ class SAGNConfig:
     num_classes: int
     mlp_hidden: list = field(default_factory=list)
     dropout: float = 0.0
-    use_batchnorm: bool = False
-    leaky_slope: float = 0.2
     seed: int = 0
 
     def mlp_config(self) -> MLPConfig:
         return MLPConfig([self.in_dim, *self.mlp_hidden, self.num_classes],
-                         dropout_rate=self.dropout,
-                         use_batchnorm=self.use_batchnorm,
-                         seed=self.seed)
+                         dropout_rate=self.dropout, seed=self.seed)
 
 
 @dataclass
@@ -219,16 +208,16 @@ def init_sagn(config: SAGNConfig, dtype=np.float64) -> SAGNParams:
     return SAGNParams(att_u, att_v, skip, mlp)
 
 
-def _leaky(z, slope):
-    return np.where(z > 0, z, slope * z)
+def _leaky(z):
+    return np.where(z > 0, z, ATTENTION_SLOPE * z)
 
 
-def _leaky_grad(z, slope):
-    return np.where(z > 0, 1.0, slope).astype(z.dtype, copy=False)
+def _leaky_grad(z):
+    return np.where(z > 0, 1.0, ATTENTION_SLOPE).astype(z.dtype, copy=False)
 
 
 def sagn_forward(hops: HopFeatures, params: SAGNParams, config: SAGNConfig,
-                 mode: str = "eval", rng=None, update_running: bool = True):
+                 mode: str = "eval", rng=None):
     """Per-node softmax attention over hops 1..K, plus a raw-feature skip
     into the fusion MLP.
 
@@ -242,7 +231,7 @@ def sagn_forward(hops: HopFeatures, params: SAGNParams, config: SAGNConfig,
     base = x0 @ params.att_u  # (n,)
     hop_scores = np.stack([hops.hops[k + 1] @ params.att_v[k] for k in range(config.K)], axis=1)
     pre = base[:, None] + hop_scores  # (n, K)
-    scores = _leaky(pre, config.leaky_slope)
+    scores = _leaky(pre)
     shifted = scores - scores.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     t = e / e.sum(axis=1, keepdims=True)  # attention weights (n, K)
@@ -255,8 +244,7 @@ def sagn_forward(hops: HopFeatures, params: SAGNParams, config: SAGNConfig,
         del fused  # n x d, not needed by the eval MLP pass
         return mlp_forward(params.mlp, config.mlp_config(), mlp_in, mode="eval")[0], None
     logits, mlp_trace = mlp_forward(params.mlp, config.mlp_config(), mlp_in,
-                                    mode="train", rng=rng,
-                                    update_running=update_running)
+                                    mode="train", rng=rng)
     trace = {"t": t, "pre": pre, "mlp_trace": mlp_trace, "mlp_in": mlp_in}
     return logits, trace
 
@@ -272,7 +260,7 @@ def sagn_backward(hops: HopFeatures, params: SAGNParams, config: SAGNConfig,
     # dL/dT_{ik} = <g_in_i, X^{k+1}_i>
     dt = np.stack([np.einsum("nd,nd->n", g_in, hops.hops[k + 1]) for k in range(config.K)], axis=1)
     ds = t * (dt - (t * dt).sum(axis=1, keepdims=True))  # softmax jacobian
-    dpre = ds * _leaky_grad(pre, config.leaky_slope)
+    dpre = ds * _leaky_grad(pre)
     grads["att_u"] = x0.T @ dpre.sum(axis=1)
     for k in range(config.K):
         grads[f"att_v{k}"] = hops.hops[k + 1].T @ dpre[:, k]

@@ -10,8 +10,8 @@ logits' dtype. Backward passes are written out by hand and verified
 against central finite differences, so there is no autodiff tape to trust.
 
 Weight convention: x @ W + b with W of shape (fan_in, fan_out). Hidden
-layers run linear -> batchnorm (optional) -> activation -> dropout; the
-last layer is a bare linear producing logits.
+layers run linear -> ReLU -> dropout; the last layer is a bare linear
+producing logits.
 """
 
 from __future__ import annotations
@@ -23,17 +23,11 @@ import numpy as np
 
 from scalegnn.rng import make_rng
 
-BN_EPS = 1e-5
-BN_MOMENTUM = 0.1
-
 
 @dataclass
 class MLPConfig:
     layer_dims: list  # [input, hidden..., output]
     dropout_rate: float = 0.0
-    use_batchnorm: bool = False
-    activation: str = "relu"  # "relu" | "leaky_relu"
-    leaky_slope: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
@@ -41,8 +35,6 @@ class MLPConfig:
             raise ValueError("need at least input and output dims")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
-        if self.activation not in ("relu", "leaky_relu"):
-            raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def num_layers(self) -> int:
@@ -53,10 +45,6 @@ class MLPConfig:
 class MLPParams:
     weights: list
     biases: list
-    bn_scale: list = field(default_factory=list)
-    bn_shift: list = field(default_factory=list)
-    bn_running_mean: list = field(default_factory=list)
-    bn_running_var: list = field(default_factory=list)
 
     def trainable(self) -> dict:
         """Ordered name -> array view; Adam mutates these in place."""
@@ -64,30 +52,17 @@ class MLPParams:
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             out[f"W{i}"] = w
             out[f"b{i}"] = b
-        for i, (g, s) in enumerate(zip(self.bn_scale, self.bn_shift)):
-            out[f"bn_scale{i}"] = g
-            out[f"bn_shift{i}"] = s
         return out
 
     def copy(self) -> "MLPParams":
-        return MLPParams(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            [g.copy() for g in self.bn_scale],
-            [s.copy() for s in self.bn_shift],
-            [m.copy() for m in self.bn_running_mean],
-            [v.copy() for v in self.bn_running_var],
-        )
+        return MLPParams([w.copy() for w in self.weights],
+                         [b.copy() for b in self.biases])
 
 
 @dataclass
 class ForwardTrace:
-    mode: str
     inputs: list  # input to each linear layer
-    pre_bn: list  # linear output per layer (None where no BN)
-    bn_xhat: list
-    bn_inv_std: list
-    pre_act: list  # activation input per hidden layer
+    pre_act: list  # ReLU input per hidden layer
     dropout_masks: list  # scaled masks, None where not applied
     consumed: bool = False
 
@@ -104,31 +79,11 @@ def init_mlp(config: MLPConfig, dtype=np.float64) -> MLPParams:
     for l in range(config.num_layers):
         weights.append(kaiming_uniform(rng, dims[l], dims[l + 1], dtype))
         biases.append(np.zeros(dims[l + 1], dtype=dtype))
-    params = MLPParams(weights, biases)
-    if config.use_batchnorm:
-        for l in range(config.num_layers - 1):  # hidden layers only
-            d = dims[l + 1]
-            params.bn_scale.append(np.ones(d, dtype=dtype))
-            params.bn_shift.append(np.zeros(d, dtype=dtype))
-            params.bn_running_mean.append(np.zeros(d, dtype=dtype))
-            params.bn_running_var.append(np.ones(d, dtype=dtype))
-    return params
-
-
-def _activate(z: np.ndarray, config: MLPConfig, inplace: bool = False) -> np.ndarray:
-    if config.activation == "relu":
-        return np.maximum(z, 0.0, out=z if inplace else None)
-    return np.where(z > 0, z, config.leaky_slope * z)
-
-
-def _activate_grad(z: np.ndarray, config: MLPConfig) -> np.ndarray:
-    if config.activation == "relu":
-        return (z > 0).astype(z.dtype)
-    return np.where(z > 0, 1.0, config.leaky_slope).astype(z.dtype)
+    return MLPParams(weights, biases)
 
 
 def mlp_forward(params: MLPParams, config: MLPConfig, x: np.ndarray, mode: str = "train",
-                rng: np.random.Generator | None = None, update_running: bool = True):
+                rng: np.random.Generator | None = None):
     """Run the MLP. Returns (logits, trace) in train mode, (logits, None) in eval.
 
     Dropout in train mode needs an explicit rng; the caller owns the stream
@@ -143,7 +98,7 @@ def mlp_forward(params: MLPParams, config: MLPConfig, x: np.ndarray, mode: str =
     if train and config.dropout_rate > 0 and rng is None:
         raise ValueError("train-mode dropout needs an rng")
 
-    trace = ForwardTrace(mode, [], [], [], [], [], []) if train else None
+    trace = ForwardTrace([], [], []) if train else None
     h = x
     n_layers = config.num_layers
     for l in range(n_layers):
@@ -153,39 +108,11 @@ def mlp_forward(params: MLPParams, config: MLPConfig, x: np.ndarray, mode: str =
         z += params.biases[l]  # no bias-add temporary
         if l == n_layers - 1:
             return z, trace
-        if config.use_batchnorm:
-            if train:
-                mean = z.mean(axis=0)
-                var = z.var(axis=0)  # biased, matches the backward formula
-                if update_running:
-                    params.bn_running_mean[l] *= 1.0 - BN_MOMENTUM
-                    params.bn_running_mean[l] += BN_MOMENTUM * mean
-                    params.bn_running_var[l] *= 1.0 - BN_MOMENTUM
-                    params.bn_running_var[l] += BN_MOMENTUM * var
-            else:
-                mean = params.bn_running_mean[l]
-                var = params.bn_running_var[l]
-            inv_std = 1.0 / np.sqrt(var + BN_EPS)
-            xhat = (z - mean) * inv_std
-            a_in = xhat * params.bn_scale[l] + params.bn_shift[l]
-            if train:
-                trace.pre_bn.append(z)
-                trace.bn_xhat.append(xhat)
-                trace.bn_inv_std.append(inv_std)
-        else:
-            a_in = z
-            if train:
-                trace.pre_bn.append(None)
-                trace.bn_xhat.append(None)
-                trace.bn_inv_std.append(None)
         if not train:
-            # eval keeps nothing it does not return: activate in place and
-            # drop this layer's batchnorm intermediates before the next matmul
-            h = _activate(a_in, config, inplace=True)
-            z = xhat = a_in = None
+            h = np.maximum(z, 0.0, out=z)  # eval keeps nothing: ReLU in place
             continue
-        trace.pre_act.append(a_in)
-        h = _activate(a_in, config)
+        trace.pre_act.append(z)
+        h = np.maximum(z, 0.0)
         if config.dropout_rate > 0:
             keep = 1.0 - config.dropout_rate
             mask = (rng.random(h.shape) < keep).astype(h.dtype) / keep
@@ -198,7 +125,7 @@ def mlp_forward(params: MLPParams, config: MLPConfig, x: np.ndarray, mode: str =
 def mlp_backward(params: MLPParams, config: MLPConfig, trace: ForwardTrace,
                  grad_logits: np.ndarray):
     """Reverse-mode gradients. Returns (grads dict keyed like trainable(), grad_input)."""
-    if trace is None or trace.mode != "train":
+    if trace is None:
         raise ValueError("backward needs a train-mode trace")
     if trace.consumed:
         raise ValueError("trace already consumed by a previous backward")
@@ -206,24 +133,15 @@ def mlp_backward(params: MLPParams, config: MLPConfig, trace: ForwardTrace,
         raise ValueError("trace does not match config")
     trace.consumed = True
 
-    grads = {k: np.zeros_like(v) for k, v in params.trainable().items()}
+    grads = {}
     n_layers = config.num_layers
     g = np.asarray(grad_logits)
     for l in range(n_layers - 1, -1, -1):
         if l < n_layers - 1:
             if trace.dropout_masks[l] is not None:
                 g = g * trace.dropout_masks[l]
-            g = g * _activate_grad(trace.pre_act[l], config)
-            if config.use_batchnorm:
-                xhat = trace.bn_xhat[l]
-                inv_std = trace.bn_inv_std[l]
-                grads[f"bn_scale{l}"] = (g * xhat).sum(axis=0)
-                grads[f"bn_shift{l}"] = g.sum(axis=0)
-                dxhat = g * params.bn_scale[l]
-                n = xhat.shape[0]
-                g = (inv_std / n) * (
-                    n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
-                )
+            z = trace.pre_act[l]
+            g = g * (z > 0).astype(z.dtype)
         grads[f"W{l}"] = trace.inputs[l].T @ g
         grads[f"b{l}"] = g.sum(axis=0)
         g = g @ params.weights[l].T

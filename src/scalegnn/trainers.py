@@ -314,7 +314,7 @@ def _train_sampled(method, cfg, dataset, seed, cache):
 
 
 def _subset_hops(hops: HopFeatures, idx: np.ndarray) -> HopFeatures:
-    return HopFeatures([h[idx] for h in hops.hops], hops.K, hops.norm_kind)
+    return HopFeatures([h[idx] for h in hops.hops], hops.K)
 
 
 def _train_precompute(method, cfg, dataset, seed, cache):
@@ -496,9 +496,11 @@ def run_trial(method: str, config: dict, dataset: Dataset, seed: int = 0,
     hops, and the base model's curves and epoch_seconds for cs."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; known: {sorted(METHODS)}")
-    if dataset.features.shape[0] != dataset.labels.labels.shape[0]:
-        raise ValueError(f"method {method!r}: dataset features and labels "
-                         "disagree on node count")
+    counts = (dataset.graph.num_nodes, dataset.features.shape[0],
+              dataset.labels.labels.shape[0])
+    if len(set(counts)) > 1:
+        raise ValueError(f"method {method!r}: dataset graph, features and "
+                         f"labels disagree on node count {counts}")
     cache = TrialCache(dataset) if cache is None else cache
     if cache.dataset is not dataset:
         raise ValueError(f"method {method!r}: the cache belongs to dataset "

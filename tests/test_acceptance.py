@@ -141,14 +141,13 @@ def test_02_gradient_suite_finite_differences(capsys):
 
     for i, dims in enumerate(([4, 5, 3], [3, 6, 4, 2], [5, 2])):
         rng = np.random.default_rng(210 + i)
-        config = MLPConfig(dims, use_batchnorm=(i == 1), seed=210 + i)
+        config = MLPConfig(dims, seed=210 + i)
         params = init_mlp(config)
         x = rng.standard_normal((6, dims[0]))
         y = rng.integers(0, dims[-1], size=6)
 
         def f(_, params=params, config=config, x=x, y=y):
-            logits, trace = mlp_forward(params, config, x, mode="train",
-                                        update_running=False)
+            logits, trace = mlp_forward(params, config, x, mode="train")
             loss, gl = cross_entropy(logits, y)
             return loss, mlp_backward(params, config, trace, gl)[0]
 
@@ -183,12 +182,11 @@ def test_02_gradient_suite_finite_differences(capsys):
         errs[f"sign[{i}]"] = gradcheck(f_sign, sign_params.trainable())["max_rel_err"]
 
         sagn_config = SAGNConfig(K=k, in_dim=d, num_classes=c, mlp_hidden=[4],
-                                 use_batchnorm=(i == 0), seed=250 + i)
+                                 seed=250 + i)
         sagn_params = init_sagn(sagn_config)
 
         def f_sagn(_, hops=hops, params=sagn_params, config=sagn_config, y=y):
-            logits, trace = sagn_forward(hops, params, config, mode="train",
-                                         update_running=False)
+            logits, trace = sagn_forward(hops, params, config, mode="train")
             loss, gl = cross_entropy(logits, y)
             return loss, sagn_backward(hops, params, config, trace, gl)
 

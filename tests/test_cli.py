@@ -213,6 +213,20 @@ class TestBenchAndReport:
         assert rc == 0
         assert kinds == ["sym"]
 
+    def test_bench_unknown_method_exits_2(self, bundle, tmp_path):
+        out = tmp_path / "bench"
+        rc = main(["bench", "--bundle", str(bundle), "--out", str(out),
+                   "--methods", "sgc,gcn2"])
+        assert rc == 2
+        assert not out.exists()
+
+    def test_bench_hp_no_method_knows_exits_2(self, bundle, tmp_path):
+        out = tmp_path / "bench"
+        rc = main(["bench", "--bundle", str(bundle), "--out", str(out),
+                   "--methods", "sgc,graphsage", "--hp", "bogus_knob=3"])
+        assert rc == 2
+        assert not out.exists()
+
     def test_report_aggregates(self, bundle, tmp_path):
         t1, t2 = tmp_path / "t1", tmp_path / "t2"
         for out, seed in ((t1, "0"), (t2, "1")):

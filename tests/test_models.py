@@ -106,7 +106,7 @@ def test_sgc_identity_readout():
 
 def test_sgc_k0_is_linear_model():
     x = RNG.normal(size=(5, 3))
-    hops = HopFeatures([x], 0, "sym")
+    hops = HopFeatures([x], 0)
     config = SGCConfig(K=0, in_dim=3, num_classes=2, seed=1)
     params = init_sgc(config)
     logits = sgc_forward(hops, params, config)
@@ -115,7 +115,7 @@ def test_sgc_k0_is_linear_model():
 
 def test_sgc_hop_mismatch():
     x = RNG.normal(size=(5, 3))
-    hops = HopFeatures([x], 0, "sym")
+    hops = HopFeatures([x], 0)
     config = SGCConfig(K=2, in_dim=3, num_classes=2)
     with pytest.raises(ValueError, match="K="):
         sgc_forward(hops, init_sgc(config), config)
@@ -138,9 +138,9 @@ def test_sgc_gradcheck():
 
 
 def test_sign_identity_collapse():
-    x = RNG.normal(size=(5, 3))
-    hops = HopFeatures([x], 0, "sym")
-    config = SIGNConfig(K=0, in_dim=3, hidden=3, num_classes=3, activation="identity")
+    x = np.abs(RNG.normal(size=(5, 3)))  # non-negative: ReLU passes it through
+    hops = HopFeatures([x], 0)
+    config = SIGNConfig(K=0, in_dim=3, hidden=3, num_classes=3)
     params = init_sign(config)
     params.omegas[0][:] = np.eye(3)
     params.readout_w[:] = np.eye(3)
@@ -159,7 +159,7 @@ def test_sign_zeroed_hops_ignore_propagation():
     for k in range(1, 3):
         params.omegas[k][:] = 0.0
     logits, _ = sign_forward(hops, params, config)
-    corrupted = HopFeatures([x, RNG.normal(size=(6, 3)), RNG.normal(size=(6, 3))], 2, "sym")
+    corrupted = HopFeatures([x, RNG.normal(size=(6, 3)), RNG.normal(size=(6, 3))], 2)
     logits2, _ = sign_forward(corrupted, params, config)
     assert np.array_equal(logits, logits2)
 
@@ -183,13 +183,11 @@ def test_sign_gradcheck():
 def test_sign_eval_keeps_no_trace_and_matches_train():
     g = small_graph()
     hops = precompute_hops(normalize_adjacency(g, "sym"), RNG.normal(size=(6, 3)), 2)
-    for activation in ("relu", "identity"):
-        config = SIGNConfig(K=2, in_dim=3, hidden=4, num_classes=3,
-                            activation=activation, seed=5)
-        params = init_sign(config)
-        logits, trace = sign_forward(hops, params, config)
-        assert trace is None
-        assert np.array_equal(logits, sign_forward(hops, params, config, mode="train")[0])
+    config = SIGNConfig(K=2, in_dim=3, hidden=4, num_classes=3, seed=5)
+    params = init_sign(config)
+    logits, trace = sign_forward(hops, params, config)
+    assert trace is None
+    assert np.array_equal(logits, sign_forward(hops, params, config, mode="train")[0])
 
 
 def test_sagn_eval_keeps_no_trace_and_matches_train():
@@ -248,14 +246,12 @@ def test_sagn_gradcheck_through_attention():
     g = small_graph()
     a = normalize_adjacency(g, "sym")
     hops = precompute_hops(a, RNG.normal(size=(6, 3)), 2)
-    config = SAGNConfig(K=2, in_dim=3, num_classes=3, mlp_hidden=[4],
-                        use_batchnorm=True, seed=8)
+    config = SAGNConfig(K=2, in_dim=3, num_classes=3, mlp_hidden=[4], seed=8)
     params = init_sagn(config)
     y = RNG.integers(0, 3, size=6)
 
     def f(_):
-        logits, trace = sagn_forward(hops, params, config, mode="train",
-                                     update_running=False)
+        logits, trace = sagn_forward(hops, params, config, mode="train")
         loss, gl = cross_entropy(logits, y)
         return loss, sagn_backward(hops, params, config, trace, gl)
 

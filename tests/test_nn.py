@@ -112,7 +112,7 @@ def test_cross_entropy_grad_oracle():
 
 
 def test_backward_zero_grad():
-    config = MLPConfig([3, 4, 2], use_batchnorm=True, seed=0)
+    config = MLPConfig([3, 4, 2], seed=0)
     params = init_mlp(config)
     x = np.random.default_rng(6).normal(size=(5, 3))
     _, trace = mlp_forward(params, config, x, mode="train")
@@ -122,14 +122,14 @@ def test_backward_zero_grad():
 
 
 def test_backward_row_duplication_invariant():
-    config = MLPConfig([3, 6, 4], use_batchnorm=True, seed=2)
+    config = MLPConfig([3, 6, 4], seed=2)
     params = init_mlp(config)
     rng = np.random.default_rng(7)
     x = rng.normal(size=(5, 3))
     y = rng.integers(0, 4, size=5)
 
     def grads_for(xb, yb):
-        logits, trace = mlp_forward(params, config, xb, mode="train", update_running=False)
+        logits, trace = mlp_forward(params, config, xb, mode="train")
         _, gl = cross_entropy(logits, yb)
         g, _ = mlp_backward(params, config, trace, gl)
         return g
@@ -151,7 +151,7 @@ def test_backward_trace_reuse_rejected():
 
 def mlp_loss_fn(params_obj, config, x, y):
     def f(_):
-        logits, trace = mlp_forward(params_obj, config, x, mode="train", update_running=False)
+        logits, trace = mlp_forward(params_obj, config, x, mode="train")
         loss, gl = cross_entropy(logits, y)
         grads, _ = mlp_backward(params_obj, config, trace, gl)
         return loss, grads
@@ -173,13 +173,13 @@ def test_gradcheck_randomized_configs():
     for trial in range(6):
         depth = int(rng.integers(2, 5))
         dims = [int(rng.integers(3, 7)) for _ in range(depth + 1)]
-        config = MLPConfig(
-            dims,
-            use_batchnorm=bool(trial % 2),
-            activation="leaky_relu" if trial % 3 == 0 else "relu",
-            seed=trial,
-        )
+        config = MLPConfig(dims, seed=trial)
         params = init_mlp(config)
+        # biases away from zero: behind a unit that is dead on every row, a
+        # zero bias puts the next pre-activation exactly on the ReLU kink,
+        # where central differences are not the derivative
+        for b in params.biases:
+            b[:] = rng.uniform(0.1, 0.5, size=b.shape)
         x = rng.normal(size=(8, dims[0]))
         y = rng.integers(0, dims[-1], size=8)
         report = gradcheck(mlp_loss_fn(params, config, x, y), params.trainable())
@@ -252,7 +252,7 @@ def test_adam_decoupled_weight_decay():
 
 
 def test_training_deterministic_curves():
-    config = MLPConfig([4, 8, 3], dropout_rate=0.0, use_batchnorm=False, seed=5)
+    config = MLPConfig([4, 8, 3], dropout_rate=0.0, seed=5)
     rng = np.random.default_rng(13)
     x = rng.normal(size=(20, 4))
     y = rng.integers(0, 3, size=20)

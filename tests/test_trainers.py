@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from scalegnn import samplers, trainers
-from scalegnn.graph import normalize_adjacency
+from scalegnn.graph import induced_subgraph, normalize_adjacency
 from scalegnn.harness import default_space, estimate_activation_memory
 from scalegnn.models import precompute_hops
 from scalegnn.synth import SyntheticSpec
@@ -115,6 +115,14 @@ class TestRunTrialValidation:
                       dataset.split)
         with pytest.raises(ValueError, match="node count"):
             run_trial("sgc", dict(epochs=1), bad)
+        # a graph smaller than the features and labels: a sampled method
+        # would otherwise index past the graph's nodes
+        keep = np.arange(dataset.graph.num_nodes - 50)
+        small = Dataset(induced_subgraph(dataset.graph, keep)[0], dataset.features,
+                        dataset.labels, dataset.split)
+        for method in ("graphsage", "clustergcn"):
+            with pytest.raises(ValueError, match="node count"):
+                run_trial(method, dict(epochs=1), small)
 
 
 @pytest.mark.parametrize("method", sorted(SMOKE_CONFIGS))
