@@ -5,7 +5,25 @@ making message passing cheap (mini-batch sampling, hop precomputation, label
 propagation), a stage-wise ensembling trainer that avoids keeping more than
 one propagated feature matrix alive at a time, and a benchmark harness with
 a greedy hyperparameter search.
+
+SCALEGNN_NUM_THREADS=<n> caps the BLAS/OpenMP thread pools. It is exported
+to each pool's own variable (a variable already set wins) when this package
+is imported, before any of its modules loads numpy; a process that has
+loaded numpy already keeps the pools it started with.
 """
+
+import os
+
+
+def _apply_thread_env() -> None:
+    threads = os.environ.get("SCALEGNN_NUM_THREADS")
+    if threads:
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+            os.environ.setdefault(var, threads)
+
+
+_apply_thread_env()  # before the imports below load numpy
 
 from scalegnn.bundle import (
     bundle_from_csv,

@@ -19,9 +19,9 @@ exit 1.
 Each run takes an exclusive lock (.lock file) on the output directory and
 writes resolved_config.json recording every effective setting, which is
 sufficient to reproduce the run with the same build. The environment
-variable SCALEGNN_NUM_THREADS caps BLAS/OpenMP thread pools; it is applied
-before numeric libraries load, so it only takes effect through this entry
-point.
+variable SCALEGNN_NUM_THREADS caps the BLAS/OpenMP thread pools: importing
+the scalegnn package exports it to them before numpy loads (see
+scalegnn/__init__.py), and a pool's own variable, if set, wins.
 """
 
 from __future__ import annotations
@@ -96,14 +96,6 @@ def _process_exists(pid: int) -> bool:
     except PermissionError:  # alive, owned by another user
         pass
     return True
-
-
-def _apply_thread_env() -> None:
-    threads = os.environ.get("SCALEGNN_NUM_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
 
 
 def _parse_value(text: str):
@@ -344,7 +336,7 @@ def _cmd_bench(args) -> int:
             merged = default_config(m)
             cfg = {k: v for k, v in hp.items() if k in merged}
             if "epochs" in merged:  # lp propagates, it has no epochs knob
-                cfg["epochs"] = int(options["epochs"])
+                cfg.setdefault("epochs", int(options["epochs"]))  # --hp wins
             r = run_trial(m, cfg, dataset, seed=int(options["seed"]), cache=cache)
             merged.update(cfg)
             est = estimate_complexity(
@@ -472,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--bundle", default=None)
     p.add_argument("--methods", default=None, help="comma-separated methods")
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--epochs", type=int, default=None,
+                   help="epochs of each method (default 3); --hp epochs=N wins")
     p.add_argument("--hp", action="append", metavar="KEY=VALUE")
 
     p = sub.add_parser("report", help="aggregate trials.jsonl files")
@@ -492,7 +485,6 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    _apply_thread_env()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -176,13 +176,20 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
         raise ValueError("cross_entropy on empty batch")
     if logits.shape[0] != labels.shape[0]:
         raise ValueError("logits/labels batch size mismatch")
-    logp = log_softmax_row(logits)
+    # one shift, exp and sum serve the loss (read at the labels only) and
+    # the softmax gradient; the values equal log_softmax_row's and softmax_row's
     n = logits.shape[0]
-    loss = -logp[np.arange(n), labels].mean()
-    grad = softmax_row(logits)
-    grad[np.arange(n), labels] -= 1.0
+    rows = np.arange(n)
+    v = np.asarray(logits, dtype=np.float64)
+    shifted = v - v.max(axis=-1, keepdims=True)
+    picked = shifted[rows, labels]
+    grad = np.exp(shifted, out=shifted)
+    total = grad.sum(axis=-1, keepdims=True)
+    loss = -(picked - np.log(total[:, 0])).mean()
+    grad /= total
+    grad[rows, labels] -= 1.0
     grad /= n
-    return float(loss), grad.astype(logits.dtype)
+    return float(loss), grad.astype(logits.dtype, copy=False)
 
 
 def predict(logits: np.ndarray) -> np.ndarray:

@@ -3,16 +3,19 @@
 Every registered method maps (flat config dict, dataset, seed) to a fully
 instrumented TrialResult through run_trial. Epoch-trained methods run the
 one mini-batch loop, nn.fit, with their own batch source, rngs and
-optimizers; they evaluate on the full graph once per epoch and report
-accuracies at the best validation epoch. A sampled method's batches are
-the BatchPlans of _plan_source, which builds what the method's sampler
+optimizers; they score the val rows once per epoch and report accuracies
+at the best validation epoch, with train and test scored once from it
+(_best_epoch). A precompute model scores rows in chunks of its batch
+size; a sampled one forwards the whole graph. A sampled method's batches
+are the BatchPlans of _plan_source, which builds what the method's sampler
 draws from (partition, CDF, edge table, layer distribution) once per
 trial and draws each epoch's plans from it. Single-shot methods (plain
 label diffusion, the correct-and-smooth pipeline, stage-wise ensembling)
 report their one final evaluation. epoch_seconds times the training
-steps only; the per-epoch evaluations are timed apart and summed in
-extras["eval_seconds"]. One-off work is in neither: for precompute methods
-the propagation cost is reported in extras["precompute_seconds"].
+steps only; the evaluations, the final train/test scoring included, are
+timed apart and summed in extras["eval_seconds"]. One-off work is in
+neither: for precompute methods the propagation cost is reported in
+extras["precompute_seconds"].
 
 A trial computes in its features' dtype: hops, model parameters, Adam
 state, activations and every feature-width sparse product follow
@@ -28,6 +31,7 @@ building the next.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
 
@@ -171,7 +175,8 @@ def _checksum(trainable: dict) -> float:
 
 def _finish(method, cfg, dataset, seed, *, log: FitLog, best, extras):
     """Assemble the TrialResult from the training log and the accuracies
-    to report (best epoch's or final)."""
+    to report (best epoch's or final), with their scoring seconds, if
+    timed, under best["eval_seconds"]."""
     spec = METHODS[method]
     est = estimate_activation_memory(
         method, b=int(cfg.get("batch_size", 0)), r=int(cfg.get("fanout", 0)),
@@ -182,7 +187,7 @@ def _finish(method, cfg, dataset, seed, *, log: FitLog, best, extras):
     its = log.steps / train_seconds if train_seconds > 0 else 0.0
     extras = {**extras, "category": spec.category,
               "batch_semantics": spec.batch_semantics,
-              "eval_seconds": float(sum(log.eval_seconds))}
+              "eval_seconds": float(sum(log.eval_seconds)) + best.get("eval_seconds", 0.0)}
     return TrialResult(
         method=method, config=dict(cfg), seed=seed,
         train_acc=best["train_acc"], val_acc=best["val_acc"],
@@ -192,24 +197,43 @@ def _finish(method, cfg, dataset, seed, *, log: FitLog, best, extras):
         activation_bytes=est, extras=extras)
 
 
-def _best_epoch(dataset, full_logits):
-    """fit's evaluate for best-epoch reporting: scores full_logits() on the
-    split, returns val accuracy, keeps the best-val epoch's accuracies."""
+def _best_epoch(dataset, state, score):
+    """fit's evaluate for best-epoch reporting, and report(), which returns
+    the best epoch's accuracies.
+
+    Only val accuracy selects the epoch, so each evaluation scores only the
+    val rows: state() captures the model as it is now, in a form later
+    training does not change (a copy of the parameters, or a full-graph
+    forward's logits), and score(state, rows) returns the logits of rows
+    under it. The first epoch and every val improvement keep their state;
+    after fit, report() scores train and test once from the kept one. Its
+    seconds are returned under "eval_seconds"."""
     split, y = dataset.split, dataset.labels.labels
     best = {"epoch": -1, "val_acc": 0.0, "train_acc": 0.0, "test_acc": 0.0}
+    kept = None
+
+    def acc(s, rows):
+        return accuracy(score(s, rows), y[rows]) if rows.size else float("nan")
 
     def evaluate(epoch):
-        logits = full_logits()
-        val = accuracy(logits[split.val], y[split.val])
+        nonlocal kept
+        s = state()
+        val = acc(s, split.val)
         if np.isnan(val):
             val = 0.0
         if best["epoch"] < 0 or val > best["val_acc"]:
-            best.update(epoch=epoch, val_acc=val,
-                        train_acc=accuracy(logits[split.train], y[split.train]),
-                        test_acc=accuracy(logits[split.test], y[split.test]))
+            best.update(epoch=epoch, val_acc=val)
+            kept = s
         return val
 
-    return evaluate, best
+    def report():
+        t0 = time.perf_counter()
+        if kept is not None:
+            best.update(train_acc=acc(kept, split.train),
+                        test_acc=acc(kept, split.test))
+        return {**best, "eval_seconds": time.perf_counter() - t0}
+
+    return evaluate, report
 
 
 def full_plan(a, dtype=np.float64) -> BatchPlan:
@@ -302,19 +326,24 @@ def _train_sampled(method, cfg, dataset, seed, cache):
         adam_step(opt, params.trainable(), grads)
         return loss
 
-    evaluate, best = _best_epoch(
-        dataset, lambda: sampled_gnn_forward(eval_plan, x, params, model_cfg)[0])
+    # the first layer needs every node, so an evaluation forwards the whole
+    # graph; its logits are the state kept for the final train/test scores
+    evaluate, report = _best_epoch(
+        dataset, lambda: sampled_gnn_forward(eval_plan, x, params, model_cfg)[0],
+        lambda logits, rows: logits[rows])
     log = fit(int(cfg["epochs"]), batches, step, evaluate)
     extras = {"active_input_nodes": float(np.mean(active_sizes)) if active_sizes else 0.0,
               "param_checksum": _checksum(params.trainable())}
-    return _finish(method, cfg, dataset, seed, log=log, best=best, extras=extras)
+    return _finish(method, cfg, dataset, seed, log=log, best=report(), extras=extras)
 
 
 # ------------------------------------------------------------- precompute
 
 
-def _subset_hops(hops: HopFeatures, idx: np.ndarray) -> HopFeatures:
-    return HopFeatures([h[idx] for h in hops.hops], hops.K)
+def _subset_hops(hops: HopFeatures, idx: np.ndarray, first: int = 0) -> HopFeatures:
+    """Rows idx of hops first..K; the hops below first, which the model does
+    not read, are None."""
+    return HopFeatures([None] * first + [h[idx] for h in hops.hops[first:]], hops.K)
 
 
 def _train_precompute(method, cfg, dataset, seed, cache):
@@ -325,41 +354,48 @@ def _train_precompute(method, cfg, dataset, seed, cache):
         raise ValueError("sagn needs num_layers >= 1 (hop attention)")
     hops, precompute_seconds = cache.hops(cfg["norm_kind"], K)
     d, c, dtype = dataset.feature_dim, dataset.num_classes, hops.hops[0].dtype
+    first = K if method == "sgc" else 0  # the lowest hop the model reads
     if method == "sgc":
         model_cfg = SGCConfig(K, d, c, seed=seed)
         params = init_sgc(model_cfg, dtype)
-        fwd = lambda h, mode, rng: (sgc_forward(h, params, model_cfg), None)
+        fwd = lambda h, p, mode, rng: (sgc_forward(h, p, model_cfg), None)
         bwd = lambda h, tr, gr: sgc_backward(h, params, model_cfg, gr)
     elif method == "sign":
         model_cfg = SIGNConfig(K, d, int(cfg["hidden_dim"]), c,
                                dropout=float(cfg["dropout"]), seed=seed)
         params = init_sign(model_cfg, dtype)
-        fwd = lambda h, mode, rng: sign_forward(h, params, model_cfg, mode, rng)
+        fwd = lambda h, p, mode, rng: sign_forward(h, p, model_cfg, mode, rng)
         bwd = lambda h, tr, gr: sign_backward(h, params, model_cfg, tr, gr)
     else:
         model_cfg = SAGNConfig(K, d, c, mlp_hidden=[int(cfg["hidden_dim"])],
                                dropout=float(cfg["dropout"]), seed=seed)
         params = init_sagn(model_cfg, dtype)
-        fwd = lambda h, mode, rng: sagn_forward(h, params, model_cfg, mode, rng)
+        fwd = lambda h, p, mode, rng: sagn_forward(h, p, model_cfg, mode, rng)
         bwd = lambda h, tr, gr: sagn_backward(h, params, model_cfg, tr, gr)
     opt = AdamState(cfg["learning_rate"], cfg["weight_decay"])
     shuffle_rng, drop_rng = spawn_rngs(seed, 2)
+    batch_size = int(cfg["batch_size"])
 
     def step(batch):
-        sub = _subset_hops(hops, batch)
-        logits, trace = fwd(sub, "train", drop_rng)
+        sub = _subset_hops(hops, batch, first)
+        logits, trace = fwd(sub, params, "train", drop_rng)
         loss, grad = cross_entropy(logits, y[batch])
         grads = bwd(sub, trace, grad)
         adam_step(opt, params.trainable(), grads)
         return loss
 
-    evaluate, best = _best_epoch(dataset, lambda: fwd(hops, "eval", None)[0])
-    batches = lambda _: shuffled_batches(shuffle_rng, split.train, int(cfg["batch_size"]))
+    def score(p, rows):  # a node's logits read only its own hop rows
+        return np.concatenate([
+            fwd(_subset_hops(hops, rows[s:s + batch_size], first), p, "eval", None)[0]
+            for s in range(0, rows.size, batch_size)])
+
+    evaluate, report = _best_epoch(dataset, lambda: copy.deepcopy(params), score)
+    batches = lambda _: shuffled_batches(shuffle_rng, split.train, batch_size)
     log = fit(int(cfg["epochs"]), batches, step, evaluate)
-    extras = {"active_input_nodes": float(min(int(cfg["batch_size"]), split.train.size)),
+    extras = {"active_input_nodes": float(min(batch_size, split.train.size)),
               "precompute_seconds": precompute_seconds,
               "param_checksum": _checksum(params.trainable())}
-    return _finish(method, cfg, dataset, seed, log=log, best=best, extras=extras)
+    return _finish(method, cfg, dataset, seed, log=log, best=report(), extras=extras)
 
 
 # -------------------------------------------------------- label diffusion

@@ -499,8 +499,11 @@ def test_09_stagewise_memory_flat_vs_precomputed_hops_linear(capsys):
     x = x.astype(np.float64)
     matrix_bytes = x.nbytes
 
+    # from 2 stages on, each propagation overlaps two matrices the run owns
+    # (a single stage propagates from the caller's x and peaks lower), so
+    # flat means no growth from 2 to 6 stages
     stage_peaks = {}
-    for k in (1, 3, 5):
+    for k in (2, 4, 6):
         config = SLEConfig(threshold=0.9, num_stages=k, epochs_per_stage=2,
                            phi=MLPConfig([128, 16, 4], seed=0),
                            psi=MLPConfig([4, 16, 4], seed=1),
@@ -508,8 +511,8 @@ def test_09_stagewise_memory_flat_vs_precomputed_hops_linear(capsys):
         peak = traced_peak(lambda: engcn_run(x, normalize_adjacency(g, "sym"),
                                              labels, split, config))
         stage_peaks[k] = peak / matrix_bytes
-    assert stage_peaks[5] - stage_peaks[1] < 0.25, stage_peaks
-    assert stage_peaks[5] <= 3.0, stage_peaks
+    assert stage_peaks[6] - stage_peaks[2] < 0.25, stage_peaks
+    assert stage_peaks[6] <= 3.0, stage_peaks
 
     a = normalize_adjacency(g, "sym")
     cache_peaks = {k: traced_peak(lambda: precompute_hops(a, x, k)) / matrix_bytes
@@ -520,8 +523,8 @@ def test_09_stagewise_memory_flat_vs_precomputed_hops_linear(capsys):
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     announce(capsys, 9, "stage-wise peak " + "/".join(
-        f"{stage_peaks[k]:.2f}" for k in (1, 3, 5)) + " feature matrices at "
-        "1/3/5 stages; hop cache peak " + "/".join(
+        f"{stage_peaks[k]:.2f}" for k in (2, 4, 6)) + " feature matrices at "
+        "2/4/6 stages; hop cache peak " + "/".join(
         f"{cache_peaks[k]:.2f}" for k in (1, 3, 5)) + " at K = 1/3/5 "
         f"(tracemalloc, {elapsed:.1f}s < 120s)")
 

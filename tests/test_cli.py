@@ -2,6 +2,7 @@
 precedence, locking."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -213,6 +214,24 @@ class TestBenchAndReport:
         assert rc == 0
         assert kinds == ["sym"]
 
+    def test_bench_hp_epochs_wins_over_epochs_flag(self, bundle, tmp_path, monkeypatch):
+        from scalegnn import trainers
+        seen = []
+        original = trainers.run_trial
+
+        def spy(method, config, *args, **kwargs):
+            seen.append((method, config.get("epochs")))
+            return original(method, config, *args, **kwargs)
+
+        monkeypatch.setattr(trainers, "run_trial", spy)
+        rc = main(["bench", "--bundle", str(bundle), "--out", str(tmp_path / "a"),
+                   "--methods", "sgc,lp", "--hp", "epochs=7"])
+        assert rc == 0
+        rc = main(["bench", "--bundle", str(bundle), "--out", str(tmp_path / "b"),
+                   "--methods", "sgc", "--epochs", "2"])
+        assert rc == 0
+        assert seen == [("sgc", 7), ("lp", None), ("sgc", 2)]
+
     def test_bench_unknown_method_exits_2(self, bundle, tmp_path):
         out = tmp_path / "bench"
         rc = main(["bench", "--bundle", str(bundle), "--out", str(out),
@@ -267,3 +286,18 @@ class TestLock:
         with pytest.raises(RuntimeError, match=f"stale lock.*PID {proc.pid}"):
             DirectoryLock(tmp_path).__enter__()
         assert (tmp_path / ".lock").read_text() == str(proc.pid)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counting threads needs /proc")
+def test_num_threads_variable_caps_blas():
+    """SCALEGNN_NUM_THREADS=1 takes effect when scalegnn.cli is imported
+    first: the process still has only its main thread after a GEMM."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["SCALEGNN_NUM_THREADS"] = "1"
+    code = ("import os, scalegnn.cli, numpy as np; a = np.ones((512, 512)); a @ a; "
+            "print(len(os.listdir('/proc/self/task')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert int(out) == 1

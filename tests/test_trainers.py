@@ -1,6 +1,7 @@
 """End-to-end trainers: per-method smoke accuracy against a majority-class
 baseline, configuration merging, determinism, repeats, instrumentation."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,9 +10,11 @@ import pytest
 from scalegnn import samplers, trainers
 from scalegnn.graph import induced_subgraph, normalize_adjacency
 from scalegnn.harness import default_space, estimate_activation_memory
-from scalegnn.models import precompute_hops
+from scalegnn.models import (SAGNConfig, SGCConfig, SIGNConfig,
+                             precompute_hops, sagn_forward, sgc_forward,
+                             sign_forward)
+from scalegnn.nn import accuracy, shuffled_batches
 from scalegnn.synth import SyntheticSpec
-from scalegnn.nn import shuffled_batches
 from scalegnn.rng import make_rng
 from scalegnn.samplers import (layer_wise_sample, node_wise_sample,
                                partition_graph, random_walk_sample,
@@ -251,6 +254,119 @@ class TestLabelDiffusionTrainer:
         assert cs.val_acc > cs.extras["base_val_acc"]
         assert set(lp.config) == {"num_propagations", "alpha", "norm_kind"}
         assert "base_val_acc" not in lp.extras
+
+
+# short precompute configs whose val rows span several batch-sized chunks
+PRECOMPUTE = {"sgc": dict(epochs=8, batch_size=256),
+              "sign": dict(epochs=8, hidden_dim=32, batch_size=256, dropout=0.2),
+              "sagn": dict(epochs=8, hidden_dim=32, batch_size=256, dropout=0.2)}
+
+
+@pytest.fixture(scope="module")
+def sbm3k():
+    """The acceptance tests' 3k-node SBM."""
+    return dataset_from_sbm(SyntheticSpec(3000, 5, 0.05, 0.005, feature_dim=16,
+                                          separation=0.6, noise=1.0, seed=0))
+
+
+def _full_graph_logits(method, cfg, hops, ds):
+    """params -> eval-mode logits of every node from one forward of the
+    model over all of hops."""
+    K, d, c = int(cfg["num_layers"]), ds.feature_dim, ds.num_classes
+    if method == "sgc":
+        return lambda p: sgc_forward(hops, p, SGCConfig(K, d, c))
+    if method == "sign":
+        model_cfg = SIGNConfig(K, d, int(cfg["hidden_dim"]), c)
+        return lambda p: sign_forward(hops, p, model_cfg)[0]
+    model_cfg = SAGNConfig(K, d, c, mlp_hidden=[int(cfg["hidden_dim"])])
+    return lambda p: sagn_forward(hops, p, model_cfg)[0]
+
+
+def _oracle_best_epoch(full_logits):
+    """A stand-in for trainers._best_epoch that forwards the whole graph
+    every epoch and, on each val improvement, scores train and test from
+    that forward's logits."""
+    def build(dataset, state, score):
+        split, y = dataset.split, dataset.labels.labels
+        best = {"epoch": -1, "val_acc": 0.0, "train_acc": 0.0, "test_acc": 0.0}
+
+        def evaluate(epoch):
+            logits = full_logits(state())
+            val = accuracy(logits[split.val], y[split.val])
+            if best["epoch"] < 0 or val > best["val_acc"]:
+                best.update(epoch=epoch, val_acc=val,
+                            train_acc=accuracy(logits[split.train], y[split.train]),
+                            test_acc=accuracy(logits[split.test], y[split.test]))
+            return val
+
+        return evaluate, lambda: dict(best)
+    return build
+
+
+class TestPrecomputeEvaluation:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("method", sorted(PRECOMPUTE))
+    def test_matches_full_graph_oracle(self, sbm3k, monkeypatch, method, seed):
+        cfg = {**default_config(method), **PRECOMPUTE[method]}
+        cache = TrialCache(sbm3k)
+        got = run_trial(method, cfg, sbm3k, seed=seed, cache=cache)
+        hops = cache.hops(cfg["norm_kind"], int(cfg["num_layers"]))[0]
+        monkeypatch.setattr(trainers, "_best_epoch", _oracle_best_epoch(
+            _full_graph_logits(method, cfg, hops, sbm3k)))
+        want = run_trial(method, cfg, sbm3k, seed=seed, cache=cache)
+        assert len(set(want.val_acc_curve)) > 1  # the best epoch is a choice
+        assert got.val_acc_curve == want.val_acc_curve
+        assert ((got.best_epoch, got.val_acc, got.train_acc, got.test_acc)
+                == (want.best_epoch, want.val_acc, want.train_acc, want.test_acc))
+        assert got.loss_curve == want.loss_curve
+        assert got.extras["param_checksum"] == want.extras["param_checksum"]
+
+    @pytest.mark.parametrize("method", sorted(PRECOMPUTE))
+    def test_forwards_see_batch_sized_chunks(self, sbm3k, monkeypatch, method):
+        """Each epoch trains on the train rows and scores the val rows, in
+        chunks of batch_size; train and test are scored once, after fit.
+        sgc gathers only the hop it reads."""
+        cfg, b = {**PRECOMPUTE[method], "epochs": 3}, PRECOMPUTE[method]["batch_size"]
+        name = f"{method}_forward"
+        original = getattr(trainers, name)
+        calls = []  # (rows, mode, which hops are gathered)
+
+        def spy(hops, params, model_cfg, mode="eval", rng=None):
+            calls.append((hops.hops[-1].shape[0], mode,
+                          [h is not None for h in hops.hops]))
+            if method == "sgc":
+                return original(hops, params, model_cfg)
+            return original(hops, params, model_cfg, mode, rng)
+
+        monkeypatch.setattr(trainers, name, spy)
+        run_trial(method, cfg, sbm3k, seed=0)
+        split = sbm3k.split
+        chunks = lambda n: [min(b, n - s) for s in range(0, n, b)]
+        train, val, test = (chunks(r.size) for r in (split.train, split.val, split.test))
+        assert [n for n, _, _ in calls] == (train + val) * 3 + train + test
+        K = PRECOMPUTE[method].get("num_layers", default_config(method)["num_layers"])
+        gathered = [True] * (K + 1) if method != "sgc" else [False] * K + [True]
+        assert all(g == gathered for _, _, g in calls)
+        if method != "sgc":  # sgc_forward has no mode
+            modes = [m for _, m, _ in calls]
+            assert modes == (["train"] * len(train) + ["eval"] * len(val)) * 3 \
+                + ["eval"] * (len(train) + len(test))
+
+    def test_sign_peak_below_one_full_graph_hidden_layer(self, sbm3k):
+        """Scoring in batch-sized chunks keeps a sign trial's memory off the
+        graph size: with the hops built beforehand, the trial's tracemalloc
+        peak stays under half of one full-graph hidden layer."""
+        cfg = dict(epochs=2, hidden_dim=256, batch_size=128, num_layers=2)
+        cache = TrialCache(sbm3k)
+        cache.hops("sym", 2)
+        tracemalloc.start()
+        try:
+            run_trial("sign", cfg, sbm3k, seed=0, cache=cache)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        hidden_layer = sbm3k.num_nodes * 3 * 256 * sbm3k.features.itemsize
+        assert peak < hidden_layer / 2, (peak, hidden_layer)
 
 
 class TestEnsembleTrainer:
