@@ -18,10 +18,14 @@ compute in their features' dtype, so the "f64:" entries show whether
 the float64 path moved.
 
 To check the samplers directly, it keeps a sha256 of
-`partition_graph(g, k).assignment` for k = 4 and 16, and of one epoch of
-batch plans per sampled method (node sets and block arrays, float64
-blocks), drawn through the public sampler calls. These do not depend on
-the features.
+`partition_graph(g, k).assignment` for k = 4 and 16 ("partitions"), and of
+one epoch of batch plans per sampled method (node sets and block arrays,
+float64 blocks), drawn through the public sampler calls. These do not
+depend on the features. "partitions-passes" adds partitions that run the
+partitioner's later passes: the SBM at k = 32, where the rebalance moves
+nodes into many receivers, and a graph of four components and isolated
+nodes at k below the component count (the leftover pass) and above it
+(clusters that hold a whole component shed nodes).
 
 Every key that holds a duration (`*seconds`, `iterations_per_second`) is
 dropped. `compare` prints "<n> entries, <k> differ", names the differing
@@ -134,6 +138,26 @@ def _plan_digests(ds, seed: int) -> dict:
     return out
 
 
+def _partition_digest(g, k: int) -> str:
+    from scalegnn.samplers import partition_graph
+    return hashlib.sha256(partition_graph(g, k).assignment.tobytes()).hexdigest()
+
+
+def _partition_pass_digests(sbm) -> dict:
+    """Partition digests that cover the rebalance and leftover passes."""
+    import numpy as np
+    from scalegnn.graph import build_graph
+
+    rng, parts, base = np.random.default_rng(7), [], 0
+    for size in (400, 150, 60, 20):  # four components, then 10 isolated nodes
+        parts.append(base + rng.integers(0, size, size=(4 * size, 2)))
+        base += size
+    multi = build_graph(np.concatenate(parts), base + 10, symmetrize=True)
+    out = {"sbm/32": _partition_digest(sbm, 32)}
+    out.update({f"components/{k}": _partition_digest(multi, k) for k in (2, 3, 8, 32)})
+    return out
+
+
 def run(path: str) -> None:
     import dataclasses
 
@@ -159,9 +183,8 @@ def run(path: str) -> None:
             space = space.without(*(n for n in space.axis_names() if n not in axes))
             out[f"{prefix}search-{method}/0"] = greedy_search(method, space, data,
                                                               seed=0).to_dict()
-    from scalegnn.samplers import partition_graph
-    out["partitions"] = {str(k): hashlib.sha256(partition_graph(ds.graph, k).assignment.tobytes())
-                         .hexdigest() for k in (4, 16)}
+    out["partitions"] = {str(k): _partition_digest(ds.graph, k) for k in (4, 16)}
+    out["partitions-passes"] = _partition_pass_digests(ds.graph)
     with open(path, "w") as fh:
         json.dump(_untimed(out), fh, sort_keys=True)
 

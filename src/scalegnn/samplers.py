@@ -19,6 +19,13 @@ A trial builds what its sampler draws from once, in trainers._plan_source:
 the clustergcn partition, or the table (layer-wise distribution, saint-node
 CDF, saint-edge table) it passes prebuilt to every draw. Called one-shot
 without it, a sampler builds its own table.
+
+Blocks are built as CSR directly: row pointers from the per-row kept
+counts, columns from a rank lookup (rank[node_set] = arange) into the next
+node set, with no binary search and no COO -> CSR conversion. The
+partitioner's farthest-point sweep prunes each BFS to the nodes it brings
+closer, and its growth and rebalance passes are vectorized (see
+partition_graph).
 """
 
 from __future__ import annotations
@@ -28,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from scalegnn.graph import Graph, NormalizedAdjacency, induced_subgraph, normalize_adjacency
+from scalegnn.graph import (Graph, NormalizedAdjacency, build_graph, induced_subgraph,
+                            normalize_adjacency)
 
 
 @dataclass
@@ -53,10 +61,8 @@ class BatchPlan:
         if self.shared:
             return np.arange(lower.size, dtype=np.int64)
         upper = self.nodes(l + 1)
-        if upper.size == 0:
-            return np.full(lower.size, -1, dtype=np.int64)
-        pos = np.clip(np.searchsorted(upper, lower), 0, upper.size - 1)
-        return np.where(upper[pos] == lower, pos, -1).astype(np.int64)
+        size = int(max(lower.max(initial=-1), upper.max(initial=-1))) + 1
+        return _rank(upper, size)[lower]
 
 
 @dataclass
@@ -75,9 +81,8 @@ def _gather_neighborhood(g: Graph, rows: np.ndarray):
     if total == 0:
         z = np.zeros(0, dtype=np.int64)
         return z, z, z
-    starts = np.repeat(g.row_offsets[rows], counts)
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    data_idx = starts + offsets
+    first = np.cumsum(counts) - counts  # where each row's entries start in the gather
+    data_idx = np.arange(total) + np.repeat(g.row_offsets[rows] - first, counts)
     src = np.repeat(rows, counts)
     return src, g.col_indices[data_idx], data_idx
 
@@ -89,22 +94,36 @@ def _unique_nodes(nodes: np.ndarray, num_nodes: int) -> np.ndarray:
     return np.flatnonzero(mark)
 
 
+def _rank(nodes: np.ndarray, size: int) -> np.ndarray:
+    """Lookup table over node ids below size: rank[nodes[i]] = i, -1 elsewhere."""
+    rank = np.full(size, -1, dtype=np.int64)
+    rank[nodes] = np.arange(nodes.size)
+    return rank
+
+
+def _indptr(per_row: np.ndarray) -> np.ndarray:
+    """CSR row pointers from per-row entry counts."""
+    indptr = np.zeros(per_row.size + 1, dtype=np.int64)
+    np.cumsum(per_row, out=indptr[1:])
+    return indptr
+
+
 def _restrict_block(a: NormalizedAdjacency, rows: np.ndarray, cols: np.ndarray,
                     col_weights=None, dtype=np.float64) -> sp.csr_matrix:
     """CSR block of a with all edges from `rows` into `cols` (both sorted
     unique node ids), optionally scaling column v by col_weights[v-position],
     with values in dtype."""
-    src, dst, didx = _gather_neighborhood(a.structure, rows)
-    pos = np.searchsorted(cols, dst)
-    keep = pos < cols.size
-    keep[keep] = cols[pos[keep]] == dst[keep]
+    struct = a.structure
+    _, dst, didx = _gather_neighborhood(struct, rows)
+    pos = _rank(cols, struct.num_nodes)[dst]
+    keep = pos >= 0
     indices = pos[keep]
     data = a.values[didx[keep]]
     if col_weights is not None:
         # equivalent to block @ diag(col_weights) without the sparse matmul
         data *= np.asarray(col_weights, dtype=np.float64)[indices]
-    indptr = np.zeros(rows.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(np.searchsorted(rows, src[keep]), minlength=rows.size), out=indptr[1:])
+    # kept entries before each row's first entry
+    indptr = _indptr(keep)[_indptr(struct.row_offsets[rows + 1] - struct.row_offsets[rows])]
     return sp.csr_matrix((data.astype(dtype, copy=False), indices, indptr),
                          shape=(rows.size, cols.size))
 
@@ -143,36 +162,31 @@ def node_wise_sample(g: Graph, a: NormalizedAdjacency, seeds, Q: int, K: int,
     Per node of B_l, min(Q, deg) neighbors are drawn uniformly without
     replacement from the normalized adjacency's neighbor lists; B_{l+1} is
     B_l plus everything sampled, and the block keeps the full normalized
-    values on exactly the sampled edges.
+    values on exactly the sampled edges. Each block is built as CSR
+    directly: row pointers from the per-row kept counts min(Q, deg),
+    columns from a rank lookup into B_{l+1}.
     """
     seeds = np.unique(np.asarray(seeds, dtype=np.int64))
     if seeds.size == 0:
         raise ValueError("node_wise_sample needs non-empty seeds")
     struct = a.structure
     node_sets = [seeds]
-    edge_layers = []
+    blocks = []
     for _ in range(K):
         b = node_sets[-1]
-        src, dst, didx = _gather_neighborhood(struct, b)
-        if src.size:
+        _, _, didx = _gather_neighborhood(struct, b)
+        counts = struct.row_offsets[b + 1] - struct.row_offsets[b]
+        if didx.size:
             # uniform without replacement per source: keep the Q smallest
             # random keys within each row segment
-            keys = rng.random(src.size)
-            counts = struct.row_offsets[b + 1] - struct.row_offsets[b]
-            keep = _smallest_per_row(counts, keys, Q)
-            src_s, dst_s, didx_s = src[keep], dst[keep], didx[keep]
-        else:
-            src_s = dst_s = didx_s = np.zeros(0, dtype=np.int64)
-        edge_layers.append((src_s, dst_s, a.values[didx_s]))
-        node_sets.append(_unique_nodes(np.concatenate([b, dst_s]), struct.num_nodes))
-    blocks = []
-    for l in range(K):
-        b_l, b_next = node_sets[l], node_sets[l + 1]
-        src_s, dst_s, vals = edge_layers[l]
-        r = np.searchsorted(b_l, src_s)
-        c = np.searchsorted(b_next, dst_s)
-        blocks.append(sp.csr_matrix((vals.astype(dtype, copy=False), (r, c)),
-                                    shape=(b_l.size, b_next.size)))
+            didx = didx[_smallest_per_row(counts, rng.random(didx.size), Q)]
+        dst = struct.col_indices[didx]
+        upper = _unique_nodes(np.concatenate([b, dst]), struct.num_nodes)
+        blocks.append(sp.csr_matrix(
+            (a.values[didx].astype(dtype, copy=False), _rank(upper, struct.num_nodes)[dst],
+             _indptr(np.minimum(counts, max(Q, 0)))),  # each row keeps min(Q, deg)
+            shape=(b.size, upper.size)))
+        node_sets.append(upper)
     return BatchPlan(node_sets, blocks)
 
 
@@ -369,18 +383,30 @@ def random_walk_sample(g: Graph, num_roots: int, walk_length: int,
     return np.unique(np.concatenate(visited))
 
 
-def _bfs_distances(g: Graph, sources: np.ndarray) -> np.ndarray:
-    dist = np.full(g.num_nodes, -1, dtype=np.int64)
-    dist[sources] = 0
-    frontier = np.asarray(sources, dtype=np.int64)
-    level = 0
-    while frontier.size:
-        _, nbrs, _ = _gather_neighborhood(g, frontier)
-        fresh = _unique_nodes(nbrs[dist[nbrs] < 0], g.num_nodes)
-        level += 1
-        dist[fresh] = level
-        frontier = fresh
-    return dist
+def _shed(g: Graph, assignment: np.ndarray, sizes: np.ndarray, c: int, cap: int) -> int:
+    """Walk c's members' edges in CSR order, moving each member along its
+    first edge into a cluster below cap until c is down to cap; returns the
+    number moved. Receivers only fill, so the walk runs as vectorized passes,
+    each cut at the move that fills a receiver or ends it: k + 1 at most."""
+    src, nbrs, _ = _gather_neighborhood(g, np.flatnonzero(assignment == c))
+    to = assignment[nbrs]
+    src, to = src[to != c], to[to != c]
+    start, before = 0, sizes[c]
+    while sizes[c] > cap:
+        e = start + np.flatnonzero(sizes[to[start:]] < cap)
+        if e.size == 0:
+            break
+        e = e[np.r_[True, src[e[1:]] != src[e[:-1]]]]  # each member's first such edge
+        # receiver r fills at its (cap - sizes[r])-th move of the pass
+        per, room = np.bincount(to[e], minlength=sizes.size), cap - sizes
+        full = np.flatnonzero((per > 0) & (per >= room))
+        fills = np.argsort(to[e], kind="stable")[(np.cumsum(per) - per + room - 1)[full]]
+        e = e[:min(sizes[c] - cap, fills.min() + 1 if fills.size else e.size)]
+        assignment[src[e]] = to[e]
+        sizes += np.bincount(to[e], minlength=sizes.size)
+        sizes[c] -= e.size
+        start = np.searchsorted(src, src[e[-1]], side="right")
+    return before - sizes[c]
 
 
 def partition_graph(g: Graph, num_clusters: int) -> Partitioning:
@@ -388,54 +414,44 @@ def partition_graph(g: Graph, num_clusters: int) -> Partitioning:
 
     Seeds come from a farthest-point sweep (start at node 0; repeatedly take
     the node farthest from the current seed set, unreachable components
-    first, ties to the lowest index). Clusters grow by multi-source BFS in
-    round-robin level order, then oversized clusters shed boundary nodes
-    until every size is within 2x of balanced.
+    first, ties to the lowest index) over one distance array, which each
+    seed lowers by a BFS pruned to the nodes it brings closer (exact, as
+    distance to a seed set is 1-Lipschitz along edges). Clusters grow by
+    multi-source BFS in round-robin level order, nodes of seedless
+    components go one by one to the smallest cluster, then oversized
+    clusters shed boundary nodes (_shed) until every size is within 2x of
+    balanced.
     """
     n = g.num_nodes
     if num_clusters > n:
         raise ValueError("more clusters than nodes")
     if not g.is_symmetric:
         src = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.row_offsets))
-        both = np.concatenate([np.stack([src, g.col_indices], 1),
-                               np.stack([g.col_indices, src], 1)])
-        from scalegnn.graph import build_graph
-        g = build_graph(both, n, symmetrize=True)
+        g = build_graph(np.stack([src, g.col_indices], 1), n, symmetrize=True)
 
-    seeds = [0]
-    dist = _bfs_distances(g, np.array([0]))
-    for _ in range(num_clusters - 1):
-        unreached = dist < 0
-        if unreached.any():
-            nxt = int(np.flatnonzero(unreached)[0])
-        else:
-            nxt = int(np.argmax(dist))  # argmax takes the lowest index on ties
-        seeds.append(nxt)
-        d2 = _bfs_distances(g, np.array([nxt]))
-        merged = np.where(dist < 0, d2, np.where(d2 < 0, dist, np.minimum(dist, d2)))
-        dist = merged
+    dist = np.full(n, n, dtype=np.int64)  # n: unreached, above every distance
+    seeds = []
+    for _ in range(num_clusters):
+        seeds.append(int(np.argmax(dist)))  # argmax takes the lowest index on ties
+        dist[seeds[-1]], frontier, level = 0, np.array(seeds[-1:]), 0
+        while frontier.size:
+            level += 1
+            _, nbrs, _ = _gather_neighborhood(g, frontier)
+            frontier = _unique_nodes(nbrs[dist[nbrs] > level], n)
+            dist[frontier] = level
 
+    # a round's newly reached node joins the lowest-indexed cluster whose
+    # previous round reached a neighbor of it
+    frontier, first = np.unique(seeds, return_index=True)
     assignment = np.full(n, -1, dtype=np.int64)
-    frontiers = []
-    for c, s in enumerate(seeds):
-        if assignment[s] < 0:
-            assignment[s] = c
-            frontiers.append(np.array([s], dtype=np.int64))
-        else:
-            frontiers.append(np.zeros(0, dtype=np.int64))
-    active = True
-    while active:
-        active = False
-        for c in range(num_clusters):
-            if frontiers[c].size == 0:
-                continue
-            _, nbrs, _ = _gather_neighborhood(g, frontiers[c])
-            fresh = _unique_nodes(nbrs[assignment[nbrs] < 0], n)
-            assignment[fresh] = c
-            frontiers[c] = fresh
-            if fresh.size:
-                active = True
-    # nodes in components containing no seed: hand them to the smallest clusters
+    assignment[frontier] = first
+    while frontier.size:
+        src, nbrs, _ = _gather_neighborhood(g, frontier)
+        free = assignment[nbrs] < 0
+        claim = np.full(n, num_clusters)
+        np.minimum.at(claim, nbrs[free], assignment[src[free]])
+        frontier = np.flatnonzero(claim < num_clusters)
+        assignment[frontier] = claim[frontier]
     leftovers = np.flatnonzero(assignment < 0)
     if leftovers.size:
         sizes = np.bincount(assignment[assignment >= 0], minlength=num_clusters)
@@ -448,25 +464,10 @@ def partition_graph(g: Graph, num_clusters: int) -> Partitioning:
     sizes = np.bincount(assignment, minlength=num_clusters)
     while (sizes > cap).any():
         c = int(np.argmax(sizes))
-        members = np.flatnonzero(assignment == c)
-        moved = False
-        src, nbrs, _ = _gather_neighborhood(g, members)
-        outside = assignment[nbrs] != c
-        for u, other in zip(src[outside], assignment[nbrs[outside]]):
-            if sizes[other] < cap and assignment[u] == c:
-                assignment[u] = other
-                sizes[c] -= 1
-                sizes[other] += 1
-                moved = True
-                if sizes[c] <= cap:
-                    break
-        if not moved:
+        if not _shed(g, assignment, sizes, c, cap):
             # whole-component cluster with no eligible boundary: move by index
-            recv = int(np.argmin(sizes))
-            take = members[: sizes[c] - cap]
-            assignment[take] = recv
-            sizes[recv] += take.size
-            sizes[c] -= take.size
+            assignment[np.flatnonzero(assignment == c)[: sizes[c] - cap]] = np.argmin(sizes)
+            sizes = np.bincount(assignment, minlength=num_clusters)
     return Partitioning(assignment, num_clusters)
 
 

@@ -403,6 +403,21 @@ class TestRun:
         assert peaks[5] <= 3.0, peaks
         assert peaks[1] < 2.0, peaks
 
+    def test_scoring_builds_no_all_node_hidden_layer(self):
+        # hidden width far above the class count: one all-node float64
+        # hidden layer (psi's) outweighs everything else a run holds, so
+        # scoring every node at once would show in the peak
+        spec = SyntheticSpec(num_nodes=2000, num_classes=4, p_in=0.01,
+                             p_out=0.002, feature_dim=16, seed=0)
+        g, x, labels, split = generate_sbm(spec)
+        a = normalize_adjacency(g, "sym")
+        config = small_config(16, 4, num_stages=2, epochs_per_stage=1,
+                              phi=MLPConfig([16, 256, 4], seed=1),
+                              psi=MLPConfig([4, 256, 4], seed=2), batch_size=256)
+        hidden_layer = 2000 * 256 * 8
+        peak = traced_peak(lambda: engcn_run(x, a, labels, split, config))
+        assert peak < hidden_layer, peak / hidden_layer
+
     def test_precomputed_hops_memory_grows_linearly(self):
         spec = SyntheticSpec(num_nodes=400, num_classes=3, p_in=0.05,
                              p_out=0.005, feature_dim=64, seed=1)

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from scalegnn.graph import build_graph, normalize_adjacency
 from scalegnn.rng import make_rng
 from scalegnn.samplers import (
+    BatchPlan,
     _gather_neighborhood,
     _restrict_block,
     _smallest_per_row,
@@ -25,6 +27,7 @@ from scalegnn.samplers import (
     subgraph_batch,
     undirected_edge_probs,
 )
+from scalegnn.synth import SyntheticSpec, generate_sbm
 
 
 def edge_exists(g, u, v):
@@ -366,6 +369,11 @@ def test_plan_self_positions():
     # node-wise keeps B_l inside B_{l+1}
     assert np.all(pos >= 0)
     assert np.array_equal(plan.nodes(1)[pos], plan.nodes(0))
+    # layer-wise sets need not nest: absent nodes get -1
+    plan = BatchPlan([np.array([1, 3, 5]), np.array([0, 3, 4]), np.zeros(0, np.int64)],
+                     [None, None])
+    assert plan.self_positions(0).tolist() == [-1, 1, -1]
+    assert plan.self_positions(1).tolist() == [-1, -1, -1]
 
 
 def test_cdf_draws_match_generator_choice():
@@ -505,6 +513,11 @@ def _partition_graph_unique(g, num_clusters):
     return assignment
 
 
+def _acceptance_sbm():
+    return generate_sbm(SyntheticSpec(3000, 5, 0.05, 0.005, feature_dim=16,
+                                      separation=0.6, noise=1.0, seed=0))[0]
+
+
 def test_partition_matches_unique_frontier_reference():
     rng = np.random.default_rng(11)
     graphs = []
@@ -520,3 +533,79 @@ def test_partition_matches_unique_frontier_reference():
         for k in (2, 3, 5, min(8, g.num_nodes)):
             assert np.array_equal(partition_graph(g, k).assignment,
                                   _partition_graph_unique(g, k)), (g.num_nodes, k)
+    # four dense components of unequal size and six isolated nodes: below
+    # the component count the leftover pass hands whole components out,
+    # above it every component is seeded and the big ones shed nodes
+    sizes, parts, base = (60, 25, 12, 5), [], 0
+    for size in sizes:
+        parts.append(base + rng.integers(0, size, size=(4 * size, 2)))
+        base += size
+    g = build_graph(np.concatenate(parts), base + 6, symmetrize=True)
+    for k in (2, 3, 6, 9, 16, 40):
+        assert np.array_equal(partition_graph(g, k).assignment,
+                              _partition_graph_unique(g, k)), k
+    # the acceptance SBM: the rebalance moves nodes into many receivers,
+    # in several passes cut where a receiver fills
+    g = _acceptance_sbm()
+    for k in (16, 32):
+        assert np.array_equal(partition_graph(g, k).assignment,
+                              _partition_graph_unique(g, k)), k
+
+
+def _node_wise_sample_coo(g, a, seeds, Q, K, rng, dtype=np.float64):
+    """Reference: node_wise_sample as it was written, with sampled edges
+    kept as COO triples, positions found by np.searchsorted and each block
+    built by scipy's COO -> CSR conversion."""
+    from scalegnn.samplers import _unique_nodes
+    seeds = np.unique(np.asarray(seeds, dtype=np.int64))
+    struct = a.structure
+    node_sets, edge_layers = [seeds], []
+    for _ in range(K):
+        b = node_sets[-1]
+        src, dst, didx = _gather_neighborhood(struct, b)
+        if src.size:
+            keys = rng.random(src.size)
+            counts = struct.row_offsets[b + 1] - struct.row_offsets[b]
+            keep = _smallest_per_row(counts, keys, Q)
+            src_s, dst_s, didx_s = src[keep], dst[keep], didx[keep]
+        else:
+            src_s = dst_s = didx_s = np.zeros(0, dtype=np.int64)
+        edge_layers.append((src_s, dst_s, a.values[didx_s]))
+        node_sets.append(_unique_nodes(np.concatenate([b, dst_s]), struct.num_nodes))
+    blocks = []
+    for l in range(K):
+        src_s, dst_s, vals = edge_layers[l]
+        r = np.searchsorted(node_sets[l], src_s)
+        c = np.searchsorted(node_sets[l + 1], dst_s)
+        blocks.append(sp.csr_matrix((vals.astype(dtype, copy=False), (r, c)),
+                                    shape=(node_sets[l].size, node_sets[l + 1].size)))
+    return node_sets, blocks
+
+
+def _plain(state):
+    """A bit generator's state with its arrays as lists, comparable by ==."""
+    if isinstance(state, dict):
+        return {k: _plain(v) for k, v in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+def test_node_wise_sample_matches_coo_reference():
+    g = _acceptance_sbm()
+    a = normalize_adjacency(g, "sym")
+    deg = np.diff(a.structure.row_offsets)
+    seeds = np.random.default_rng(4).choice(g.num_nodes, 300, replace=False)
+    for Q in (3, 10, int(deg.max()) + 1):
+        for K in (1, 2, 3):
+            for dtype in (np.float32, np.float64):
+                rng, ref_rng = make_rng(Q + K), make_rng(Q + K)
+                plan = node_wise_sample(g, a, seeds, Q, K, rng, dtype)
+                ref_sets, ref_blocks = _node_wise_sample_coo(g, a, seeds, Q, K, ref_rng, dtype)
+                assert len(plan.node_sets) == K + 1 and len(plan.blocks) == K
+                for got, want in zip(plan.node_sets, ref_sets):
+                    assert np.array_equal(got, want)
+                for got, want in zip(plan.blocks, ref_blocks):
+                    assert got.shape == want.shape
+                    for name in ("indptr", "indices", "data"):
+                        x, y = getattr(got, name), getattr(want, name)
+                        assert x.dtype == y.dtype and np.array_equal(x, y), name
+                assert _plain(rng.bit_generator.state) == _plain(ref_rng.bit_generator.state)
