@@ -8,8 +8,9 @@ Run it against two checkouts, then compare the two outputs:
 
 `run` trains every method with a short config on the 3k-node SBM of the
 acceptance tests at seeds 0 and 1 and keeps `run_trial(...).to_dict()`.
-It also runs three EnGCN stages by hand and keeps a sha256 of every
-snapshot's weights and the per-epoch logs. Two greedy searches at seed 0
+It also runs three EnGCN stages by hand and keeps a sha256 of phi's and
+psi's weights after each stage's training, and each stage's per-epoch
+train loss and val accuracy. Two greedy searches at seed 0
 keep their `GreedySearchLog.to_dict()`: sgc over epochs x num_layers and
 cs over norm_kind x num_mlp_layers. All of this runs twice: on the SBM's
 float32 features (entries named as above, e.g. "sgc/0") and on a float64
@@ -63,8 +64,8 @@ def _untimed(value):
 
 
 def _stage_snapshots(ds, seed: int) -> dict:
-    """Three EnGCN stages run by hand the way engcn_run runs them: phi in
-    the features' dtype, psi in float64."""
+    """Three EnGCN stages run by hand the way the engcn trial runs them:
+    phi in the features' dtype, psi in float64."""
     import numpy as np
     from scalegnn.engcn import (SLEConfig, engcn_init, engcn_propagate,
                                 engcn_stage_forward, engcn_train_stage, sle_update)
@@ -80,19 +81,20 @@ def _stage_snapshots(ds, seed: int) -> dict:
     a = normalize_adjacency(ds.graph, "sym")
     state = engcn_init(ds.features, ds.labels, ds.split)
     phi, psi = init_mlp(cfg.phi, ds.features.dtype), init_mlp(cfg.psi)
-    rngs, logs = spawn_rngs(seed, 3), []
-    for stage in range(3):
-        if stage:
-            engcn_propagate(state, a)
-        logs.append([])
-        engcn_train_stage(state, phi, psi, cfg, rngs[stage], epoch_log=logs[-1])
-        sle_update(state, engcn_stage_forward(state, phi, psi, cfg, np.arange(ds.num_nodes)), 0.9)
 
     def digest(p):
         return hashlib.sha256(b"".join(w.tobytes() for w in p.weights + p.biases)).hexdigest()
 
-    return {"snapshots": [digest(p) for pair in state.snapshots for p in pair],
-            "epoch_logs": logs}
+    rngs, snapshots, logs = spawn_rngs(seed, 3), [], []
+    for stage in range(3):
+        if stage:
+            engcn_propagate(state, a)
+        log = engcn_train_stage(state, phi, psi, cfg, rngs[stage])
+        snapshots += [digest(phi), digest(psi)]
+        logs.append([{"train_loss": loss, "val_acc": val}
+                     for loss, val in zip(log.loss_curve, log.val_curve)])
+        sle_update(state, engcn_stage_forward(state, phi, psi, cfg, np.arange(ds.num_nodes)), 0.9)
+    return {"snapshots": snapshots, "epoch_logs": logs}
 
 
 def _plan_digests(ds, seed: int) -> dict:

@@ -31,7 +31,7 @@ from scalegnn.bundle import (
     save_bundle,
     write_synthetic_bundle,
 )
-from scalegnn.engcn import SLEConfig, engcn_run
+from scalegnn.engcn import SLEConfig
 from scalegnn.graph import (
     DataSplit,
     Graph,
@@ -73,7 +73,6 @@ __all__ = [
     "lp_iterate",
     "correct_and_smooth",
     "SLEConfig",
-    "engcn_run",
     "METHODS",
     "GNN_SEARCH_SPACE",
     "LP_SEARCH_SPACE",

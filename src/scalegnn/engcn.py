@@ -1,18 +1,18 @@
-"""Stage-wise ensembling trainer: two shared MLPs retrained on successively
-propagated feature and label matrices, a growing pseudo-labeled training set,
-and centered log-softmax majority voting over per-stage snapshots.
+"""Stage primitives of stage-wise ensembling: two shared MLPs retrained on
+successively propagated feature and label matrices, a growing
+pseudo-labeled training set, and a centered log-softmax majority vote over
+the per-stage logits. trainers._train_engcn runs the stages.
 
 One propagated feature matrix is kept: the current one, which overlaps its
 predecessor only inside a propagation step. The voting cache holds
 per-stage logits, which are label-width. Measured with tracemalloc on
 2000 nodes with 128-dim float64 features and 4 classes (acceptance test 9),
-a run allocates at most 3 feature matrices beyond its input (2.5 at 6
-stages), and less than a quarter of a matrix more at 6 stages than at 2.
-One stage peaks lower (1.7): its one propagation reads the caller's input.
-After each stage every node is scored in chunks of batch_size rows, so no
-all-node hidden layer is built: at hidden width 256 on 2000 nodes, a run
-peaks at 0.85 of one all-node float64 hidden layer (1.20 if all nodes
-are scored at once), and that peak is in a training step.
+an engcn trial allocates at most 3 feature matrices beyond its input (2.44
+at 6 stages), and less than a quarter of a matrix more at 6 stages than at
+2. One stage peaks lower: its one propagation reads the caller's input.
+After each stage the trial scores every node in chunks of batch_size rows,
+so no all-node hidden layer is built: at hidden width 256 on 2000 nodes, a
+trial peaks below one all-node float64 hidden layer, in a training step.
 Feature propagation costs exactly one sparse product per stage for X and
 one for Y, outside the training loop.
 
@@ -23,16 +23,15 @@ losses and the vote) in float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from scalegnn.graph import DataSplit, LabelVector, NormalizedAdjacency, spmm
-from scalegnn.nn import (AdamState, MLPConfig, MLPParams, accuracy, adam_step,
-                         cross_entropy, fit, init_mlp, log_softmax_row,
+from scalegnn.graph import DataSplit, LabelVector, spmm
+from scalegnn.nn import (AdamState, FitLog, MLPConfig, MLPParams, accuracy,
+                         adam_step, cross_entropy, fit, log_softmax_row,
                          mlp_backward, mlp_forward, one_hot,
                          shuffled_batches, softmax_row)
-from scalegnn.rng import spawn_rngs
 
 
 @dataclass
@@ -43,8 +42,8 @@ class SLEConfig:
 
     phi maps features to class scores, psi maps propagated label embeddings
     to class scores; psi only participates from stage 1 on. warm_start
-    continues the weights across stages (snapshots are taken either way);
-    the optimizer state is always fresh per stage.
+    continues the weights across stages; the optimizer state is always
+    fresh per stage.
     """
 
     threshold: float
@@ -79,20 +78,17 @@ class EnGCNState:
     y_cur: np.ndarray
     pseudo_labels: np.ndarray  # int64, -1 where unset
     pseudo_train: np.ndarray   # sorted node indices, superset of train
-    num_classes: int
     true_labels: np.ndarray
     split: DataSplit
-    snapshots: list = field(default_factory=list)
 
 
-def engcn_init(x: np.ndarray, labels: LabelVector, split: DataSplit,
-               num_classes: int | None = None) -> EnGCNState:
+def engcn_init(x: np.ndarray, labels: LabelVector, split: DataSplit) -> EnGCNState:
     """Stage-0 state: raw features (kept in their dtype), float64 one-hot
     label matrix on training rows (zero elsewhere), pseudo set = training
     set."""
     if split.train.size == 0:
         raise ValueError("training set is empty")
-    c = labels.num_classes if num_classes is None else int(num_classes)
+    c = labels.num_classes
     n = x.shape[0]
     if labels.labels.shape[0] != n:
         raise ValueError("features and labels disagree on node count")
@@ -102,8 +98,7 @@ def engcn_init(x: np.ndarray, labels: LabelVector, split: DataSplit,
     pseudo[split.train] = labels.labels[split.train]
     return EnGCNState(stage=0, x_cur=x, y_cur=y0, pseudo_labels=pseudo,
                       pseudo_train=np.sort(np.asarray(split.train, dtype=np.int64)),
-                      num_classes=c, true_labels=labels.labels.copy(),
-                      split=split)
+                      true_labels=labels.labels.copy(), split=split)
 
 
 def engcn_propagate(state: EnGCNState, a) -> EnGCNState:
@@ -139,13 +134,11 @@ def engcn_stage_forward(state: EnGCNState, phi_params: MLPParams,
 
 def engcn_train_stage(state: EnGCNState, phi_params: MLPParams,
                       psi_params: MLPParams, config: SLEConfig,
-                      rng: np.random.Generator,
-                      epoch_log: list | None = None):
+                      rng: np.random.Generator) -> FitLog:
     """Mini-batch AdamW (nn.fit) over the pseudo training set with
-    pseudo-label targets; psi trains only from stage 1 on, and rng draws
-    both the shuffles and the dropout masks. epoch_log, if given, gets one
-    dict per epoch: train_loss, val_acc, seconds, eval_seconds. Appends a
-    parameter snapshot (copies of both models) and returns the live params."""
+    pseudo-label targets, training phi and psi in place; psi trains only
+    from stage 1 on, and rng draws both the shuffles and the dropout masks.
+    Returns the stage's FitLog, with the val accuracy after each epoch."""
     targets_all = state.pseudo_labels
     nodes = state.pseudo_train
     if (targets_all[nodes] < 0).any():
@@ -180,16 +173,9 @@ def engcn_train_stage(state: EnGCNState, phi_params: MLPParams,
         logits = engcn_stage_forward(state, phi_params, psi_params, config, val)
         return accuracy(logits, state.true_labels[val])
 
-    log = fit(config.epochs_per_stage,
-              lambda _: shuffled_batches(rng, nodes, config.batch_size), step,
-              evaluate if epoch_log is not None else None)
-    if epoch_log is not None:
-        epoch_log.extend(
-            {"train_loss": loss, "val_acc": val, "seconds": s, "eval_seconds": e}
-            for loss, val, s, e in zip(log.loss_curve, log.val_curve,
-                                       log.epoch_seconds, log.eval_seconds))
-    state.snapshots.append((phi_params.copy(), psi_params.copy()))
-    return phi_params, psi_params
+    return fit(config.epochs_per_stage,
+               lambda _: shuffled_batches(rng, nodes, config.batch_size), step,
+               evaluate)
 
 
 def sle_update(state: EnGCNState, stage_logits: np.ndarray,
@@ -209,78 +195,15 @@ def sle_update(state: EnGCNState, stage_logits: np.ndarray,
     return state
 
 
-def majority_vote(stage_logits: list, nodes: np.ndarray | None = None) -> np.ndarray:
-    """Centered log-softmax vote: per snapshot, subtract each row's mean
-    log-probability, sum the centered scores across snapshots, argmax
+def majority_vote(stage_logits: list) -> np.ndarray:
+    """Centered log-softmax vote: per stage, subtract each row's mean
+    log-probability, sum the centered scores across stages, argmax
     (lowest class index on ties)."""
     if not stage_logits:
-        raise ValueError("need at least one snapshot to vote")
+        raise ValueError("need at least one stage to vote")
     total = None
     for logits in stage_logits:
-        rows = logits if nodes is None else logits[nodes]
-        z = log_softmax_row(rows)
+        z = log_softmax_row(logits)
         centered = z - z.mean(axis=1, keepdims=True)
         total = centered if total is None else total + centered
     return np.argmax(total, axis=1)
-
-
-def engcn_run(x: np.ndarray, a: NormalizedAdjacency, labels: LabelVector,
-              split: DataSplit, config: SLEConfig):
-    """Full run on the normalized adjacency a: init, then per stage
-    [propagate (stage >= 1), train, evaluate, grow pseudo set], then vote
-    over the cached per-stage logits. phi is initialised in x's dtype,
-    psi in float64.
-
-    Returns (per-node vote classes, metrics dict). Metrics carry per-stage
-    train/val/test accuracy, per-epoch curves, pseudo-set sizes at training
-    time, and the vote accuracies.
-    """
-    if config.phi.layer_dims[0] != x.shape[1]:
-        raise ValueError("phi input dim must match feature dim")
-    if config.phi.layer_dims[-1] != labels.num_classes:
-        raise ValueError("phi output dim must match class count")
-    if (config.psi.layer_dims[0] != labels.num_classes
-            or config.psi.layer_dims[-1] != labels.num_classes):
-        raise ValueError("psi must map class scores to class scores")
-    state = engcn_init(x, labels, split, labels.num_classes)
-    phi_params = init_mlp(config.phi, x.dtype)
-    psi_params = init_mlp(config.psi)
-    stage_rngs = spawn_rngs(config.seed, config.num_stages + 1)
-    cached_logits = []
-    n = x.shape[0]
-    metrics = {"stage_train_acc": [], "stage_val_acc": [], "stage_test_acc": [],
-               "pseudo_sizes": [], "epoch_curves": []}
-    for stage in range(config.num_stages + 1):
-        if stage >= 1:
-            engcn_propagate(state, a)
-            if not config.warm_start:
-                phi_params = init_mlp(replace(config.phi,
-                                              seed=config.phi.seed + stage), x.dtype)
-                psi_params = init_mlp(replace(config.psi,
-                                              seed=config.psi.seed + stage))
-        metrics["pseudo_sizes"].append(int(state.pseudo_train.size))
-        epoch_log = []
-        engcn_train_stage(state, phi_params, psi_params, config,
-                          stage_rngs[stage], epoch_log=epoch_log)
-        metrics["epoch_curves"].append(epoch_log)
-        # every node is scored in batch-sized chunks, so no all-node hidden
-        # layer is ever built
-        bs = config.batch_size
-        logits = np.concatenate([
-            engcn_stage_forward(state, phi_params, psi_params, config,
-                                np.arange(s, min(s + bs, n)))
-            for s in range(0, n, bs)])
-        cached_logits.append(logits)
-        y = state.true_labels
-        metrics["stage_train_acc"].append(accuracy(logits[split.train], y[split.train]))
-        metrics["stage_val_acc"].append(accuracy(logits[split.val], y[split.val]))
-        metrics["stage_test_acc"].append(accuracy(logits[split.test], y[split.test]))
-        sle_update(state, logits, config.threshold)
-    votes = majority_vote(cached_logits)
-    y = state.true_labels
-    metrics["vote_val_acc"] = float((votes[split.val] == y[split.val]).mean()) \
-        if split.val.size else float("nan")
-    metrics["vote_test_acc"] = float((votes[split.test] == y[split.test]).mean()) \
-        if split.test.size else float("nan")
-    metrics["final_pseudo_size"] = int(state.pseudo_train.size)
-    return votes, metrics

@@ -54,10 +54,6 @@ class MLPParams:
             out[f"b{i}"] = b
         return out
 
-    def copy(self) -> "MLPParams":
-        return MLPParams([w.copy() for w in self.weights],
-                         [b.copy() for b in self.biases])
-
 
 @dataclass
 class ForwardTrace:

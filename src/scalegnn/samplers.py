@@ -166,6 +166,8 @@ def node_wise_sample(g: Graph, a: NormalizedAdjacency, seeds, Q: int, K: int,
     directly: row pointers from the per-row kept counts min(Q, deg),
     columns from a rank lookup into B_{l+1}.
     """
+    if Q < 0:
+        raise ValueError(f"node-wise fanout must be >= 0, got fanout={Q}")
     seeds = np.unique(np.asarray(seeds, dtype=np.int64))
     if seeds.size == 0:
         raise ValueError("node_wise_sample needs non-empty seeds")
@@ -184,7 +186,7 @@ def node_wise_sample(g: Graph, a: NormalizedAdjacency, seeds, Q: int, K: int,
         upper = _unique_nodes(np.concatenate([b, dst]), struct.num_nodes)
         blocks.append(sp.csr_matrix(
             (a.values[didx].astype(dtype, copy=False), _rank(upper, struct.num_nodes)[dst],
-             _indptr(np.minimum(counts, max(Q, 0)))),  # each row keeps min(Q, deg)
+             _indptr(np.minimum(counts, Q))),  # each row keeps min(Q, deg)
             shape=(b.size, upper.size)))
         node_sets.append(upper)
     return BatchPlan(node_sets, blocks)
@@ -267,6 +269,8 @@ def layer_wise_sample(g: Graph, a: NormalizedAdjacency, B0, Q: int, K: int,
     """
     if variant not in ("fastgcn", "ladies"):
         raise ValueError(f"unknown layer-wise variant {variant!r}")
+    if Q < 1:
+        raise ValueError(f"layer-wise fanout must be >= 1, got fanout={Q}")
     B0 = np.unique(np.asarray(B0, dtype=np.int64))
     if B0.size == 0:
         raise ValueError("layer_wise_sample needs non-empty B0")

@@ -9,9 +9,10 @@ at the best validation epoch, with train and test scored once from it
 size; a sampled one forwards the whole graph. A sampled method's batches
 are the BatchPlans of _plan_source, which builds what the method's sampler
 draws from (partition, CDF, edge table, layer distribution) once per
-trial and draws each epoch's plans from it. Single-shot methods (plain
-label diffusion, the correct-and-smooth pipeline, stage-wise ensembling)
-report their one final evaluation. epoch_seconds times the training
+trial and draws each epoch's plans from it. Label diffusion (plain
+propagation, the correct-and-smooth pipeline) reports its one final
+evaluation. Stage-wise ensembling logs every stage's epochs in one curve
+and reports the vote over the stages. epoch_seconds times the training
 steps only; the evaluations, the final train/test scoring included, are
 timed apart and summed in extras["eval_seconds"]. One-off work is in
 neither: for precompute methods the propagation cost is reported in
@@ -33,11 +34,13 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from scalegnn.engcn import SLEConfig, engcn_run
+from scalegnn.engcn import (SLEConfig, engcn_init, engcn_propagate,
+                            engcn_stage_forward, engcn_train_stage,
+                            majority_vote, sle_update)
 from scalegnn.graph import DataSplit, Graph, LabelVector, normalize_adjacency
 from scalegnn.harness import (METHODS, TrialResult, default_space,
                               estimate_activation_memory)
@@ -475,6 +478,12 @@ def _train_labelprop(method, cfg, dataset, seed, cache):
 
 
 def _train_engcn(method, cfg, dataset, seed, cache):
+    """Per stage: propagate (stage >= 1), train, score every node, grow the
+    pseudo set; then vote over the cached per-stage logits. phi computes in
+    the features' dtype, psi in float64. The log runs through every
+    stage's epochs; zero-epoch stages log one row each, with the stage's
+    val accuracy. The reported accuracies are the vote's."""
+    x, y, split = dataset.features, dataset.labels.labels, dataset.split
     d, c, hid = dataset.feature_dim, dataset.num_classes, int(cfg["hidden_dim"])
     sle = SLEConfig(threshold=float(cfg["threshold"]),
                     num_stages=int(cfg["num_layers"]),
@@ -486,27 +495,46 @@ def _train_engcn(method, cfg, dataset, seed, cache):
                     learning_rate=float(cfg["learning_rate"]),
                     weight_decay=float(cfg["weight_decay"]),
                     warm_start=bool(cfg["warm_start"]), seed=seed)
-    votes, metrics = engcn_run(dataset.features, cache.adjacency(str(cfg["norm_kind"])),
-                               dataset.labels, dataset.split, sle)
-    epochs = [e for stage_log in metrics["epoch_curves"] for e in stage_log]
-    if not epochs:  # zero-epoch stages: one row of per-stage metrics each
-        epochs = [{"train_loss": 0.0, "val_acc": v, "seconds": 0.0, "eval_seconds": 0.0}
-                  for v in metrics["stage_val_acc"]]
-    steps = sum(int(np.ceil(s / sle.batch_size)) * sle.epochs_per_stage
-                for s in metrics["pseudo_sizes"])
-    log = FitLog([e["train_loss"] for e in epochs], [e["val_acc"] for e in epochs],
-                 [e["seconds"] for e in epochs], [e["eval_seconds"] for e in epochs],
-                 steps)
-    y, split = dataset.labels.labels, dataset.split
-    best = {"epoch": int(np.argmax(log.val_curve)),
-            "val_acc": metrics["vote_val_acc"],
-            "train_acc": float((votes[split.train] == y[split.train]).mean()),
-            "test_acc": metrics["vote_test_acc"]}
-    extras = {"stage_val_acc": metrics["stage_val_acc"],
-              "stage_test_acc": metrics["stage_test_acc"],
-              "pseudo_sizes": metrics["pseudo_sizes"],
-              "final_pseudo_size": metrics["final_pseudo_size"],
-              "active_input_nodes": float(np.mean(metrics["pseudo_sizes"])),
+    a = cache.adjacency(str(cfg["norm_kind"]))
+    state = engcn_init(x, dataset.labels, split)
+    phi, psi = init_mlp(sle.phi, x.dtype), init_mlp(sle.psi)
+    stage_rngs = spawn_rngs(sle.seed, sle.num_stages + 1)
+    n, bs = dataset.num_nodes, sle.batch_size
+    log, stage_logits, pseudo_sizes = FitLog(), [], []
+    for stage in range(sle.num_stages + 1):
+        if stage >= 1:
+            engcn_propagate(state, a)
+            if not sle.warm_start:
+                phi = init_mlp(replace(sle.phi, seed=sle.phi.seed + stage), x.dtype)
+                psi = init_mlp(replace(sle.psi, seed=sle.psi.seed + stage))
+        pseudo_sizes.append(int(state.pseudo_train.size))
+        stage_log = engcn_train_stage(state, phi, psi, sle, stage_rngs[stage])
+        for f in fields(FitLog):  # concatenates the curves, adds the steps
+            setattr(log, f.name, getattr(log, f.name) + getattr(stage_log, f.name))
+        # every node is scored in batch-sized chunks, so no all-node hidden
+        # layer is ever built
+        logits = np.concatenate([
+            engcn_stage_forward(state, phi, psi, sle, np.arange(s, min(s + bs, n)))
+            for s in range(0, n, bs)])
+        stage_logits.append(logits)
+        sle_update(state, logits, sle.threshold)
+    stage_val = [accuracy(z[split.val], y[split.val]) for z in stage_logits]
+    if not log.loss_curve:
+        zeros = [0.0] * len(stage_val)
+        log = FitLog(zeros, stage_val, zeros, zeros)
+    votes = majority_vote(stage_logits)
+
+    def vote_acc(rows):
+        return float((votes[rows] == y[rows]).mean()) if rows.size else float("nan")
+
+    best = {"epoch": int(np.argmax(log.val_curve)), "val_acc": vote_acc(split.val),
+            "train_acc": vote_acc(split.train), "test_acc": vote_acc(split.test)}
+    extras = {"stage_val_acc": stage_val,
+              "stage_test_acc": [accuracy(z[split.test], y[split.test])
+                                 for z in stage_logits],
+              "pseudo_sizes": pseudo_sizes,
+              "final_pseudo_size": int(state.pseudo_train.size),
+              "active_input_nodes": float(np.mean(pseudo_sizes)),
               "param_checksum": 0.0}
     return _finish(method, cfg, dataset, seed, log=log, best=best, extras=extras)
 

@@ -14,7 +14,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from scalegnn.engcn import SLEConfig, engcn_run
 from scalegnn.graph import (
     DataSplit,
     LabelVector,
@@ -370,16 +369,13 @@ def test_06_stagewise_ensemble_vote_pattern(capsys):
         spec = SyntheticSpec(3000, 5, 0.05, 0.005, feature_dim=16,
                              separation=0.6, noise=1.0,
                              split_fractions=(0.1, 0.2, 0.7), seed=seed)
-        g, x, labels, split = generate_sbm(spec)
-        config = SLEConfig(threshold=0.9, num_stages=3, epochs_per_stage=15,
-                           phi=MLPConfig([16, 64, 5], dropout_rate=0.5, seed=seed),
-                           psi=MLPConfig([5, 64, 5], seed=seed + 1),
-                           batch_size=512, learning_rate=0.01, weight_decay=0.0,
-                           warm_start=True, seed=seed)
-        _, metrics = engcn_run(x, normalize_adjacency(g, "sym"), labels, split, config)
-        vote = metrics["vote_test_acc"]
-        stages = metrics["stage_test_acc"]
-        sizes = metrics["pseudo_sizes"] + [metrics["final_pseudo_size"]]
+        config = dict(threshold=0.9, num_layers=3, epochs=15, hidden_dim=64,
+                      dropout=0.5, batch_size=512, learning_rate=0.01,
+                      weight_decay=0.0, warm_start=True)
+        r = run_trial("engcn", config, Dataset(*generate_sbm(spec)), seed=seed)
+        vote = r.test_acc
+        stages = r.extras["stage_test_acc"]
+        sizes = r.extras["pseudo_sizes"] + [r.extras["final_pseudo_size"]]
         beats_stages = vote >= max(stages) - 0.005
         beats_first = vote >= stages[0] + 0.05
         monotone = all(b >= a for a, b in zip(sizes, sizes[1:]))
@@ -498,18 +494,17 @@ def test_09_stagewise_memory_flat_vs_precomputed_hops_linear(capsys):
     g, x, labels, split = generate_sbm(spec)
     x = x.astype(np.float64)
     matrix_bytes = x.nbytes
+    ds = Dataset(g, x, labels, split)
 
     # from 2 stages on, each propagation overlaps two matrices the run owns
     # (a single stage propagates from the caller's x and peaks lower), so
     # flat means no growth from 2 to 6 stages
     stage_peaks = {}
     for k in (2, 4, 6):
-        config = SLEConfig(threshold=0.9, num_stages=k, epochs_per_stage=2,
-                           phi=MLPConfig([128, 16, 4], seed=0),
-                           psi=MLPConfig([4, 16, 4], seed=1),
-                           batch_size=512, seed=0)
-        peak = traced_peak(lambda: engcn_run(x, normalize_adjacency(g, "sym"),
-                                             labels, split, config))
+        config = dict(threshold=0.9, num_layers=k, epochs=2, hidden_dim=16,
+                      dropout=0.0, batch_size=512, learning_rate=0.01,
+                      weight_decay=0.0, warm_start=True)
+        peak = traced_peak(lambda: run_trial("engcn", config, ds, seed=0))
         stage_peaks[k] = peak / matrix_bytes
     assert stage_peaks[6] - stage_peaks[2] < 0.25, stage_peaks
     assert stage_peaks[6] <= 3.0, stage_peaks

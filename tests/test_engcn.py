@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from scalegnn.engcn import (SLEConfig, engcn_init, engcn_propagate, engcn_run,
+from scalegnn.engcn import (SLEConfig, engcn_init, engcn_propagate,
                             engcn_stage_forward, engcn_train_stage,
                             majority_vote, sle_update)
 from scalegnn.graph import (DataSplit, LabelVector, build_graph,
@@ -16,6 +16,7 @@ from scalegnn.models import precompute_hops
 from scalegnn.nn import MLPConfig, init_mlp, mlp_forward, one_hot
 from scalegnn.rng import make_rng
 from scalegnn.synth import SyntheticSpec, generate_sbm
+from scalegnn.trainers import Dataset, run_trial
 
 
 def toy_setup(n=20, d=6, c=3, seed=0, num_train=8):
@@ -50,6 +51,20 @@ def small_config(d, c, **kw):
                     batch_size=8, learning_rate=0.01, seed=0)
     defaults.update(kw)
     return SLEConfig(**defaults)
+
+
+def small_trial(**kw):
+    """small_config's settings as an engcn trial config (phi without
+    dropout, no weight decay)."""
+    cfg = dict(threshold=0.8, num_layers=2, epochs=3, hidden_dim=8,
+               batch_size=8, learning_rate=0.01, weight_decay=0.0,
+               dropout=0.0, warm_start=True)
+    cfg.update(kw)
+    return cfg
+
+
+def engcn_trial(g, x, labels, split, cfg, seed=0):
+    return run_trial("engcn", cfg, Dataset(g, x, labels, split), seed=seed)
 
 
 class TestInit:
@@ -221,11 +236,10 @@ class TestTrainStage:
         state = engcn_init(x, labels, split)
         phi, psi = init_mlp(config.phi), init_mlp(config.psi)
         w_before = [w.copy() for w in phi.weights]
-        engcn_train_stage(state, phi, psi, config, make_rng(0))
-        snap_phi, snap_psi = state.snapshots[0]
+        log = engcn_train_stage(state, phi, psi, config, make_rng(0))
         assert all(np.array_equal(a, b)
-                   for a, b in zip(snap_phi.weights, w_before))
-        assert len(state.snapshots) == 1
+                   for a, b in zip(phi.weights, w_before))
+        assert log.loss_curve == [] and log.steps == 0
 
     def test_deterministic_given_seed(self):
         outs = []
@@ -235,7 +249,7 @@ class TestTrainStage:
             state = engcn_init(x, labels, split)
             phi, psi = init_mlp(config.phi), init_mlp(config.psi)
             engcn_train_stage(state, phi, psi, config, make_rng(5))
-            outs.append(state.snapshots[0][0])
+            outs.append(phi)
         assert all(np.array_equal(a, b)
                    for a, b in zip(outs[0].weights, outs[1].weights))
 
@@ -251,9 +265,8 @@ class TestTrainStage:
         config = small_config(4, 2, epochs_per_stage=20)
         state = engcn_init(x, labels, split)
         phi, psi = init_mlp(config.phi), init_mlp(config.psi)
-        log = []
-        engcn_train_stage(state, phi, psi, config, make_rng(0), epoch_log=log)
-        assert log[-1]["train_loss"] <= log[0]["train_loss"]
+        log = engcn_train_stage(state, phi, psi, config, make_rng(0))
+        assert log.loss_curve[-1] <= log.loss_curve[0]
 
     def test_psi_untouched_at_stage_zero(self):
         g, x, labels, split = toy_setup()
@@ -346,13 +359,6 @@ class TestMajorityVote:
         z = np.array([[0.0, 0.0, 0.0]])
         assert majority_vote([z])[0] == 0
 
-    def test_node_subset(self):
-        rng = make_rng(5)
-        logits = rng.standard_normal((8, 3))
-        nodes = np.array([1, 4, 6])
-        assert np.array_equal(majority_vote([logits], nodes),
-                              logits[nodes].argmax(axis=1))
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             majority_vote([])
@@ -365,37 +371,34 @@ class TestRun:
                              noise=0.8, split_fractions=(0.2, 0.2, 0.6),
                              seed=1)
         g, x, labels, split = generate_sbm(spec)
-        config = small_config(6, 3, **kw)
-        return engcn_run(x, normalize_adjacency(g, "sym"), labels, split, config), config
+        return engcn_trial(g, x, labels, split, small_trial(**kw))
 
     def test_metric_lengths(self):
-        (votes, metrics), config = self.run_fixture(num_stages=2)
-        assert len(metrics["stage_val_acc"]) == 3
-        assert len(metrics["stage_test_acc"]) == 3
-        assert len(metrics["pseudo_sizes"]) == 3
-        assert len(metrics["epoch_curves"]) == 3
-        assert len(metrics["epoch_curves"][0]) == config.epochs_per_stage
-        assert votes.shape == (120,)
+        r = self.run_fixture(num_layers=2)
+        assert len(r.extras["stage_val_acc"]) == 3
+        assert len(r.extras["stage_test_acc"]) == 3
+        assert len(r.extras["pseudo_sizes"]) == 3
+        assert len(r.loss_curve) == 3 * r.config["epochs"]
+        assert len(r.val_acc_curve) == 3 * r.config["epochs"]
 
     def test_spmm_total_is_twice_stages(self):
         for k in (0, 1, 3):
             op_counter.reset()
-            self.run_fixture(num_stages=k)
+            self.run_fixture(num_layers=k)
             assert op_counter.spmm_calls == 2 * k
 
     def test_feature_memory_flat_in_stage_count(self):
         # wide features, so what each stage adds at label width (its cached
-        # logits) and at parameter size (its snapshot) stays small
+        # logits) stays small
         spec = SyntheticSpec(num_nodes=400, num_classes=3, p_in=0.05,
                              p_out=0.005, feature_dim=256, seed=1)
         g, x, labels, split = generate_sbm(spec)
         x = x.astype(np.float64)
         peaks = {}
         for k in (1, 2, 3, 5):
-            config = small_config(256, 3, num_stages=k, batch_size=64)
+            cfg = small_trial(num_layers=k, batch_size=64)
             peaks[k] = traced_peak(
-                lambda: engcn_run(x, normalize_adjacency(g, "sym"), labels, split,
-                                  config)) / x.nbytes
+                lambda: engcn_trial(g, x, labels, split, cfg)) / x.nbytes
         # from stage 2 on each propagation overlaps two owned matrices; the
         # one of stage 1 reads the caller's x, and scoring all nodes copies
         # no feature matrix, so one stage stays below two matrices
@@ -410,12 +413,9 @@ class TestRun:
         spec = SyntheticSpec(num_nodes=2000, num_classes=4, p_in=0.01,
                              p_out=0.002, feature_dim=16, seed=0)
         g, x, labels, split = generate_sbm(spec)
-        a = normalize_adjacency(g, "sym")
-        config = small_config(16, 4, num_stages=2, epochs_per_stage=1,
-                              phi=MLPConfig([16, 256, 4], seed=1),
-                              psi=MLPConfig([4, 256, 4], seed=2), batch_size=256)
+        cfg = small_trial(num_layers=2, epochs=1, hidden_dim=256, batch_size=256)
         hidden_layer = 2000 * 256 * 8
-        peak = traced_peak(lambda: engcn_run(x, a, labels, split, config))
+        peak = traced_peak(lambda: engcn_trial(g, x, labels, split, cfg))
         assert peak < hidden_layer, peak / hidden_layer
 
     def test_precomputed_hops_memory_grows_linearly(self):
@@ -429,29 +429,22 @@ class TestRun:
         assert np.allclose(np.array(peaks) - peaks[0], [0, 1, 3], atol=0.1), peaks
 
     def test_pseudo_sizes_monotone(self):
-        (votes, metrics), _ = self.run_fixture(num_stages=3)
-        sizes = metrics["pseudo_sizes"] + [metrics["final_pseudo_size"]]
+        r = self.run_fixture(num_layers=3)
+        sizes = r.extras["pseudo_sizes"] + [r.extras["final_pseudo_size"]]
         assert all(b >= a for a, b in zip(sizes, sizes[1:]))
 
     def test_stage_zero_only_votes_equal_stage_logits_argmax(self):
-        (votes, metrics), _ = self.run_fixture(num_stages=0)
-        assert len(metrics["stage_val_acc"]) == 1
+        r = self.run_fixture(num_layers=0)
+        assert len(r.extras["stage_val_acc"]) == 1
 
     def test_deterministic(self):
-        (votes1, m1), _ = self.run_fixture(num_stages=2)
-        (votes2, m2), _ = self.run_fixture(num_stages=2)
-        assert np.array_equal(votes1, votes2)
-        assert m1["stage_val_acc"] == m2["stage_val_acc"]
+        r1 = self.run_fixture(num_layers=2)
+        r2 = self.run_fixture(num_layers=2)
+        assert (r1.train_acc, r1.val_acc, r1.test_acc) == \
+            (r2.train_acc, r2.val_acc, r2.test_acc)
+        assert r1.extras["stage_val_acc"] == r2.extras["stage_val_acc"]
 
     def test_cold_start_differs_from_warm(self):
-        (v_warm, m_warm), _ = self.run_fixture(num_stages=2)
-        (v_cold, m_cold), _ = self.run_fixture(num_stages=2, warm_start=False)
-        assert m_warm["stage_val_acc"][1:] != m_cold["stage_val_acc"][1:]
-
-    def test_dim_validation(self):
-        spec = SyntheticSpec(num_nodes=30, num_classes=3, p_in=0.2,
-                             p_out=0.05, feature_dim=6, seed=0)
-        g, x, labels, split = generate_sbm(spec)
-        bad = small_config(5, 3)  # wrong input dim
-        with pytest.raises(ValueError):
-            engcn_run(x, normalize_adjacency(g, "sym"), labels, split, bad)
+        warm = self.run_fixture(num_layers=2)
+        cold = self.run_fixture(num_layers=2, warm_start=False)
+        assert warm.extras["stage_val_acc"][1:] != cold.extras["stage_val_acc"][1:]

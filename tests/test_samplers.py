@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from scalegnn import trainers
 from scalegnn.graph import build_graph, normalize_adjacency
 from scalegnn.rng import make_rng
 from scalegnn.samplers import (
@@ -28,6 +29,7 @@ from scalegnn.samplers import (
     undirected_edge_probs,
 )
 from scalegnn.synth import SyntheticSpec, generate_sbm
+from scalegnn.trainers import dataset_from_sbm, run_trial
 
 
 def edge_exists(g, u, v):
@@ -194,6 +196,29 @@ def test_layer_wise_empty_pool_error():
     a = normalize_adjacency(g, "sym", with_self_loops=False)
     with pytest.raises(ValueError, match="empty"):
         layer_wise_sample(g, a, [0], Q=2, K=1, variant="fastgcn", rng=make_rng(0))
+
+
+@pytest.mark.parametrize("method, fanout", [
+    ("graphsage", -1), ("graphsage", -3), ("fastgcn", 0), ("fastgcn", -1),
+    ("ladies", 0), ("ladies", -2)])
+@pytest.mark.parametrize("num_layers", [1, 2])
+def test_bad_fanout_named_before_training(method, fanout, num_layers, monkeypatch):
+    ds = dataset_from_sbm(SyntheticSpec(300, 3, 0.1, 0.01, feature_dim=8, seed=0))
+    g, a = ds.graph, normalize_adjacency(ds.graph, "sym")
+    seeds = ds.split.train[:20]
+    with pytest.raises(ValueError, match=f"fanout={fanout}"):
+        if method == "graphsage":
+            node_wise_sample(g, a, seeds, fanout, num_layers, make_rng(0))
+        else:
+            layer_wise_sample(g, a, seeds, fanout, num_layers, method, make_rng(0))
+
+    def no_step(*_):
+        raise AssertionError("a training step ran before the fanout was rejected")
+
+    monkeypatch.setattr(trainers, "adam_step", no_step)
+    with pytest.raises(ValueError, match=f"fanout={fanout}"):
+        run_trial(method, dict(fanout=fanout, num_layers=num_layers, epochs=2,
+                               hidden_dim=8, batch_size=64), ds)
 
 
 def test_layer_wise_unbiased_small():

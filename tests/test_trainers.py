@@ -378,6 +378,24 @@ class TestEnsembleTrainer:
         sizes = r.extras["pseudo_sizes"] + [r.extras["final_pseudo_size"]]
         assert all(a <= b for a, b in zip(sizes, sizes[1:]))
 
+    def test_zero_epochs_log_one_row_per_stage(self, dataset):
+        cfg = dict(SMOKE_CONFIGS["engcn"], epochs=0)
+        r = run_trial("engcn", cfg, dataset, seed=0)
+        stages = cfg["num_layers"] + 1
+        assert r.loss_curve == [0.0] * stages
+        assert r.val_acc_curve == r.extras["stage_val_acc"]
+        assert r.best_epoch == int(np.argmax(r.extras["stage_val_acc"]))
+        assert r.iterations_per_second == 0
+
+    def test_steps_add_up_over_stages(self, dataset):
+        cfg = SMOKE_CONFIGS["engcn"]
+        r = run_trial("engcn", cfg, dataset, seed=0)
+        assert len(r.loss_curve) == (cfg["num_layers"] + 1) * cfg["epochs"]
+        # each stage runs ceil(pseudo-set size / batch size) steps per epoch
+        steps = sum(-(-size // cfg["batch_size"]) * cfg["epochs"]
+                    for size in r.extras["pseudo_sizes"])
+        assert r.iterations_per_second * sum(r.epoch_seconds) == pytest.approx(steps)
+
 
 class TestHelpers:
     def test_full_plan_layout(self, dataset):
