@@ -20,9 +20,12 @@ the float64 path moved.
 
 To check the samplers directly, it keeps a sha256 of
 `partition_graph(g, k).assignment` for k = 4 and 16 ("partitions"), and of
-one epoch of batch plans per sampled method (node sets and block arrays,
-float64 blocks), drawn through the public sampler calls. These do not
-depend on the features. "partitions-passes" adds partitions that run the
+one epoch of batch plans per sampled method (node sets and block arrays),
+drawn through the public sampler calls from the adjacency of each norm
+kind, with float64 and with float32 blocks: "plans/<seed>" is `sym` with
+float64 blocks, and the other five are named by what differs, e.g.
+"plans-row/<seed>", "plans-f32/<seed>", "plans-col-f32/<seed>". These do
+not depend on the features. "partitions-passes" adds partitions that run the
 partitioner's later passes: the SBM at k = 32, where the rebalance moves
 nodes into many receivers, and a graph of four components and isolated
 nodes at k below the component count (the leftover pass) and above it
@@ -97,10 +100,10 @@ def _stage_snapshots(ds, seed: int) -> dict:
     return {"snapshots": snapshots, "epoch_logs": logs}
 
 
-def _plan_digests(ds, seed: int) -> dict:
+def _plan_digests(ds, seed: int, kind: str, dtype) -> dict:
     """sha256 per sampled method of one epoch of plans, drawn the way the
     trainer draws them (default fanout 10, two layers) from the public
-    one-shot sampler calls."""
+    one-shot sampler calls, on the norm-kind adjacency with dtype blocks."""
     import numpy as np
     from scalegnn.graph import normalize_adjacency
     from scalegnn.nn import shuffled_batches
@@ -110,7 +113,7 @@ def _plan_digests(ds, seed: int) -> dict:
                                    subgraph_batch)
 
     g, train = ds.graph, ds.split.train
-    a = normalize_adjacency(g, "sym")
+    a = normalize_adjacency(g, kind)
     parts = partition_graph(g, 16)
     node_sets = {
         "clustergcn": lambda rng: [np.concatenate([parts.cluster_nodes(c) for c in pair])
@@ -123,12 +126,12 @@ def _plan_digests(ds, seed: int) -> dict:
     for method in ("graphsage", "fastgcn", "ladies", *node_sets):
         rng, h = np.random.default_rng(seed), hashlib.sha256()
         if method in node_sets:
-            plans = [subgraph_batch(g, a, nodes) for nodes in node_sets[method](rng)]
+            plans = [subgraph_batch(g, a, nodes, dtype) for nodes in node_sets[method](rng)]
         elif method == "graphsage":
-            plans = [node_wise_sample(g, a, b, 10, 2, rng)
+            plans = [node_wise_sample(g, a, b, 10, 2, rng, dtype)
                      for b in shuffled_batches(rng, train, 256)]
         else:
-            plans = [layer_wise_sample(g, a, b, 10, 2, method, rng)
+            plans = [layer_wise_sample(g, a, b, 10, 2, method, rng, dtype=dtype)
                      for b in shuffled_batches(rng, train, 256)]
         for plan in plans:
             for arr in plan.node_sets:
@@ -173,7 +176,10 @@ def run(path: str) -> None:
     ds64 = dataclasses.replace(ds, features=ds.features.astype(np.float64))
     out = {}
     for seed in (0, 1):
-        out[f"plans/{seed}"] = _plan_digests(ds, seed)
+        for kind in ("sym", "row", "col"):
+            for dtype, tag in ((np.float64, ""), (np.float32, "-f32")):
+                name = "plans" + ("" if kind == "sym" else f"-{kind}") + tag
+                out[f"{name}/{seed}"] = _plan_digests(ds, seed, kind, dtype)
     for prefix, data in (("", ds), ("f64:", ds64)):
         for seed in (0, 1):
             for method, cfg in SHORT.items():

@@ -190,10 +190,21 @@ def normalize_adjacency(g: Graph, kind: str, with_self_loops: bool = True) -> No
         raise ValueError(f"unknown norm kind {kind!r}")
     if with_self_loops:
         g = add_self_loops(g)
-    src = np.repeat(np.arange(g.num_nodes, dtype=np.int64), np.diff(g.row_offsets))
-    dst = g.col_indices
-    d_out = np.diff(g.row_offsets).astype(np.float64)
-    d_in = np.bincount(dst, minlength=g.num_nodes).astype(np.float64)
+    values = degree_weights(g.row_offsets, g.col_indices, kind, g.is_symmetric)
+    return NormalizedAdjacency(g, values, kind, bool(with_self_loops))
+
+
+def degree_weights(row_offsets: np.ndarray, col_indices: np.ndarray, kind: str,
+                   symmetric: bool = False) -> np.ndarray:
+    """float64 weight of every entry of a CSR structure under norm kind
+    (see normalize_adjacency), from its own out- and in-degrees. A
+    symmetric structure's in-degrees are its row lengths, so it skips
+    counting them."""
+    n = row_offsets.size - 1
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(row_offsets))
+    dst = col_indices
+    d_out = np.diff(row_offsets).astype(np.float64)
+    d_in = d_out if symmetric else np.bincount(dst, minlength=n).astype(np.float64)
     with np.errstate(divide="ignore"):
         if kind == "row":
             inv = np.where(d_out > 0, 1.0 / d_out, 0.0)
@@ -205,7 +216,7 @@ def normalize_adjacency(g: Graph, kind: str, with_self_loops: bool = True) -> No
             inv_out = np.where(d_out > 0, 1.0 / np.sqrt(d_out), 0.0)
             inv_in = np.where(d_in > 0, 1.0 / np.sqrt(d_in), 0.0)
             values = inv_out[src] * inv_in[dst]
-    return NormalizedAdjacency(g, values, kind, bool(with_self_loops))
+    return values
 
 
 def _compute_dtype(x: np.ndarray) -> np.dtype:

@@ -314,18 +314,25 @@ def _gather_self(h: np.ndarray, pos: np.ndarray) -> np.ndarray:
 
 
 def sampled_gnn_forward(plan: BatchPlan, x: np.ndarray, params: SampledGNNParams,
-                        config: SampledGNNConfig, mode: str = "eval", rng=None):
+                        config: SampledGNNConfig, mode: str = "eval", rng=None,
+                        memo: dict | None = None):
     """Mean-style aggregator with separate self and neighbor weights.
 
     Layer i maps features on B_{K-i} to B_{K-i-1}; relu between layers,
     final layer linear. Plan and model depth must agree (shared subgraph
     plans fit any depth by construction). Returns (logits, trace) in train
-    mode and (logits, None) otherwise.
+    mode and (logits, None) otherwise. A shared plan over every row of x
+    reads x itself, not a gathered copy.
 
     Eval mode multiplies the block Â at the narrower of each layer's input
     and output widths: Â (h W_neigh) when W_neigh narrows, (Â h) W_neigh
     otherwise. Train mode does not: it always forms Â h, which the backward
     pass needs.
+
+    memo is internal, for a caller that evaluates the same plan and x
+    repeatedly (the trainer's per-epoch full-graph evaluation): an eval
+    forward stores in it the first layer's Â x, which no parameter changes,
+    and later eval forwards with the same memo reuse it.
     """
     depth = config.depth
     if not plan.shared and len(plan.blocks) != depth:
@@ -333,7 +340,8 @@ def sampled_gnn_forward(plan: BatchPlan, x: np.ndarray, params: SampledGNNParams
     train = mode == "train"
     if train and config.dropout > 0 and rng is None:
         raise ValueError("train-mode dropout needs an rng")
-    h = np.asarray(x)[plan.nodes(depth)]
+    x, inputs = np.asarray(x), plan.nodes(depth)
+    h = x if plan.shared and inputs.size == x.shape[0] else x[inputs]
     layers = []
     for i in range(depth):
         l = depth - 1 - i  # block index: deepest first
@@ -346,18 +354,28 @@ def sampled_gnn_forward(plan: BatchPlan, x: np.ndarray, params: SampledGNNParams
             if w_neigh.shape[1] < w_neigh.shape[0]:
                 z += csr_matmul(block, h @ w_neigh)
             else:
-                z += csr_matmul(block, h) @ w_neigh
+                if i > 0 or memo is None:
+                    agg = csr_matmul(block, h)
+                elif "agg0" in memo:
+                    agg = memo["agg0"]
+                else:
+                    agg = memo["agg0"] = csr_matmul(block, h)
+                z += agg @ w_neigh
+                del agg
             z += params.bias[i]
             h = np.maximum(z, 0.0, out=z) if i < depth - 1 else z
             continue
         agg = csr_matmul(block, h)
-        z = self_h @ params.w_self[i] + agg @ w_neigh + params.bias[i]
+        z = self_h @ params.w_self[i]
+        z += agg @ w_neigh
+        z += params.bias[i]
         rec = {"h": h, "agg": agg, "self_h": self_h, "pos": pos, "z": z, "mask": None}
         if i < depth - 1:
             h = np.maximum(z, 0.0)
             if config.dropout > 0:
                 keep = 1.0 - config.dropout
-                mask = (rng.random(h.shape) < keep).astype(h.dtype) / keep
+                # one pass; the values of (u < keep).astype(dtype) / keep
+                mask = (rng.random(h.shape) < keep) * (h.dtype.type(1) / h.dtype.type(keep))
                 h = h * mask
                 rec["mask"] = mask
         else:
@@ -383,10 +401,14 @@ def sampled_gnn_backward(plan: BatchPlan, params: SampledGNNParams,
         grads[f"b{i}"] = g.sum(axis=0)
         if i > 0:
             l = depth - 1 - i
-            back = csr_matmul(plan.block(l).T.tocsr(), g @ params.w_neigh[i].T)
+            # the CSC view Â^T sums each output row in the CSR transpose's order
+            back = csr_matmul(plan.block(l).T, g @ params.w_neigh[i].T)
             self_part = g @ params.w_self[i].T
-            pos = rec["pos"]
-            ok = pos >= 0
-            back[pos[ok]] += self_part[ok]  # positions are unique
+            if plan.shared:  # B_l is B_{l+1}: positions are the identity
+                back += self_part
+            else:
+                pos = rec["pos"]
+                ok = pos >= 0
+                back[pos[ok]] += self_part[ok]  # positions are unique
             g = back
     return grads

@@ -20,9 +20,14 @@ the clustergcn partition, or the table (layer-wise distribution, saint-node
 CDF, saint-edge table) it passes prebuilt to every draw. Called one-shot
 without it, a sampler builds its own table.
 
-Blocks are built as CSR directly: row pointers from the per-row kept
-counts, columns from a rank lookup (rank[node_set] = arange) into the next
-node set, with no binary search and no COO -> CSR conversion. The
+Blocks are built as CSR directly, with no COO -> CSR conversion: columns
+come from a rank lookup (rank[node_set] = arange) into the next node set,
+row pointers from the per-row kept counts (node-wise) or, for a block
+restricted to a column set, from where each row starts among the kept
+entries. A subgraph plan's block is such a restriction of the normalized
+adjacency's structure (self-loops included when it has them) to the node
+set, re-weighted by the subgraph's own degrees, so no subgraph graph or
+adjacency is built. The
 partitioner's farthest-point sweep prunes each BFS to the nodes it brings
 closer, and its growth and rebalance passes are vectorized (see
 partition_graph).
@@ -35,8 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from scalegnn.graph import (Graph, NormalizedAdjacency, build_graph, induced_subgraph,
-                            normalize_adjacency)
+from scalegnn.graph import Graph, NormalizedAdjacency, build_graph, degree_weights
 
 
 @dataclass
@@ -108,22 +112,27 @@ def _indptr(per_row: np.ndarray) -> np.ndarray:
     return indptr
 
 
+def _restrict(struct: Graph, rows: np.ndarray, cols: np.ndarray):
+    """(indices, indptr, data positions) of the CSR block of struct's
+    entries from `rows` into `cols` (both sorted unique node ids)."""
+    _, dst, didx = _gather_neighborhood(struct, rows)
+    pos = _rank(cols, struct.num_nodes)[dst]
+    kept = np.flatnonzero(pos >= 0)  # taking by position is faster than by mask
+    # kept entries before each row's first entry
+    indptr = kept.searchsorted(_indptr(struct.row_offsets[rows + 1] - struct.row_offsets[rows]))
+    return pos[kept], indptr, didx[kept]
+
+
 def _restrict_block(a: NormalizedAdjacency, rows: np.ndarray, cols: np.ndarray,
                     col_weights=None, dtype=np.float64) -> sp.csr_matrix:
     """CSR block of a with all edges from `rows` into `cols` (both sorted
     unique node ids), optionally scaling column v by col_weights[v-position],
     with values in dtype."""
-    struct = a.structure
-    _, dst, didx = _gather_neighborhood(struct, rows)
-    pos = _rank(cols, struct.num_nodes)[dst]
-    keep = pos >= 0
-    indices = pos[keep]
-    data = a.values[didx[keep]]
+    indices, indptr, didx = _restrict(a.structure, rows, cols)
+    data = a.values[didx]
     if col_weights is not None:
         # equivalent to block @ diag(col_weights) without the sparse matmul
         data *= np.asarray(col_weights, dtype=np.float64)[indices]
-    # kept entries before each row's first entry
-    indptr = _indptr(keep)[_indptr(struct.row_offsets[rows + 1] - struct.row_offsets[rows])]
     return sp.csr_matrix((data.astype(dtype, copy=False), indices, indptr),
                          shape=(rows.size, cols.size))
 
@@ -477,11 +486,20 @@ def partition_graph(g: Graph, num_clusters: int) -> Partitioning:
 
 def subgraph_batch(g: Graph, a: NormalizedAdjacency, node_set,
                    dtype=np.float64) -> BatchPlan:
-    """Shared-block plan: induce the subgraph on node_set from the raw graph
-    and re-normalize it with the pipeline's norm kind and self-loop flag."""
-    node_set = np.unique(np.asarray(node_set, dtype=np.int64))
+    """Shared-block plan on node_set (any order, duplicates allowed): Â's
+    structure, self-loops included when Â has them, restricted to the node
+    set and re-weighted by the subgraph's own degrees with Â's norm kind.
+    That equals inducing the subgraph from g and normalizing it the way Â
+    was, without building either; g is kept for the signature."""
+    struct = a.structure
+    node_set = np.asarray(node_set, dtype=np.int64)
     if node_set.size == 0:
         raise ValueError("subgraph_batch needs a non-empty node set")
-    sub, _ = induced_subgraph(g, node_set)
-    sub_norm = normalize_adjacency(sub, a.norm_kind, a.self_loops_added)
-    return BatchPlan([node_set], [sub_norm.to_scipy(dtype)], shared=True)
+    if node_set.min() < 0 or node_set.max() >= struct.num_nodes:
+        raise ValueError("subgraph node outside graph")
+    nodes = _unique_nodes(node_set, struct.num_nodes)
+    indices, indptr, _ = _restrict(struct, nodes, nodes)
+    values = degree_weights(indptr, indices, a.norm_kind, struct.is_symmetric)
+    block = sp.csr_matrix((values.astype(dtype, copy=False), indices, indptr),
+                          shape=(nodes.size, nodes.size))
+    return BatchPlan([nodes], [block], shared=True)

@@ -330,9 +330,12 @@ def _train_sampled(method, cfg, dataset, seed, cache):
         return loss
 
     # the first layer needs every node, so an evaluation forwards the whole
-    # graph; its logits are the state kept for the final train/test scores
+    # graph; its logits are the state kept for the final train/test scores.
+    # The memo keeps the first layer's Â x across the trial's evaluations.
+    eval_memo = {}
     evaluate, report = _best_epoch(
-        dataset, lambda: sampled_gnn_forward(eval_plan, x, params, model_cfg)[0],
+        dataset,
+        lambda: sampled_gnn_forward(eval_plan, x, params, model_cfg, memo=eval_memo)[0],
         lambda logits, rows: logits[rows])
     log = fit(int(cfg["epochs"]), batches, step, evaluate)
     extras = {"active_input_nodes": float(np.mean(active_sizes)) if active_sizes else 0.0,
@@ -542,6 +545,15 @@ def _train_engcn(method, cfg, dataset, seed, cache):
 # ----------------------------------------------------------------- public
 
 
+def _check_sizes(method: str, cfg: dict) -> None:
+    """Reject a sizing knob below its smallest valid value by name, before
+    a trial builds anything."""
+    for knob, least in (("batch_size", 1), ("num_clusters", 1), ("walk_length", 0)):
+        if knob in cfg and cfg[knob] < least:
+            raise ValueError(f"method {method!r}: {knob} must be >= {least}, "
+                             f"got {knob}={cfg[knob]}")
+
+
 def run_trial(method: str, config: dict, dataset: Dataset, seed: int = 0,
               repeats: int = 1, instrument: bool = True,
               cache: TrialCache | None = None) -> TrialResult:
@@ -572,6 +584,7 @@ def run_trial(method: str, config: dict, dataset: Dataset, seed: int = 0,
                          f"runs on ({dataset.name!r})")
     cfg = default_config(method)
     cfg.update(config)
+    _check_sizes(method, cfg)
     if repeats > 1:
         runs = [run_trial(method, cfg, dataset, seed + i, repeats=1,
                           instrument=instrument, cache=cache)

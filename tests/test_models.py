@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from scalegnn.graph import build_graph, normalize_adjacency, spmm
+from scalegnn.graph import build_graph, csr_matmul, normalize_adjacency, spmm
 from scalegnn.instrument import op_counter
 from scalegnn.models import (
     HopFeatures,
@@ -29,7 +29,7 @@ from scalegnn.models import (
 )
 from scalegnn.nn import MLPParams, cross_entropy, gradcheck
 from scalegnn.rng import make_rng
-from scalegnn.samplers import BatchPlan, node_wise_sample
+from scalegnn.samplers import BatchPlan, node_wise_sample, subgraph_batch
 from scalegnn.trainers import full_plan
 
 RNG = np.random.default_rng(42)
@@ -371,3 +371,78 @@ def test_sampled_gnn_gradcheck():
 
     report = gradcheck(f, params.trainable())
     assert report["max_rel_err"] < 1e-5, report["worst"]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dims", [[4, 9, 3], [4, 9, 9, 3], [6, 4, 3]])
+def test_sampled_gnn_eval_memo_matches_uncached_eval(dtype, dims):
+    """Evaluations sharing a memo reuse the first layer's Â x and give the
+    logits of an evaluation without it, bit for bit, as the parameters
+    move; a narrowing first layer multiplies Â after W_neigh and keeps
+    nothing."""
+    n = 30
+    g = small_graph(n, 60, seed=7)
+    plan = full_plan(normalize_adjacency(g, "sym"), dtype)
+    x = RNG.normal(size=(n, dims[0])).astype(dtype)
+    config = SampledGNNConfig(dims, seed=14)
+    params = init_sampled_gnn(config, dtype)
+    memo = {}
+    for step in range(3):
+        cached = sampled_gnn_forward(plan, x, params, config, memo=memo)[0]
+        plain = sampled_gnn_forward(plan, x, params, config)[0]
+        assert cached.dtype == dtype and np.array_equal(cached, plain)
+        for w in params.w_self + params.w_neigh:
+            w *= dtype(0.9)
+    if dims[1] >= dims[0]:
+        assert np.array_equal(memo["agg0"], csr_matmul(plan.block(0), x))
+    else:
+        assert memo == {}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sampled_gnn_shared_backward_matches_scatter_path(dtype):
+    """A shared subgraph plan's backward (CSC view of Â^T, self part added
+    in place) equals, bit for bit, the same plan given as separate
+    per-layer blocks, whose backward scatters the self part by position."""
+    g = small_graph(40, 90, seed=8)
+    a = normalize_adjacency(g, "row")
+    plan = subgraph_batch(g, a, np.arange(3, 35), dtype)
+    depth = 3
+    split = BatchPlan([plan.nodes(0)] * (depth + 1), [plan.block(0)] * depth)
+    x = RNG.normal(size=(40, 5)).astype(dtype)
+    config = SampledGNNConfig([5, 8, 8, 3], dropout=0.3, seed=15)
+    params = init_sampled_gnn(config, dtype)
+    y = RNG.integers(0, 3, size=plan.nodes(0).size)
+    grads = []
+    for p in (plan, split):
+        logits, trace = sampled_gnn_forward(p, x, params, config, mode="train",
+                                            rng=make_rng(2))
+        _, gl = cross_entropy(logits, y)
+        grads.append(sampled_gnn_backward(p, params, config, trace, gl.astype(dtype)))
+    assert grads[0].keys() == grads[1].keys()
+    for k in grads[0]:
+        assert grads[0][k].dtype == dtype and np.array_equal(grads[0][k], grads[1][k]), k
+    block_t = plan.block(0).T
+    v = RNG.normal(size=(block_t.shape[1], 4)).astype(dtype)
+    assert np.array_equal(csr_matmul(block_t, v), csr_matmul(block_t.tocsr(), v))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("keep", [0.5, 0.8, 0.9])
+def test_sampled_gnn_dropout_mask_one_pass(dtype, keep):
+    """The train forward's one-pass mask has the values and draws of
+    (u < keep).astype(dtype) / keep."""
+    g = small_graph(12, 20, seed=9)
+    plan = full_plan(normalize_adjacency(g, "sym"), dtype)
+    x = RNG.normal(size=(12, 4)).astype(dtype)
+    config = SampledGNNConfig([4, 6, 6, 3], dropout=1.0 - keep, seed=16)
+    params = init_sampled_gnn(config, dtype)
+    rng = make_rng(4)
+    _, trace = sampled_gnn_forward(plan, x, params, config, mode="train", rng=rng)
+    ref = make_rng(4)
+    for rec in trace["layers"][:-1]:
+        want = (ref.random(rec["mask"].shape) < 1.0 - config.dropout).astype(dtype) \
+            / (1.0 - config.dropout)
+        assert rec["mask"].dtype == want.dtype == dtype
+        assert np.array_equal(rec["mask"], want)
+    assert rng.random() == ref.random()

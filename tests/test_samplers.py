@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from scalegnn import trainers
-from scalegnn.graph import build_graph, normalize_adjacency
+from scalegnn.graph import build_graph, induced_subgraph, normalize_adjacency
 from scalegnn.rng import make_rng
 from scalegnn.samplers import (
     BatchPlan,
@@ -384,6 +384,50 @@ def test_subgraph_batch_renormalizes():
     np.fill_diagonal(sub, 1.0)
     sub = sub / sub.sum(axis=1, keepdims=True)
     assert np.max(np.abs(plan.block(0).toarray() - sub)) < 1e-12
+
+
+def _subgraph_test_graphs():
+    rng = np.random.default_rng(11)
+    n = 60
+    edges = rng.integers(0, n, size=(240, 2))
+    loops = np.stack([np.arange(0, n, 4)] * 2, axis=1)  # some nodes hold a self-loop
+    return {"symmetric-with-loops": build_graph(np.concatenate([edges, loops]), n,
+                                                symmetrize=True),
+            "directed": build_graph(edges, n)}
+
+
+@pytest.mark.parametrize("graph", ["symmetric-with-loops", "directed"])
+@pytest.mark.parametrize("kind", ["sym", "row", "col"])
+@pytest.mark.parametrize("loops", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_subgraph_batch_equals_induce_then_normalize(graph, kind, loops, dtype):
+    """The block cut from Â's structure equals inducing the subgraph from g
+    and normalizing it, array for array, for an unsorted node set with
+    duplicates (clustergcn concatenates its clusters)."""
+    g = _subgraph_test_graphs()[graph]
+    assert g.is_symmetric == (graph == "symmetric-with-loops")
+    a = normalize_adjacency(g, kind, loops)
+    rng = np.random.default_rng(5)
+    for size in (1, 7, 35, 60):
+        node_set = rng.integers(0, g.num_nodes, size=size)
+        node_set = np.concatenate([node_set, node_set[: size // 2]])
+        nodes = np.unique(node_set)
+        plan = subgraph_batch(g, a, node_set, dtype)
+        want = normalize_adjacency(induced_subgraph(g, nodes)[0], kind, loops).to_scipy(dtype)
+        got = plan.block(0)
+        assert plan.shared and np.array_equal(plan.nodes(0), nodes)
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape
+        for x, y in ((got.data, want.data), (got.indices, want.indices),
+                     (got.indptr, want.indptr)):
+            assert np.array_equal(x, y)
+
+
+def test_subgraph_batch_rejects_nodes_outside_graph():
+    g = ring_graph(5)
+    a = normalize_adjacency(g, "sym")
+    for bad in ([0, 5], [-1, 2]):
+        with pytest.raises(ValueError, match="outside graph"):
+            subgraph_batch(g, a, bad)
 
 
 def test_plan_self_positions():

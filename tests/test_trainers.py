@@ -128,6 +128,20 @@ class TestRunTrialValidation:
                 run_trial(method, dict(epochs=1), small)
 
 
+@pytest.mark.parametrize("method,knob,value", [
+    ("graphsage", "batch_size", 0), ("sign", "batch_size", 0), ("cs", "batch_size", 0),
+    ("saint-node", "batch_size", 0), ("fastgcn", "batch_size", -4),
+    ("clustergcn", "num_clusters", 0), ("saint-rw", "walk_length", -1)])
+def test_bad_size_knob_named_before_building(dataset, monkeypatch, method, knob, value):
+    def no_build(*_):
+        raise AssertionError("the trial built its inputs before rejecting the knob")
+
+    for name in ("normalize_adjacency", "precompute_hops"):
+        monkeypatch.setattr(trainers, name, no_build)
+    with pytest.raises(ValueError, match=f"{knob} must be >= .*, got {knob}={value}"):
+        run_trial(method, {**SMOKE_CONFIGS[method], knob: value}, dataset)
+
+
 @pytest.mark.parametrize("method", sorted(SMOKE_CONFIGS))
 def test_method_beats_majority_class(method, dataset, majority_baseline):
     r = run_trial(method, SMOKE_CONFIGS[method], dataset, seed=0)
