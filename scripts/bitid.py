@@ -7,16 +7,18 @@ Run it against two checkouts, then compare the two outputs:
     python3 scripts/bitid.py compare a.json b.json
 
 `run` trains every method with a short config on the 3k-node SBM of the
-acceptance tests at seeds 0 and 1 and keeps `run_trial(...).to_dict()`.
-It also runs three EnGCN stages by hand and keeps a sha256 of phi's and
-psi's weights after each stage's training, and each stage's per-epoch
-train loss and val accuracy. Two greedy searches at seed 0
-keep their `GreedySearchLog.to_dict()`: sgc over epochs x num_layers and
-cs over norm_kind x num_mlp_layers. All of this runs twice: on the SBM's
-float32 features (entries named as above, e.g. "sgc/0") and on a float64
-copy of them (the same names under "f64:", e.g. "f64:sgc/0"). Trials
-compute in their features' dtype, so the "f64:" entries show whether
-the float64 path moved.
+acceptance tests at seeds 0 and 1 and keeps `run_trial(...).to_dict()`,
+and once more at its `default_config` at seed 0 ("default/<method>"), the
+config that users and the default-config floor test run. It also runs
+three EnGCN stages by hand and keeps a sha256 of phi's and psi's weights
+after each stage's training, and each stage's per-epoch train loss and
+val accuracy. Two greedy searches at seed 0 keep their
+`GreedySearchLog.to_dict()`: sgc over epochs x num_layers and cs over
+norm_kind x num_mlp_layers. All of this runs twice: on the SBM's
+float32 features (entries named as above, e.g. "sgc/0", "default/sgc")
+and on a float64 copy of them (the same names under "f64:", e.g.
+"f64:sgc/0", "f64:default/sgc"). Trials compute in their features'
+dtype, so the "f64:" entries show whether the float64 path moved.
 
 To check the samplers directly, it keeps a sha256 of
 `partition_graph(g, k).assignment` for k = 4 and 16 ("partitions"), and of
@@ -169,7 +171,7 @@ def run(path: str) -> None:
     import numpy as np
     from scalegnn.harness import default_space, greedy_search
     from scalegnn.synth import SyntheticSpec
-    from scalegnn.trainers import dataset_from_sbm, run_trial
+    from scalegnn.trainers import dataset_from_sbm, default_config, run_trial
 
     ds = dataset_from_sbm(SyntheticSpec(3000, 5, 0.05, 0.005, feature_dim=16,
                                         separation=0.6, noise=1.0, seed=0))
@@ -186,6 +188,9 @@ def run(path: str) -> None:
                 out[f"{prefix}{method}/{seed}"] = run_trial(method, cfg, data,
                                                             seed=seed).to_dict()
             out[f"{prefix}engcn-stages/{seed}"] = _stage_snapshots(data, seed)
+        for method in SHORT:
+            out[f"{prefix}default/{method}"] = run_trial(method, default_config(method),
+                                                         data, seed=0).to_dict()
         for method, axes in SEARCHES:
             space = default_space(method)
             space = space.without(*(n for n in space.axis_names() if n not in axes))

@@ -315,7 +315,8 @@ def _cmd_bench(args) -> int:
         "out": None})
     if options["bundle"] is None or options["out"] is None:
         raise UsageError("bench requires --bundle and --out")
-    from scalegnn.harness import METHODS, estimate_complexity, write_bench_report
+    from scalegnn.harness import (METHODS, estimate_complexity, estimator_inputs,
+                                  write_bench_report)
     from scalegnn.trainers import TrialCache, default_config, run_trial
     methods = [m.strip() for m in str(options["methods"]).split(",")]
     unknown = sorted(set(methods) - set(METHODS))
@@ -339,14 +340,9 @@ def _cmd_bench(args) -> int:
                 cfg.setdefault("epochs", int(options["epochs"]))  # --hp wins
             r = run_trial(m, cfg, dataset, seed=int(options["seed"]), cache=cache)
             merged.update(cfg)
-            est = estimate_complexity(
-                m, b=int(merged.get("batch_size", 0)),
-                r=int(merged.get("fanout", 0)),
-                L=int(merged.get("num_layers",
-                                 merged.get("num_mlp_layers", 0))),
-                D=int(merged.get("hidden_dim", dataset.feature_dim)),
-                num_nodes=dataset.num_nodes, nnz=dataset.graph.num_edges,
-                itemsize=dataset.features.itemsize)
+            est = estimate_complexity(m, **estimator_inputs(merged, dataset),
+                                      num_nodes=dataset.num_nodes,
+                                      nnz=dataset.graph.num_edges)
             rows.append({
                 "method": m, "val_acc": r.val_acc, "test_acc": r.test_acc,
                 "iterations_per_second": r.iterations_per_second,

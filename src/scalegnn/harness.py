@@ -146,10 +146,12 @@ def default_space(method: str) -> HPSpace:
 class TrialResult:
     """One end-to-end train+evaluate run.
 
-    val_acc is the metric axis winners compete on: for epoch-trained methods
-    it is the best epoch's validation accuracy (train/test accuracy are
-    reported at that same epoch); single-shot methods report their one
-    evaluation. Wall-clock fields are populated only when instrumented.
+    The accuracies are those of one reported state, at best_epoch: the best
+    validation epoch (the first on ties) for epoch-trained methods, and the
+    last logged epoch for the methods that report their final state (lp and
+    cs their final scores, engcn its vote). val_acc is the metric axis
+    winners compete on; a split without val rows reports 0.0. Wall-clock
+    fields are populated only when instrumented.
     """
 
     method: str
@@ -171,22 +173,7 @@ class TrialResult:
             raise ValueError("completed trials must carry non-empty curves")
 
     def to_dict(self) -> dict:
-        return _jsonable({
-            "schema_version": SCHEMA_VERSION,
-            "method": self.method,
-            "config": self.config,
-            "seed": self.seed,
-            "train_acc": self.train_acc,
-            "val_acc": self.val_acc,
-            "test_acc": self.test_acc,
-            "best_epoch": self.best_epoch,
-            "loss_curve": self.loss_curve,
-            "val_acc_curve": self.val_acc_curve,
-            "epoch_seconds": self.epoch_seconds,
-            "iterations_per_second": self.iterations_per_second,
-            "activation_bytes": self.activation_bytes,
-            "extras": self.extras,
-        })
+        return _jsonable({"schema_version": SCHEMA_VERSION, **vars(self)})
 
 
 @dataclass
@@ -288,6 +275,17 @@ def greedy_search(method: str, space: HPSpace, dataset, seed: int = 0,
 
 
 # ------------------------------------------------------------- estimators
+
+
+def estimator_inputs(cfg: dict, dataset) -> dict:
+    """The b, r, L, D and itemsize arguments of the estimators below for a
+    trial of the full config cfg on dataset: batch size, fanout and depth
+    (0 where cfg has none; cs counts its base MLP's layers), hidden width
+    (the feature width where cfg has none) and the features' itemsize."""
+    return dict(b=int(cfg.get("batch_size", 0)), r=int(cfg.get("fanout", 0)),
+                L=int(cfg.get("num_layers", cfg.get("num_mlp_layers", 0))),
+                D=int(cfg.get("hidden_dim", dataset.feature_dim)),
+                itemsize=dataset.features.itemsize)
 
 
 def estimate_activation_memory(method: str, b: int, r: int, L: int, D: int,

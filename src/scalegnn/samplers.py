@@ -79,16 +79,17 @@ class Partitioning:
 
 
 def _gather_neighborhood(g: Graph, rows: np.ndarray):
-    """All (row, col, data-index) triples of the given CSR rows, vectorized."""
+    """(per-row entry counts, cols, data indices) of the given CSR rows'
+    entries, in row order, vectorized. The row of each entry is
+    np.repeat(rows, counts)."""
     counts = g.row_offsets[rows + 1] - g.row_offsets[rows]
     total = int(counts.sum())
     if total == 0:
         z = np.zeros(0, dtype=np.int64)
-        return z, z, z
+        return counts, z, z
     first = np.cumsum(counts) - counts  # where each row's entries start in the gather
     data_idx = np.arange(total) + np.repeat(g.row_offsets[rows] - first, counts)
-    src = np.repeat(rows, counts)
-    return src, g.col_indices[data_idx], data_idx
+    return counts, g.col_indices[data_idx], data_idx
 
 
 def _unique_nodes(nodes: np.ndarray, num_nodes: int) -> np.ndarray:
@@ -115,11 +116,10 @@ def _indptr(per_row: np.ndarray) -> np.ndarray:
 def _restrict(struct: Graph, rows: np.ndarray, cols: np.ndarray):
     """(indices, indptr, data positions) of the CSR block of struct's
     entries from `rows` into `cols` (both sorted unique node ids)."""
-    _, dst, didx = _gather_neighborhood(struct, rows)
+    counts, dst, didx = _gather_neighborhood(struct, rows)
     pos = _rank(cols, struct.num_nodes)[dst]
     kept = np.flatnonzero(pos >= 0)  # taking by position is faster than by mask
-    # kept entries before each row's first entry
-    indptr = kept.searchsorted(_indptr(struct.row_offsets[rows + 1] - struct.row_offsets[rows]))
+    indptr = kept.searchsorted(_indptr(counts))  # kept entries before each row's first
     return pos[kept], indptr, didx[kept]
 
 
@@ -185,12 +185,11 @@ def node_wise_sample(g: Graph, a: NormalizedAdjacency, seeds, Q: int, K: int,
     blocks = []
     for _ in range(K):
         b = node_sets[-1]
-        _, _, didx = _gather_neighborhood(struct, b)
-        counts = struct.row_offsets[b + 1] - struct.row_offsets[b]
+        counts, _, didx = _gather_neighborhood(struct, b)
         if didx.size:
             # uniform without replacement per source: keep the Q smallest
             # random keys within each row segment
-            didx = didx[_smallest_per_row(counts, rng.random(didx.size), Q)]
+            didx = didx[np.flatnonzero(_smallest_per_row(counts, rng.random(didx.size), Q))]
         dst = struct.col_indices[didx]
         upper = _unique_nodes(np.concatenate([b, dst]), struct.num_nodes)
         blocks.append(sp.csr_matrix(
@@ -401,8 +400,9 @@ def _shed(g: Graph, assignment: np.ndarray, sizes: np.ndarray, c: int, cap: int)
     first edge into a cluster below cap until c is down to cap; returns the
     number moved. Receivers only fill, so the walk runs as vectorized passes,
     each cut at the move that fills a receiver or ends it: k + 1 at most."""
-    src, nbrs, _ = _gather_neighborhood(g, np.flatnonzero(assignment == c))
-    to = assignment[nbrs]
+    members = np.flatnonzero(assignment == c)
+    counts, nbrs, _ = _gather_neighborhood(g, members)
+    src, to = np.repeat(members, counts), assignment[nbrs]
     src, to = src[to != c], to[to != c]
     start, before = 0, sizes[c]
     while sizes[c] > cap:
@@ -459,8 +459,8 @@ def partition_graph(g: Graph, num_clusters: int) -> Partitioning:
     assignment = np.full(n, -1, dtype=np.int64)
     assignment[frontier] = first
     while frontier.size:
-        src, nbrs, _ = _gather_neighborhood(g, frontier)
-        free = assignment[nbrs] < 0
+        counts, nbrs, _ = _gather_neighborhood(g, frontier)
+        src, free = np.repeat(frontier, counts), assignment[nbrs] < 0
         claim = np.full(n, num_clusters)
         np.minimum.at(claim, nbrs[free], assignment[src[free]])
         frontier = np.flatnonzero(claim < num_clusters)

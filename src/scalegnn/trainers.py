@@ -3,20 +3,24 @@
 Every registered method maps (flat config dict, dataset, seed) to a fully
 instrumented TrialResult through run_trial. Epoch-trained methods run the
 one mini-batch loop, nn.fit, with their own batch source, rngs and
-optimizers; they score the val rows once per epoch and report accuracies
-at the best validation epoch, with train and test scored once from it
-(_best_epoch). A precompute model scores rows in chunks of its batch
-size; a sampled one forwards the whole graph. A sampled method's batches
-are the BatchPlans of _plan_source, which builds what the method's sampler
-draws from (partition, CDF, edge table, layer distribution) once per
-trial and draws each epoch's plans from it. Label diffusion (plain
-propagation, the correct-and-smooth pipeline) reports its one final
-evaluation. Stage-wise ensembling logs every stage's epochs in one curve
-and reports the vote over the stages. epoch_seconds times the training
-steps only; the evaluations, the final train/test scoring included, are
-timed apart and summed in extras["eval_seconds"]. One-off work is in
-neither: for precompute methods the propagation cost is reported in
-extras["precompute_seconds"].
+optimizers, and score the val rows once per epoch. A precompute model
+scores rows in chunks of its batch size; a sampled one forwards the whole
+graph. A sampled method's batches are the BatchPlans of _plan_source,
+which builds what the method's sampler draws from (partition, CDF, edge
+table, layer distribution) once per trial and draws each epoch's plans
+from it. Label diffusion (plain propagation, the correct-and-smooth
+pipeline) reports its final scores; stage-wise ensembling logs every
+stage's epochs in one curve and reports the vote over the stages.
+
+Every trial reports one state, picked by _best_epoch and scored by
+_finish. best_epoch is the best val epoch (the first one on ties) for
+epoch-trained methods, and the last logged epoch for the methods that
+report their final state (lp, cs, engcn); val_acc is that state's, and
+train and test are scored once from it. A split without val rows reports
+val 0.0. epoch_seconds times the training steps only; the evaluations,
+the final train/test scoring included, are timed apart and summed in
+extras["eval_seconds"]. One-off work is in neither: for precompute
+methods the propagation cost is reported in extras["precompute_seconds"].
 
 A trial computes in its features' dtype: hops, model parameters, Adam
 state, activations and every feature-width sparse product follow
@@ -43,7 +47,7 @@ from scalegnn.engcn import (SLEConfig, engcn_init, engcn_propagate,
                             majority_vote, sle_update)
 from scalegnn.graph import DataSplit, Graph, LabelVector, normalize_adjacency
 from scalegnn.harness import (METHODS, TrialResult, default_space,
-                              estimate_activation_memory)
+                              estimate_activation_memory, estimator_inputs)
 from scalegnn.labelprop import (DiffusionConfig, build_zeros_source,
                                 correct_and_smooth, lp_iterate)
 from scalegnn.models import (HopFeatures, SAGNConfig, SampledGNNConfig,
@@ -55,7 +59,7 @@ from scalegnn.models import (HopFeatures, SAGNConfig, SampledGNNConfig,
                              sign_forward)
 from scalegnn.nn import (AdamState, FitLog, MLPConfig, accuracy, adam_step,
                          cross_entropy, fit, init_mlp, mlp_backward,
-                         mlp_forward, shuffled_batches, softmax_row)
+                         mlp_forward, predict, shuffled_batches, softmax_row)
 from scalegnn.rng import spawn_rngs
 from scalegnn.samplers import (BatchPlan, fastgcn_layer_probs,
                                layer_wise_sample, node_wise_sample,
@@ -177,66 +181,70 @@ def _checksum(trainable: dict) -> float:
 
 
 def _finish(method, cfg, dataset, seed, *, log: FitLog, best, extras):
-    """Assemble the TrialResult from the training log and the accuracies
-    to report (best epoch's or final), with their scoring seconds, if
-    timed, under best["eval_seconds"]."""
+    """Assemble the TrialResult from the training log and best, the
+    (epoch, val accuracy, predictor) of the state to report, as
+    _best_epoch's best() returns it. Train and test are scored here, from
+    the predictor, and timed into extras["eval_seconds"]."""
+    epoch, val_acc, predict_rows = best
     spec = METHODS[method]
-    est = estimate_activation_memory(
-        method, b=int(cfg.get("batch_size", 0)), r=int(cfg.get("fanout", 0)),
-        L=int(cfg.get("num_layers", cfg.get("num_mlp_layers", 0))),
-        D=int(cfg.get("hidden_dim", dataset.feature_dim)),
-        itemsize=dataset.features.itemsize)
     train_seconds = sum(log.epoch_seconds)
-    its = log.steps / train_seconds if train_seconds > 0 else 0.0
-    extras = {**extras, "category": spec.category,
-              "batch_semantics": spec.batch_semantics,
-              "eval_seconds": float(sum(log.eval_seconds)) + best.get("eval_seconds", 0.0)}
-    return TrialResult(
+    result = TrialResult(
         method=method, config=dict(cfg), seed=seed,
-        train_acc=best["train_acc"], val_acc=best["val_acc"],
-        test_acc=best["test_acc"], best_epoch=best["epoch"],
-        loss_curve=list(log.loss_curve), val_acc_curve=list(log.val_curve),
-        epoch_seconds=list(log.epoch_seconds), iterations_per_second=its,
-        activation_bytes=est, extras=extras)
+        train_acc=float("nan"), val_acc=val_acc, test_acc=float("nan"),
+        best_epoch=epoch, loss_curve=list(log.loss_curve),
+        val_acc_curve=list(log.val_curve), epoch_seconds=list(log.epoch_seconds),
+        iterations_per_second=log.steps / train_seconds if train_seconds > 0 else 0.0,
+        activation_bytes=estimate_activation_memory(method, **estimator_inputs(cfg, dataset)),
+        extras={**extras, "category": spec.category,
+                "batch_semantics": spec.batch_semantics})
+    # scored only once TrialResult has accepted the curves: a trial that
+    # logged no epoch kept no state to score
+    y = dataset.labels.labels
+    t0 = time.perf_counter()
+    result.train_acc, result.test_acc = (
+        float((predict_rows(rows) == y[rows]).mean()) if rows.size else float("nan")
+        for rows in (dataset.split.train, dataset.split.test))
+    result.extras["eval_seconds"] = float(sum(log.eval_seconds)) + time.perf_counter() - t0
+    return result
 
 
-def _best_epoch(dataset, state, score):
-    """fit's evaluate for best-epoch reporting, and report(), which returns
-    the best epoch's accuracies.
+def _best_epoch(dataset, state, classify):
+    """fit's evaluate, which picks the state a trial reports, and best(),
+    which returns the pick's (epoch, val accuracy, predictor) for _finish.
 
-    Only val accuracy selects the epoch, so each evaluation scores only the
-    val rows: state() captures the model as it is now, in a form later
-    training does not change (a copy of the parameters, or a full-graph
-    forward's logits), and score(state, rows) returns the logits of rows
-    under it. The first epoch and every val improvement keep their state;
-    after fit, report() scores train and test once from the kept one. Its
-    seconds are returned under "eval_seconds"."""
-    split, y = dataset.split, dataset.labels.labels
-    best = {"epoch": -1, "val_acc": 0.0, "train_acc": 0.0, "test_acc": 0.0}
-    kept = None
-
-    def acc(s, rows):
-        return accuracy(score(s, rows), y[rows]) if rows.size else float("nan")
+    Only val accuracy selects the epoch, so each evaluation classifies only
+    the val rows: state() captures the model as it is now, in a form later
+    training does not change (a copy of the parameters, a full-graph
+    forward's logits, final predictions), and classify(state, rows)
+    returns the predicted class of each row under it. The first epoch and
+    every val improvement keep their state; the predictor classifies rows
+    under the kept one. A split without val rows scores val 0.0. Methods
+    that report their final state call evaluate once, after training, at
+    their last logged epoch."""
+    y, val_rows = dataset.labels.labels, dataset.split.val
+    kept = (-1, -1.0, None)  # (epoch, val accuracy, state); any epoch beats it
 
     def evaluate(epoch):
         nonlocal kept
         s = state()
-        val = acc(s, split.val)
-        if np.isnan(val):
-            val = 0.0
-        if best["epoch"] < 0 or val > best["val_acc"]:
-            best.update(epoch=epoch, val_acc=val)
-            kept = s
+        val = float((classify(s, val_rows) == y[val_rows]).mean()) if val_rows.size else 0.0
+        if val > kept[1]:
+            kept = (epoch, val, s)
         return val
 
-    def report():
-        t0 = time.perf_counter()
-        if kept is not None:
-            best.update(train_acc=acc(kept, split.train),
-                        test_acc=acc(kept, split.test))
-        return {**best, "eval_seconds": time.perf_counter() - t0}
+    def best():
+        epoch, val, s = kept
+        return epoch, val, lambda rows: classify(s, rows)
 
-    return evaluate, report
+    return evaluate, best
+
+
+def _final_state(dataset, log, labels):
+    """best() for a method that reports its final state: labels, a
+    predicted class per node, evaluated once at the last logged epoch."""
+    evaluate, best = _best_epoch(dataset, lambda: labels, lambda v, rows: v[rows])
+    evaluate(len(log.val_curve) - 1)
+    return best()
 
 
 def full_plan(a, dtype=np.float64) -> BatchPlan:
@@ -333,14 +341,14 @@ def _train_sampled(method, cfg, dataset, seed, cache):
     # graph; its logits are the state kept for the final train/test scores.
     # The memo keeps the first layer's Â x across the trial's evaluations.
     eval_memo = {}
-    evaluate, report = _best_epoch(
+    evaluate, best = _best_epoch(
         dataset,
         lambda: sampled_gnn_forward(eval_plan, x, params, model_cfg, memo=eval_memo)[0],
-        lambda logits, rows: logits[rows])
+        lambda logits, rows: predict(logits[rows]))
     log = fit(int(cfg["epochs"]), batches, step, evaluate)
     extras = {"active_input_nodes": float(np.mean(active_sizes)) if active_sizes else 0.0,
               "param_checksum": _checksum(params.trainable())}
-    return _finish(method, cfg, dataset, seed, log=log, best=report(), extras=extras)
+    return _finish(method, cfg, dataset, seed, log=log, best=best(), extras=extras)
 
 
 # ------------------------------------------------------------- precompute
@@ -390,18 +398,18 @@ def _train_precompute(method, cfg, dataset, seed, cache):
         adam_step(opt, params.trainable(), grads)
         return loss
 
-    def score(p, rows):  # a node's logits read only its own hop rows
-        return np.concatenate([
+    def classify(p, rows):  # a node's logits read only its own hop rows
+        return predict(np.concatenate([
             fwd(_subset_hops(hops, rows[s:s + batch_size], first), p, "eval", None)[0]
-            for s in range(0, rows.size, batch_size)])
+            for s in range(0, rows.size, batch_size)]))
 
-    evaluate, report = _best_epoch(dataset, lambda: copy.deepcopy(params), score)
+    evaluate, best = _best_epoch(dataset, lambda: copy.deepcopy(params), classify)
     batches = lambda _: shuffled_batches(shuffle_rng, split.train, batch_size)
     log = fit(int(cfg["epochs"]), batches, step, evaluate)
     extras = {"active_input_nodes": float(min(batch_size, split.train.size)),
               "precompute_seconds": precompute_seconds,
               "param_checksum": _checksum(params.trainable())}
-    return _finish(method, cfg, dataset, seed, log=log, best=report(), extras=extras)
+    return _finish(method, cfg, dataset, seed, log=log, best=best(), extras=extras)
 
 
 # -------------------------------------------------------- label diffusion
@@ -469,12 +477,8 @@ def _train_labelprop(method, cfg, dataset, seed, cache):
         extras["base_val_acc"] = accuracy(base_logits[split.val],
                                           y.labels[split.val])
         extras["param_checksum"] = _checksum(params.trainable())
-    labels_arr = y.labels
-    best = {"epoch": len(log.val_curve) - 1,
-            "val_acc": accuracy(scores[split.val], labels_arr[split.val]),
-            "train_acc": accuracy(scores[split.train], labels_arr[split.train]),
-            "test_acc": accuracy(scores[split.test], labels_arr[split.test])}
-    return _finish(method, cfg, dataset, seed, log=log, best=best, extras=extras)
+    return _finish(method, cfg, dataset, seed, log=log,
+                   best=_final_state(dataset, log, predict(scores)), extras=extras)
 
 
 # --------------------------------------------------------------- stagewise
@@ -485,7 +489,7 @@ def _train_engcn(method, cfg, dataset, seed, cache):
     pseudo set; then vote over the cached per-stage logits. phi computes in
     the features' dtype, psi in float64. The log runs through every
     stage's epochs; zero-epoch stages log one row each, with the stage's
-    val accuracy. The reported accuracies are the vote's."""
+    val accuracy. The trial reports the vote, at the last logged epoch."""
     x, y, split = dataset.features, dataset.labels.labels, dataset.split
     d, c, hid = dataset.feature_dim, dataset.num_classes, int(cfg["hidden_dim"])
     sle = SLEConfig(threshold=float(cfg["threshold"]),
@@ -525,13 +529,6 @@ def _train_engcn(method, cfg, dataset, seed, cache):
     if not log.loss_curve:
         zeros = [0.0] * len(stage_val)
         log = FitLog(zeros, stage_val, zeros, zeros)
-    votes = majority_vote(stage_logits)
-
-    def vote_acc(rows):
-        return float((votes[rows] == y[rows]).mean()) if rows.size else float("nan")
-
-    best = {"epoch": int(np.argmax(log.val_curve)), "val_acc": vote_acc(split.val),
-            "train_acc": vote_acc(split.train), "test_acc": vote_acc(split.test)}
     extras = {"stage_val_acc": stage_val,
               "stage_test_acc": [accuracy(z[split.test], y[split.test])
                                  for z in stage_logits],
@@ -539,7 +536,9 @@ def _train_engcn(method, cfg, dataset, seed, cache):
               "final_pseudo_size": int(state.pseudo_train.size),
               "active_input_nodes": float(np.mean(pseudo_sizes)),
               "param_checksum": 0.0}
-    return _finish(method, cfg, dataset, seed, log=log, best=best, extras=extras)
+    return _finish(method, cfg, dataset, seed, log=log,
+                   best=_final_state(dataset, log, majority_vote(stage_logits)),
+                   extras=extras)
 
 
 # ----------------------------------------------------------------- public

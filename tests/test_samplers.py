@@ -563,7 +563,8 @@ def _partition_graph_unique(g, num_clusters):
         c = int(np.argmax(sizes))
         members = np.flatnonzero(assignment == c)
         moved = False
-        src, nbrs, _ = _gather_neighborhood(g, members)
+        counts, nbrs, _ = _gather_neighborhood(g, members)
+        src = np.repeat(members, counts)
         outside = assignment[nbrs] != c
         for u, other in zip(src[outside], assignment[nbrs[outside]]):
             if sizes[other] < cap and assignment[u] == c:
@@ -631,10 +632,10 @@ def _node_wise_sample_coo(g, a, seeds, Q, K, rng, dtype=np.float64):
     node_sets, edge_layers = [seeds], []
     for _ in range(K):
         b = node_sets[-1]
-        src, dst, didx = _gather_neighborhood(struct, b)
+        counts, dst, didx = _gather_neighborhood(struct, b)
+        src = np.repeat(b, counts)
         if src.size:
             keys = rng.random(src.size)
-            counts = struct.row_offsets[b + 1] - struct.row_offsets[b]
             keep = _smallest_per_row(counts, keys, Q)
             src_s, dst_s, didx_s = src[keep], dst[keep], didx[keep]
         else:

@@ -9,7 +9,7 @@ import pytest
 
 from scalegnn import samplers, trainers
 from scalegnn.graph import induced_subgraph, normalize_adjacency
-from scalegnn.harness import default_space, estimate_activation_memory
+from scalegnn.harness import METHODS, default_space, estimate_activation_memory
 from scalegnn.models import (SAGNConfig, SGCConfig, SIGNConfig,
                              precompute_hops, sagn_forward, sgc_forward,
                              sign_forward)
@@ -298,23 +298,56 @@ def _full_graph_logits(method, cfg, hops, ds):
 
 def _oracle_best_epoch(full_logits):
     """A stand-in for trainers._best_epoch that forwards the whole graph
-    every epoch and, on each val improvement, scores train and test from
-    that forward's logits."""
-    def build(dataset, state, score):
+    every epoch and, on each val improvement, keeps that forward's logits,
+    from which train and test are then scored."""
+    def build(dataset, state, classify):
         split, y = dataset.split, dataset.labels.labels
-        best = {"epoch": -1, "val_acc": 0.0, "train_acc": 0.0, "test_acc": 0.0}
+        best = {"epoch": -1, "val_acc": 0.0, "logits": None}
 
         def evaluate(epoch):
             logits = full_logits(state())
             val = accuracy(logits[split.val], y[split.val])
             if best["epoch"] < 0 or val > best["val_acc"]:
-                best.update(epoch=epoch, val_acc=val,
-                            train_acc=accuracy(logits[split.train], y[split.train]),
-                            test_acc=accuracy(logits[split.test], y[split.test]))
+                best.update(epoch=epoch, val_acc=val, logits=logits)
             return val
 
-        return evaluate, lambda: dict(best)
+        return evaluate, lambda: (best["epoch"], best["val_acc"],
+                                  lambda rows: best["logits"][rows].argmax(axis=1))
     return build
+
+
+# the methods that report their final state rather than their best val epoch
+FINAL_STATE = ("lp", "cs", "engcn")
+BELOW_FLOOR = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 2: the layer-wise estimators do not match "
+                        "their papers yet (val 0.232 at default_config)")
+
+
+@pytest.fixture(scope="module")
+def default_trials(sbm3k):
+    """Every method at its default_config on the 3k SBM, seed 0."""
+    cache = TrialCache(sbm3k)
+    return {m: run_trial(m, default_config(m), sbm3k, seed=0, cache=cache)
+            for m in sorted(METHODS)}
+
+
+class TestDefaultConfigTrials:
+    @pytest.mark.parametrize("method", [
+        pytest.param(m, marks=BELOW_FLOOR) if m in ("fastgcn", "ladies") else m
+        for m in sorted(METHODS)])
+    def test_val_clears_majority_floor(self, default_trials, sbm3k, method):
+        y_val = sbm3k.labels.labels[sbm3k.split.val]
+        floor = np.bincount(y_val).max() / y_val.size + 0.10
+        assert default_trials[method].val_acc >= floor
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_record_names_the_reported_epoch(self, default_trials, method):
+        r = default_trials[method]
+        assert 0 <= r.best_epoch < len(r.val_acc_curve)
+        if method in FINAL_STATE:
+            assert r.best_epoch == len(r.val_acc_curve) - 1
+        else:
+            assert r.val_acc_curve[r.best_epoch] == r.val_acc
 
 
 class TestPrecomputeEvaluation:
@@ -398,7 +431,7 @@ class TestEnsembleTrainer:
         stages = cfg["num_layers"] + 1
         assert r.loss_curve == [0.0] * stages
         assert r.val_acc_curve == r.extras["stage_val_acc"]
-        assert r.best_epoch == int(np.argmax(r.extras["stage_val_acc"]))
+        assert r.best_epoch == stages - 1  # the vote is the final state
         assert r.iterations_per_second == 0
 
     def test_steps_add_up_over_stages(self, dataset):
