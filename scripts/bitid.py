@@ -33,6 +33,13 @@ nodes into many receivers, and a graph of four components and isolated
 nodes at k below the component count (the leftover pass) and above it
 (clusters that hold a whole component shed nodes).
 
+The 3k SBM's products are mostly too small to run as row blocks on the
+product pool (see scalegnn.graph). "above-split" covers that path on a
+20k-node SBM from synth with 128-dim features: a sha256 of
+`precompute_hops` at K = 3 on the float32 and float64 features, of
+`correct_and_smooth` scores (float64, width 5, early stop), and the
+`lp` trial at its `default_config` (one propagation step per epoch).
+
 Every key that holds a duration (`*seconds`, `iterations_per_second`) is
 dropped. `compare` prints "<n> entries, <k> differ", names the differing
 entries and their differing fields, and exits 1 when any differ. For a
@@ -165,6 +172,32 @@ def _partition_pass_digests(sbm) -> dict:
     return out
 
 
+def _above_split_entries() -> dict:
+    """Products above the split threshold, on a 20k-node SBM."""
+    import numpy as np
+    from scalegnn.graph import normalize_adjacency
+    from scalegnn.labelprop import DiffusionConfig, correct_and_smooth
+    from scalegnn.models import precompute_hops
+    from scalegnn.nn import softmax_row
+    from scalegnn.synth import SyntheticSpec
+    from scalegnn.trainers import dataset_from_sbm, default_config, run_trial
+
+    ds = dataset_from_sbm(SyntheticSpec(20000, 5, 0.004, 0.0002, feature_dim=128,
+                                        separation=0.6, noise=1.0, seed=0))
+    a = normalize_adjacency(ds.graph, "sym")
+
+    def digest(arrays):
+        return hashlib.sha256(b"".join(np.ascontiguousarray(v).tobytes()
+                                       for v in arrays)).hexdigest()
+
+    z = softmax_row(ds.features[:, :ds.num_classes].astype(np.float64))
+    scores = correct_and_smooth(a, z, ds.labels, ds.split, DiffusionConfig(0.8, 50))
+    return {"hops-f32": digest(precompute_hops(a, ds.features, 3).hops),
+            "hops-f64": digest(precompute_hops(a, ds.features.astype(np.float64), 3).hops),
+            "cs-scores": digest([scores]),
+            "lp": run_trial("lp", default_config("lp"), ds, seed=0).to_dict()}
+
+
 def run(path: str) -> None:
     import dataclasses
 
@@ -198,6 +231,7 @@ def run(path: str) -> None:
                                                               seed=0).to_dict()
     out["partitions"] = {str(k): _partition_digest(ds.graph, k) for k in (4, 16)}
     out["partitions-passes"] = _partition_pass_digests(ds.graph)
+    out["above-split"] = _above_split_entries()
     with open(path, "w") as fh:
         json.dump(_untimed(out), fh, sort_keys=True)
 

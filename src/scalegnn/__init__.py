@@ -9,7 +9,10 @@ a greedy hyperparameter search.
 SCALEGNN_NUM_THREADS=<n> caps the BLAS/OpenMP thread pools. It is exported
 to each pool's own variable (a variable already set wins) when this package
 is imported, before any of its modules loads numpy; a process that has
-loaded numpy already keeps the pools it started with.
+loaded numpy already keeps the pools it started with. Through
+OMP_NUM_THREADS it also caps the pool that splits large sparse products
+into row blocks (scalegnn.graph), which reads that variable when it is
+first built.
 """
 
 import os

@@ -168,8 +168,8 @@ def engcn_train_stage(state: EnGCNState, phi_params: MLPParams,
 
     def evaluate(_):
         val = state.split.val
-        if not val.size:
-            return float("nan")
+        if not val.size:  # as accuracy scores no rows
+            return 0.0
         logits = engcn_stage_forward(state, phi_params, psi_params, config, val)
         return accuracy(logits, state.true_labels[val])
 

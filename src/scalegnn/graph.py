@@ -4,14 +4,30 @@ All node indices are int64 so multi-million-node graphs fit without care.
 Graphs are plain CSR structure (no weights); weights only ever come from
 normalization and live in NormalizedAdjacency. Both types are frozen after
 construction and safe to share.
+
+spmm and csr_matmul run a large CSR product (at least _SPLIT_MADDS
+multiply-adds, nnz x width, with x already in the matrix's dtype) as row
+blocks of about equal nnz on a thread pool: each block runs scipy's own
+CSR kernel, which releases the GIL, into its rows of one output allocated
+by the caller. Every row keeps its kernel and summation order, so the
+result is bit-identical to mat @ x. Every other product (CSC, 1-D, mixed
+dtype, small) is plain mat @ x. The pool is built on the first product
+that splits, and again in a forked child. Its width is the number of
+usable cores, capped by OMP_NUM_THREADS when that is set (as
+SCALEGNN_NUM_THREADS sets it); at width 1 there is no pool and nothing
+splits.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from scalegnn.instrument import op_counter
 
@@ -219,6 +235,63 @@ def degree_weights(row_offsets: np.ndarray, col_indices: np.ndarray, kind: str,
     return values
 
 
+# products below this many multiply-adds cost less than handing out blocks
+_SPLIT_MADDS = 1 << 20
+# several blocks per worker, handed out as workers free up, so a worker
+# slowed by another thread (OpenBLAS's idle spin) takes fewer of them
+_BLOCKS_PER_WORKER = 4
+
+
+def _pool_width() -> int:
+    """Usable cores, capped by OMP_NUM_THREADS when it holds a number."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    cap = os.environ.get("OMP_NUM_THREADS", "").split(",")[0]
+    return max(1, min(cores, int(cap))) if cap.isdigit() else cores
+
+
+@functools.cache
+def _product_pool() -> ThreadPoolExecutor | None:
+    """The product pool, None at width 1; built on first use."""
+    width = _pool_width()
+    return ThreadPoolExecutor(width, thread_name_prefix="scalegnn-spmm") if width > 1 else None
+
+
+# a forked child has none of its parent's pool threads
+os.register_at_fork(after_in_child=_product_pool.cache_clear)
+
+
+def _csr_product(mat: sp.spmatrix, x: np.ndarray) -> np.ndarray:
+    """mat @ x, split into row blocks on the product pool when mat is CSR,
+    x is 2-D in mat's dtype and the product has at least _SPLIT_MADDS
+    multiply-adds. A block calls the kernel mat @ x calls (csr_matvec at
+    width 1, csr_matvecs otherwise) on its slice of indptr, with the full
+    indices and data, and writes its rows of the one output."""
+    width = x.shape[1] if x.ndim == 2 else 0
+    if (mat.format != "csr" or x.dtype != mat.dtype or x.shape[0] != mat.shape[1]
+            or mat.nnz * width < _SPLIT_MADDS or (pool := _product_pool()) is None):
+        return mat @ x
+    (m, n), indptr, nnz = mat.shape, mat.indptr, mat.nnz
+    xs = np.ascontiguousarray(x).reshape(-1)
+    out = np.zeros((m, width), dtype=x.dtype)
+    flat = out.reshape(-1)
+    blocks = _BLOCKS_PER_WORKER * _pool_width()
+    cuts = np.searchsorted(indptr, np.arange(1, blocks) * (nnz / blocks))
+    bounds = np.unique(np.concatenate(([0], cuts, [m])))
+
+    def block(lo, hi):
+        ptr = indptr[lo:hi + 1]
+        if width == 1:
+            _sparsetools.csr_matvec(hi - lo, n, ptr, mat.indices, mat.data, xs, flat[lo:hi])
+        else:
+            _sparsetools.csr_matvecs(hi - lo, n, width, ptr, mat.indices, mat.data, xs,
+                                     flat[lo * width:hi * width])
+
+    for done in [pool.submit(block, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]:
+        done.result()
+    return out
+
+
 def _compute_dtype(x: np.ndarray) -> np.dtype:
     """The dtype a product with x runs in: x's own for float32 and float64
     (non-float input promotes to float64)."""
@@ -228,7 +301,9 @@ def _compute_dtype(x: np.ndarray) -> np.dtype:
 def spmm(a: NormalizedAdjacency, x: np.ndarray) -> np.ndarray:
     """Sparse-dense product a @ x in x's dtype (float32 in, float32 out),
     with a's scipy form of that dtype (built once per adjacency and dtype).
-    Counts one op on the global op counter."""
+    A large product runs as row blocks on the product pool (see the module
+    docstring), bit-identical to the plain product. Counts one op on the
+    global op counter."""
     x = np.asarray(x)
     if x.ndim == 1:
         x = x[:, None]
@@ -237,7 +312,7 @@ def spmm(a: NormalizedAdjacency, x: np.ndarray) -> np.ndarray:
         squeeze = False
     if x.shape[0] != a.num_nodes:
         raise ValueError(f"spmm shape mismatch: adjacency has {a.num_nodes} nodes, x has {x.shape[0]} rows")
-    out = a.to_scipy(_compute_dtype(x)) @ x
+    out = _csr_product(a.to_scipy(_compute_dtype(x)), x)
     op_counter.record_spmm(a.structure.num_edges, x.shape[1])
     return out[:, 0] if squeeze else out
 
@@ -245,11 +320,12 @@ def spmm(a: NormalizedAdjacency, x: np.ndarray) -> np.ndarray:
 def csr_matmul(mat: sp.spmatrix, x: np.ndarray) -> np.ndarray:
     """Sparse block @ dense in x's dtype, with the same op accounting as
     spmm. Samplers build blocks in the features' dtype, so the cast here
-    only runs for a caller that mixes dtypes."""
+    only runs for a caller that mixes dtypes. A large CSR product splits
+    as spmm's does; a CSC one (a block's transpose) does not."""
     dtype = _compute_dtype(x)
     if mat.dtype != dtype:
         mat = mat.astype(dtype)
-    out = mat @ x
+    out = _csr_product(mat, x)
     op_counter.record_spmm(mat.nnz, x.shape[1] if x.ndim > 1 else 1)
     return out
 

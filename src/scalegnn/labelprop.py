@@ -36,16 +36,20 @@ def lp_iterate(a: NormalizedAdjacency, y0: np.ndarray, g: np.ndarray,
     """k steps of Y <- alpha * A_hat Y + (1 - alpha) * G starting from y0.
 
     Stops early once the infinity-norm step difference drops to tol;
-    tol=0 forces exactly k applications.
+    tol=0 forces exactly k applications and skips the difference. Each
+    step updates its new iterate in place.
     """
     y = np.asarray(y0, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
+    source = (1.0 - alpha) * np.asarray(g, dtype=np.float64)
+    diff = np.empty_like(y) if tol > 0 else None
     for _ in range(k):
-        nxt = alpha * spmm(a, y) + (1.0 - alpha) * g
-        delta = np.max(np.abs(nxt - y)) if y.size else 0.0
-        y = nxt
-        if tol > 0 and delta <= tol:
-            break
+        y, prev = spmm(a, y), y
+        y *= alpha
+        y += source
+        if diff is not None:
+            np.subtract(y, prev, out=diff)
+            if not diff.size or np.abs(diff, out=diff).max() <= tol:
+                break
     return y
 
 

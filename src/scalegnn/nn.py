@@ -194,9 +194,11 @@ def predict(logits: np.ndarray) -> np.ndarray:
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Share of rows whose predicted class is their label; no rows score
+    0.0, as the val accuracy of a split without val rows does."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
-        return float("nan")
+        return 0.0
     return float((predict(logits) == labels).mean())
 
 

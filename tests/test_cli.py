@@ -288,16 +288,51 @@ class TestLock:
         assert (tmp_path / ".lock").read_text() == str(proc.pid)
 
 
+# a 2000-node graph whose width-32 spmm, about 1.3M multiply-adds, is
+# large enough to run as row blocks on the product pool
+SPLIT_PRODUCT = """
+import numpy as np
+from scalegnn import graph
+g = graph.build_graph(np.random.default_rng(0).integers(0, 2000, (20000, 2)), 2000,
+                      symmetrize=True)
+a = graph.normalize_adjacency(g, "sym")
+x = np.random.default_rng(1).standard_normal((2000, 32))
+assert a.structure.num_edges * 32 >= graph._SPLIT_MADDS
+"""
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="counting threads needs /proc")
 def test_num_threads_variable_caps_blas():
     """SCALEGNN_NUM_THREADS=1 takes effect when scalegnn.cli is imported
-    first: the process still has only its main thread after a GEMM."""
+    first: the process still has only its main thread after a GEMM and
+    after a sparse product above the split threshold, which builds no
+    product pool."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
     env["SCALEGNN_NUM_THREADS"] = "1"
-    code = ("import os, scalegnn.cli, numpy as np; a = np.ones((512, 512)); a @ a; "
+    code = ("import os, scalegnn.cli" + SPLIT_PRODUCT +
+            "m = np.ones((512, 512)); m @ m\n"
+            "graph.spmm(a, x)\nassert graph._product_pool() is None\n"
             "print(len(os.listdir('/proc/self/task')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert int(out) == 1
+
+
+def test_forked_child_builds_its_own_product_pool():
+    """A fork-context child of a process whose product pool is running
+    splits a product on a pool of its own and returns the parent's array;
+    with the parent's pool threads absent in the child it would hang."""
+    code = SPLIT_PRODUCT + """
+import multiprocessing
+graph._pool_width = lambda: 2  # a pool even on a one-core box
+want = graph.spmm(a, x)
+assert graph._product_pool() is not None
+with multiprocessing.get_context("fork").Pool(1) as child:
+    got = child.apply_async(graph.spmm, (a, x)).get(timeout=60)
+print(np.array_equal(got, want))
+"""
+    out = subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "True"

@@ -5,9 +5,12 @@ straight from the edge list, normalizes it with dense degree arithmetic,
 and multiplies with np.matmul.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
+from scalegnn import graph
 from scalegnn.graph import (
     Graph,
     DataSplit,
@@ -15,10 +18,12 @@ from scalegnn.graph import (
     _csr_from_pairs,
     add_self_loops,
     build_graph,
+    csr_matmul,
     induced_subgraph,
     normalize_adjacency,
     spmm,
 )
+from scalegnn.instrument import op_counter
 
 
 def dense_from_edges(edges, n, symmetrize=False):
@@ -259,6 +264,104 @@ def test_spmm_float32_dtype():
     adj = normalize_adjacency(g, "sym")
     out = spmm(adj, np.ones((2, 3), dtype=np.float32))
     assert out.dtype == np.float32
+
+
+class _KernelSpy:
+    """Stands in for scipy's _sparsetools in graph: records the rows each
+    CSR kernel call covers, then runs the real kernel."""
+
+    def __init__(self):
+        from scipy.sparse import _sparsetools
+        self.real, self.rows = _sparsetools, []
+
+    def csr_matvec(self, n_row, *args):
+        self.rows.append(n_row)
+        self.real.csr_matvec(n_row, *args)
+
+    def csr_matvecs(self, n_row, *args):
+        self.rows.append(n_row)
+        self.real.csr_matvecs(n_row, *args)
+
+
+@pytest.fixture(params=[1, 2, 4], ids=["pool1", "pool2", "pool4"])
+def split_all(request, monkeypatch):
+    """Every eligible CSR product splits, whatever its size, on a product
+    pool of the param's width (4 is more workers than the reference box's
+    cores), with threads switching as often as they can. Yields (width,
+    kernel spy)."""
+    spy = _KernelSpy()
+    monkeypatch.setattr(graph, "_SPLIT_MADDS", 1)
+    monkeypatch.setattr(graph, "_pool_width", lambda: request.param)
+    monkeypatch.setattr(graph, "_sparsetools", spy)
+    graph._product_pool.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield request.param, spy
+    finally:
+        sys.setswitchinterval(interval)
+        if (pool := graph._product_pool()) is not None:
+            pool.shutdown()
+        graph._product_pool.cache_clear()
+
+
+def _split_test_adjacency():
+    """300 nodes without self-loops: node 0 links to every node up to 200,
+    so row 0 holds over a quarter of the nnz and the first block cuts fall
+    inside it; nodes 250 and up link to nothing, so their rows are empty."""
+    rng = np.random.default_rng(11)
+    star = [(0, v) for v in range(1, 200)]
+    edges = np.concatenate([star, rng.integers(0, 250, size=(120, 2))])
+    g = build_graph(edges, 300, symmetrize=True)
+    return normalize_adjacency(g, "sym", with_self_loops=False)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("width", [1, 5, 128])
+def test_split_spmm_matches_plain_product(split_all, dtype, width):
+    pool_width, spy = split_all
+    a = _split_test_adjacency()
+    mat = a.to_scipy(dtype)
+    assert np.diff(mat.indptr)[250:].max() == 0 and np.diff(mat.indptr)[0] > mat.nnz // 4
+    x = np.random.default_rng(width).standard_normal((300, width)).astype(dtype)
+    out = spmm(a, x)
+    assert out.dtype == dtype and np.array_equal(out, mat @ x)
+    if pool_width == 1:
+        assert spy.rows == []
+    else:  # blocks tile the rows; the cuts inside row 0 collapse
+        assert sum(spy.rows) == 300 and 1 < len(spy.rows) <= 4 * pool_width
+
+
+def test_split_spmm_vector_and_noncontiguous_x(split_all):
+    a = _split_test_adjacency()
+    x = np.random.default_rng(2).standard_normal((300, 16))
+    for operand in (x[:, ::3], np.asfortranarray(x), x[:, 4]):
+        assert not operand.flags.c_contiguous or operand.ndim == 1
+        want = a.to_scipy() @ operand
+        assert np.array_equal(spmm(a, operand), want)
+        assert np.array_equal(csr_matmul(a.to_scipy(), operand), want)
+
+
+def test_split_skips_csc_and_mixed_dtype(split_all):
+    _, spy = split_all
+    a = _split_test_adjacency()
+    mat = a.to_scipy(np.float32)
+    x = np.random.default_rng(4).standard_normal((300, 8))
+    assert np.array_equal(csr_matmul(mat.T, x), mat.T.astype(np.float64) @ x)
+    assert np.array_equal(spmm(a, x.astype(np.int64)), a.to_scipy() @ x.astype(np.int64))
+    assert spy.rows == []
+
+
+def test_split_counts_one_op_per_call(split_all):
+    a = _split_test_adjacency()
+    mat = a.to_scipy()
+    x = np.ones((300, 5))
+    op_counter.reset()
+    spmm(a, x)
+    csr_matmul(mat, x)
+    spmm(a, x[:, 0])
+    assert op_counter.snapshot() == {"spmm_calls": 3,
+                                     "spmm_madds": mat.nnz * (5 + 5 + 1)}
 
 
 def test_induced_triangle():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from scalegnn import samplers, trainers
-from scalegnn.graph import induced_subgraph, normalize_adjacency
+from scalegnn.graph import DataSplit, induced_subgraph, normalize_adjacency
 from scalegnn.harness import METHODS, default_space, estimate_activation_memory
 from scalegnn.models import (SAGNConfig, SGCConfig, SIGNConfig,
                              precompute_hops, sagn_forward, sgc_forward,
@@ -150,6 +150,27 @@ def test_method_beats_majority_class(method, dataset, majority_baseline):
     assert 0.0 <= r.val_acc <= 1.0
     assert len(r.loss_curve) == len(r.val_acc_curve) > 0
     assert all(np.isfinite(v) for v in r.val_acc_curve)
+
+
+@pytest.fixture(scope="module")
+def without_val(dataset):
+    """The 300-node SBM with its val rows moved to test."""
+    split = dataset.split
+    moved = DataSplit(split.train, np.zeros(0, dtype=np.int64),
+                      np.concatenate([split.test, split.val]))
+    return Dataset(dataset.graph, dataset.features, dataset.labels, moved)
+
+
+@pytest.mark.parametrize("method", sorted(SMOKE_CONFIGS))
+def test_split_without_val_scores_val_zero(method, without_val):
+    """Every method reports val 0.0 on a split without val rows, and so
+    does every point of its val curve and every val figure in extras."""
+    r = run_trial(method, SMOKE_CONFIGS[method], without_val, seed=0)
+    assert r.val_acc == 0.0
+    assert r.val_acc_curve and set(r.val_acc_curve) == {0.0}
+    for key in ("base_val_acc", "stage_val_acc"):
+        assert set(np.atleast_1d(r.extras.get(key, 0.0))) == {0.0}
+    assert np.isfinite(r.test_acc)
 
 
 class TestTrialSemantics:
