@@ -20,6 +20,14 @@ and on a float64 copy of them (the same names under "f64:", e.g.
 "f64:sgc/0", "f64:default/sgc"). Trials compute in their features'
 dtype, so the "f64:" entries show whether the float64 path moved.
 
+All of these trials run one after another on one Dataset, which keeps
+the adjacency and hops an earlier trial built for the next. "warm/engcn"
+and "warm/sagn" (and their "f64:" twins) each run `sign` and then the
+named method, at their short configs and seed 0, on a fresh Dataset: the
+named method reuses the hops `sign` left (engcn takes its stages'
+features from them), so comparing against a checkout whose trials build
+their own shows that reuse changes no result.
+
 To check the samplers directly, it keeps a sha256 of
 `partition_graph(g, k).assignment` for k = 4 and 16 ("partitions"), and of
 one epoch of batch plans per sampled method (node sets and block arrays),
@@ -224,6 +232,11 @@ def run(path: str) -> None:
         for method in SHORT:
             out[f"{prefix}default/{method}"] = run_trial(method, default_config(method),
                                                          data, seed=0).to_dict()
+        for method in ("engcn", "sagn"):
+            fresh = dataclasses.replace(data)
+            run_trial("sign", SHORT["sign"], fresh, seed=0)
+            out[f"{prefix}warm/{method}"] = run_trial(method, SHORT[method], fresh,
+                                                      seed=0).to_dict()
         for method, axes in SEARCHES:
             space = default_space(method)
             space = space.without(*(n for n in space.axis_names() if n not in axes))

@@ -291,8 +291,8 @@ def _cmd_hpsearch(args) -> int:
             if name not in wanted:
                 space = space.without(name)
     # fixed overrides ride along under every trial of the search
-    runner = (lambda m, cfg, ds, seed, repeats=1, cache=None:
-              run_trial(m, {**cfg, **hp}, ds, seed, repeats=repeats, cache=cache))
+    runner = (lambda m, cfg, ds, seed, repeats=1:
+              run_trial(m, {**cfg, **hp}, ds, seed, repeats=repeats))
     dataset = _load_dataset(options["bundle"])
     out = Path(options["out"])
     with DirectoryLock(out):
@@ -317,7 +317,7 @@ def _cmd_bench(args) -> int:
         raise UsageError("bench requires --bundle and --out")
     from scalegnn.harness import (METHODS, estimate_complexity, estimator_inputs,
                                   write_bench_report)
-    from scalegnn.trainers import TrialCache, default_config, run_trial
+    from scalegnn.trainers import default_config, run_trial
     methods = [m.strip() for m in str(options["methods"]).split(",")]
     unknown = sorted(set(methods) - set(METHODS))
     if unknown:
@@ -328,8 +328,7 @@ def _cmd_bench(args) -> int:
     if stray:
         raise UsageError(f"no benched method takes the hyperparameters: "
                          f"{', '.join(stray)}")
-    dataset = _load_dataset(options["bundle"])
-    cache = TrialCache(dataset)  # the methods share the adjacency and hops
+    dataset = _load_dataset(options["bundle"])  # its trials share the adjacency and hops
     out = Path(options["out"])
     rows = []
     with DirectoryLock(out):
@@ -338,7 +337,7 @@ def _cmd_bench(args) -> int:
             cfg = {k: v for k, v in hp.items() if k in merged}
             if "epochs" in merged:  # lp propagates, it has no epochs knob
                 cfg.setdefault("epochs", int(options["epochs"]))  # --hp wins
-            r = run_trial(m, cfg, dataset, seed=int(options["seed"]), cache=cache)
+            r = run_trial(m, cfg, dataset, seed=int(options["seed"]))
             merged.update(cfg)
             est = estimate_complexity(m, **estimator_inputs(merged, dataset),
                                       num_nodes=dataset.num_nodes,

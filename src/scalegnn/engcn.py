@@ -12,9 +12,13 @@ at 6 stages), and less than a quarter of a matrix more at 6 stages than at
 2. One stage peaks lower: its one propagation reads the caller's input.
 After each stage the trial scores every node in chunks of batch_size rows,
 so no all-node hidden layer is built: at hidden width 256 on 2000 nodes, a
-trial peaks below one all-node float64 hidden layer, in a training step.
-Feature propagation costs exactly one sparse product per stage for X and
-one for Y, outside the training loop.
+trial peaks below one all-node float64 hidden layer, in a training step;
+the per-epoch val scoring runs in the same chunks.
+Propagation runs outside the training loop: exactly one sparse product per
+stage for Y, and at most one for X. A stage whose features a held hop of
+the same adjacency already holds (trainers.Dataset.held_hops) takes them
+from it and makes no product for X; the hop holds the same product of the
+same arrays, so the results are bit-identical.
 
 The feature side (X, phi's parameters and optimizer state, its
 activations) computes in the features' dtype; the label side (Y, psi, the
@@ -101,8 +105,10 @@ def engcn_init(x: np.ndarray, labels: LabelVector, split: DataSplit) -> EnGCNSta
                       true_labels=labels.labels.copy(), split=split)
 
 
-def engcn_propagate(state: EnGCNState, a) -> EnGCNState:
+def engcn_propagate(state: EnGCNState, a, x_next: np.ndarray | None = None) -> EnGCNState:
     """One adjacency application each for features and label embeddings.
+    x_next, when given, is Â applied to the current features, computed
+    elsewhere (a held hop), and replaces the feature product.
 
     Stage 0 consumes raw inputs, so this is only legal once sle_update has
     advanced the state to stage >= 1. The old and new feature matrices
@@ -111,7 +117,7 @@ def engcn_propagate(state: EnGCNState, a) -> EnGCNState:
     """
     if state.stage < 1:
         raise ValueError("stage 0 uses raw inputs; propagation starts at stage 1")
-    state.x_cur = spmm(a, state.x_cur)
+    state.x_cur = spmm(a, state.x_cur) if x_next is None else x_next
     state.y_cur = spmm(a, state.y_cur)
     return state
 
@@ -166,11 +172,13 @@ def engcn_train_stage(state: EnGCNState, phi_params: MLPParams,
             adam_step(opt_psi, psi_params.trainable(), grads_psi)
         return loss
 
-    def evaluate(_):
-        val = state.split.val
+    def evaluate(_):  # in batch-sized chunks, as the stage scoring
+        val, bs = state.split.val, config.batch_size
         if not val.size:  # as accuracy scores no rows
             return 0.0
-        logits = engcn_stage_forward(state, phi_params, psi_params, config, val)
+        logits = np.concatenate([
+            engcn_stage_forward(state, phi_params, psi_params, config, val[s:s + bs])
+            for s in range(0, val.size, bs)])
         return accuracy(logits, state.true_labels[val])
 
     return fit(config.epochs_per_stage,
@@ -204,6 +212,9 @@ def majority_vote(stage_logits: list) -> np.ndarray:
     total = None
     for logits in stage_logits:
         z = log_softmax_row(logits)
-        centered = z - z.mean(axis=1, keepdims=True)
-        total = centered if total is None else total + centered
+        z -= z.mean(axis=1, keepdims=True)
+        if total is None:
+            total = z
+        else:
+            total += z
     return np.argmax(total, axis=1)

@@ -12,10 +12,11 @@ validation accuracy can never fall below any logged trial. It also means
 a config seen before (the incumbent, on every axis after the first) is run
 once: its earlier result is logged again rather than recomputed.
 
-Within one search the trials also share one trainers.TrialCache: a trial
-that needs the normalized adjacency, hops or cs base model the cache last
-built reuses it instead of rebuilding it. The cache is made per call and
-dropped when the search returns, so nothing outlives the search.
+The trials also share what their Dataset holds (see trainers.Dataset): a
+trial that needs the normalized adjacency, hops or cs base model an
+earlier trial on the same Dataset built reuses it instead of rebuilding
+it. The Dataset keeps them after the search returns, for the next trial
+or search on it.
 """
 
 from __future__ import annotations
@@ -224,17 +225,16 @@ def greedy_search(method: str, space: HPSpace, dataset, seed: int = 0,
     first candidate on exact ties. A budget (max trials) cuts the search
     short and flags the log incomplete.
 
-    runner(method, cfg, dataset, seed, repeats=, cache=) runs one trial
-    (run_trial by default). Every call gets the same TrialCache, made for
-    this search alone: trials reuse the normalized adjacency, hops and cs
-    base model that an earlier trial of the search built, and the cache,
-    with all it holds, is dropped when the search returns."""
+    runner(method, cfg, dataset, seed, repeats=) runs one trial (run_trial
+    by default). Trials reuse the normalized adjacency, hops and cs base
+    model that an earlier trial on the dataset built, this search's or
+    not; the dataset keeps what the last trial read after the search
+    returns."""
     if not space.axes:
         raise ValueError("empty search space")
     if runner is None:
         from scalegnn.trainers import run_trial as runner
-    from scalegnn.trainers import TrialCache, default_config
-    cache = TrialCache(dataset)
+    from scalegnn.trainers import default_config
     base = default_config(method)
     base.update(space.defaults())
     chosen: dict = {}
@@ -253,8 +253,7 @@ def greedy_search(method: str, space: HPSpace, dataset, seed: int = 0,
             cfg[axis.name] = cand
             key = repr(sorted(cfg.items()))
             if key not in seen:
-                seen[key] = runner(method, cfg, dataset, seed, repeats=repeats,
-                                   cache=cache)
+                seen[key] = runner(method, cfg, dataset, seed, repeats=repeats)
             res = seen[key]
             results.append(res)
             trials.append(res)

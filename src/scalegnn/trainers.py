@@ -27,18 +27,23 @@ state, activations and every feature-width sparse product follow
 Dataset.features (float32 from a bundle). Label-width arrays (EnGCN's
 label embeddings, lp and cs scores, the losses) stay float64.
 
-A TrialCache bound to one Dataset holds what trials can share: the
-normalized adjacency (with its scipy forms), the precomputed hops and the
-cs base model. Each has one slot holding one value, so a search that
-revisits a structure reuses it and one that moves on frees it before
-building the next.
+A Dataset holds what trials on it derive and can share: the normalized
+adjacency (with its scipy forms), the precomputed hops and the cs base
+model. Each has one slot holding one value, so consecutive trials (a
+search's, `scalegnn bench`'s, or any caller's) that revisit a structure
+reuse it, and one that moves on frees it before building the next. At the
+start of each trial the Dataset drops every slot the trial's category does
+not read (_READS), which keeps the held memory to what the trial itself
+would build. An engcn trial never builds hops; it takes stage s's
+features from held hops of its norm kind that reach s, bit-identical to
+propagating them itself.
 """
 
 from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -70,19 +75,43 @@ from scalegnn.samplers import (BatchPlan, fastgcn_layer_probs,
 from scalegnn.synth import SyntheticSpec, generate_sbm
 
 
-@dataclass
+# the knobs of the cs base MLP: all that _train_mlp_base reads, and its cache key
+MLP_BASE_KNOBS = ("num_mlp_layers", "hidden_dim", "dropout", "learning_rate",
+                  "weight_decay", "epochs", "batch_size")
+
+# the slots a trial of each category reads; run_trial drops the others
+_READS = {"node-wise": ("adjacency",), "layer-wise": ("adjacency",),
+          "subgraph-wise": ("adjacency",), "precompute": ("adjacency", "hops"),
+          "labelprop": ("adjacency", "mlp_base"), "stagewise": ("adjacency", "hops")}
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
+    """A graph with node features, labels and split, and the structures
+    trials derive from them, one slot per kind: the normalized adjacency
+    by norm kind, (HopFeatures, build seconds) by (norm kind, K), and the
+    cs base model (params, logits, FitLog) by seed and MLP_BASE_KNOBS. A
+    slot holds one value; on a miss it drops the old value before building
+    the new one, so two never coexist. The slots hold no reference back to
+    the Dataset.
+
+    The fields cannot be reassigned, and their arrays must not be modified
+    in place after construction: the slots would go stale.
+    dataclasses.replace makes a new Dataset, with empty slots."""
+
     graph: Graph
     features: np.ndarray
     labels: LabelVector
     split: DataSplit
     name: str = "synthetic"
+    _slots: dict = field(default_factory=dict, init=False, repr=False)  # name -> (key, value)
 
     def __post_init__(self):
         # trials compute in the features' dtype, so it must be a float one:
         # integer or boolean features (counts, one-hots) compute in float64
         if not np.issubdtype(np.asarray(self.features).dtype, np.floating):
-            self.features = np.asarray(self.features, dtype=np.float64)
+            object.__setattr__(self, "features",
+                               np.asarray(self.features, dtype=np.float64))
 
     @property
     def num_nodes(self) -> int:
@@ -96,55 +125,49 @@ class Dataset:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-
-def dataset_from_sbm(spec: SyntheticSpec) -> Dataset:
-    g, x, labels, split = generate_sbm(spec)
-    return Dataset(g, x, labels, split, name=f"sbm-{spec.num_nodes}")
-
-
-# the knobs of the cs base MLP: all that _train_mlp_base reads, and its cache key
-MLP_BASE_KNOBS = ("num_mlp_layers", "hidden_dim", "dropout", "learning_rate",
-                  "weight_decay", "epochs", "batch_size")
-
-
-class TrialCache:
-    """Inputs that trials on one Dataset share, one slot per kind: the
-    normalized adjacency by norm kind, (HopFeatures, build seconds) by
-    (norm kind, K), and the cs base model (params, logits, FitLog) by seed
-    and MLP_BASE_KNOBS. A slot holds one value; on a miss it drops the old
-    value before building the new one, so two never coexist. greedy_search
-    shares one across its trials, and so does `scalegnn bench` across its
-    methods; run_trial makes a private one otherwise."""
-
-    def __init__(self, dataset: Dataset):
-        self.dataset = dataset
-        self._slots = {}  # slot name -> (key, value)
-
     def _get(self, slot, key, build):
         held = self._slots.get(slot)
         if held is not None and held[0] == key:
             return held[1]
-        held = self._slots[slot] = None  # drops the old value, this local's too
+        del held  # drops the old value before the build, and a failed build
+        self._slots.pop(slot, None)  # leaves the slot empty
         value = build()
         self._slots[slot] = (key, value)
         return value
 
     def adjacency(self, norm_kind: str):
         return self._get("adjacency", norm_kind,
-                         lambda: normalize_adjacency(self.dataset.graph, norm_kind))
+                         lambda: normalize_adjacency(self.graph, norm_kind))
 
     def hops(self, norm_kind: str, K: int):
         def build():
             a = self.adjacency(norm_kind)
             t0 = time.perf_counter()
-            hops = precompute_hops(a, self.dataset.features, K)
+            hops = precompute_hops(a, self.features, K)
             return hops, time.perf_counter() - t0
         return self._get("hops", (norm_kind, K), build)
+
+    def held_hops(self, norm_kind: str):
+        """The held HopFeatures of norm_kind, or None; never builds."""
+        held = self._slots.get("hops")
+        return held[1][0] if held is not None and held[0][0] == norm_kind else None
 
     def mlp_base(self, cfg: dict, seed: int):
         knobs = {k: cfg[k] for k in MLP_BASE_KNOBS}
         return self._get("mlp_base", (seed, *knobs.values()),
-                         lambda: _train_mlp_base(knobs, self.dataset, seed))
+                         lambda: _train_mlp_base(knobs, self, seed))
+
+    def _retain(self, slots, norm_kind: str):
+        """Drop every slot not named in slots, and hops of a norm kind other
+        than norm_kind."""
+        for slot, (key, _) in list(self._slots.items()):
+            if slot not in slots or (slot == "hops" and key[0] != norm_kind):
+                del self._slots[slot]
+
+
+def dataset_from_sbm(spec: SyntheticSpec) -> Dataset:
+    g, x, labels, split = generate_sbm(spec)
+    return Dataset(g, x, labels, split, name=f"sbm-{spec.num_nodes}")
 
 
 def default_config(method: str) -> dict:
@@ -303,9 +326,9 @@ def _plan_source(method, cfg, dataset, a):
     return epoch
 
 
-def _train_sampled(method, cfg, dataset, seed, cache):
+def _train_sampled(method, cfg, dataset, seed):
     x, y = dataset.features, dataset.labels.labels
-    a = cache.adjacency(cfg["norm_kind"])
+    a = dataset.adjacency(cfg["norm_kind"])
     L = int(cfg["num_layers"])
     dims = [dataset.feature_dim] + [int(cfg["hidden_dim"])] * (L - 1) + [dataset.num_classes]
     model_cfg = SampledGNNConfig(dims, dropout=float(cfg["dropout"]), seed=seed)
@@ -360,13 +383,13 @@ def _subset_hops(hops: HopFeatures, idx: np.ndarray, first: int = 0) -> HopFeatu
     return HopFeatures([None] * first + [h[idx] for h in hops.hops[first:]], hops.K)
 
 
-def _train_precompute(method, cfg, dataset, seed, cache):
+def _train_precompute(method, cfg, dataset, seed):
     y = dataset.labels.labels
     split = dataset.split
     K = int(cfg["num_layers"])
     if method == "sagn" and K < 1:
         raise ValueError("sagn needs num_layers >= 1 (hop attention)")
-    hops, precompute_seconds = cache.hops(cfg["norm_kind"], K)
+    hops, precompute_seconds = dataset.hops(cfg["norm_kind"], K)
     d, c, dtype = dataset.feature_dim, dataset.num_classes, hops.hops[0].dtype
     first = K if method == "sgc" else 0  # the lowest hop the model reads
     if method == "sgc":
@@ -447,7 +470,7 @@ def _train_mlp_base(knobs, dataset, seed):
     return params, logits, log
 
 
-def _train_labelprop(method, cfg, dataset, seed, cache):
+def _train_labelprop(method, cfg, dataset, seed):
     """lp: label propagation from the one-hot training labels. cs: a base
     MLP, then correct-and-smooth of its softmax scores."""
     y = dataset.labels
@@ -455,7 +478,7 @@ def _train_labelprop(method, cfg, dataset, seed, cache):
     diff = DiffusionConfig(alpha=float(cfg["alpha"]),
                            num_propagations=int(cfg["num_propagations"]),
                            autoscale=method == "cs" and bool(cfg["autoscale"]))
-    a = cache.adjacency(str(cfg["norm_kind"]))
+    a = dataset.adjacency(str(cfg["norm_kind"]))
     extras = {}
     if method == "lp":
         # one propagation step per epoch; the "loss" is the step's max change
@@ -471,7 +494,7 @@ def _train_labelprop(method, cfg, dataset, seed, cache):
                   lambda _: accuracy(scores[split.val], y.labels[split.val]))
         extras["param_checksum"] = 0.0
     else:
-        params, base_logits, log = cache.mlp_base(cfg, seed)
+        params, base_logits, log = dataset.mlp_base(cfg, seed)
         z = softmax_row(base_logits)
         scores = correct_and_smooth(a, z, y, split, diff)
         extras["base_val_acc"] = accuracy(base_logits[split.val],
@@ -484,12 +507,14 @@ def _train_labelprop(method, cfg, dataset, seed, cache):
 # --------------------------------------------------------------- stagewise
 
 
-def _train_engcn(method, cfg, dataset, seed, cache):
+def _train_engcn(method, cfg, dataset, seed):
     """Per stage: propagate (stage >= 1), train, score every node, grow the
-    pseudo set; then vote over the cached per-stage logits. phi computes in
-    the features' dtype, psi in float64. The log runs through every
-    stage's epochs; zero-epoch stages log one row each, with the stage's
-    val accuracy. The trial reports the vote, at the last logged epoch."""
+    pseudo set; then vote over the cached per-stage logits. A stage that
+    the dataset's held hops reach takes its features from them instead of
+    propagating them. phi computes in the features' dtype, psi in float64.
+    The log runs through every stage's epochs; zero-epoch stages log one
+    row each, with the stage's val accuracy. The trial reports the vote,
+    at the last logged epoch."""
     x, y, split = dataset.features, dataset.labels.labels, dataset.split
     d, c, hid = dataset.feature_dim, dataset.num_classes, int(cfg["hidden_dim"])
     sle = SLEConfig(threshold=float(cfg["threshold"]),
@@ -502,7 +527,10 @@ def _train_engcn(method, cfg, dataset, seed, cache):
                     learning_rate=float(cfg["learning_rate"]),
                     weight_decay=float(cfg["weight_decay"]),
                     warm_start=bool(cfg["warm_start"]), seed=seed)
-    a = cache.adjacency(str(cfg["norm_kind"]))
+    a = dataset.adjacency(str(cfg["norm_kind"]))
+    # held hops of this norm kind already hold the features of their stages
+    held = dataset.held_hops(str(cfg["norm_kind"]))
+    borrowed = held.hops[1:] if held is not None else []
     state = engcn_init(x, dataset.labels, split)
     phi, psi = init_mlp(sle.phi, x.dtype), init_mlp(sle.psi)
     stage_rngs = spawn_rngs(sle.seed, sle.num_stages + 1)
@@ -510,7 +538,7 @@ def _train_engcn(method, cfg, dataset, seed, cache):
     log, stage_logits, pseudo_sizes = FitLog(), [], []
     for stage in range(sle.num_stages + 1):
         if stage >= 1:
-            engcn_propagate(state, a)
+            engcn_propagate(state, a, borrowed[stage - 1] if stage <= len(borrowed) else None)
             if not sle.warm_start:
                 phi = init_mlp(replace(sle.phi, seed=sle.phi.seed + stage), x.dtype)
                 psi = init_mlp(replace(sle.psi, seed=sle.psi.seed + stage))
@@ -554,8 +582,7 @@ def _check_sizes(method: str, cfg: dict) -> None:
 
 
 def run_trial(method: str, config: dict, dataset: Dataset, seed: int = 0,
-              repeats: int = 1, instrument: bool = True,
-              cache: TrialCache | None = None) -> TrialResult:
+              repeats: int = 1, instrument: bool = True) -> TrialResult:
     """Train and evaluate one method/config pair. repeats > 1 reruns with
     seeds seed..seed+repeats-1 and reports mean accuracies with per-run
     values and standard deviations in extras.
@@ -564,9 +591,10 @@ def run_trial(method: str, config: dict, dataset: Dataset, seed: int = 0,
     iterations_per_second, and extras["eval_seconds"] and
     extras["precompute_seconds"].
 
-    cache (a TrialCache of this dataset) supplies the normalized adjacency,
-    the hops and the cs base model, built by an earlier trial when it needed
-    the same one; without it the trial builds its own. A reused stage
+    The trial first drops the dataset's slots that its category does not
+    read, then takes the normalized adjacency, the hops and the cs base
+    model from the dataset, built by an earlier trial on it when it needed
+    the same one. Results do not depend on what is held. A reused stage
     reports the timings of the run that built it: precompute_seconds for
     hops, and the base model's curves and epoch_seconds for cs."""
     if method not in METHODS:
@@ -576,17 +604,12 @@ def run_trial(method: str, config: dict, dataset: Dataset, seed: int = 0,
     if len(set(counts)) > 1:
         raise ValueError(f"method {method!r}: dataset graph, features and "
                          f"labels disagree on node count {counts}")
-    cache = TrialCache(dataset) if cache is None else cache
-    if cache.dataset is not dataset:
-        raise ValueError(f"method {method!r}: the cache belongs to dataset "
-                         f"{cache.dataset.name!r}, not to the one this trial "
-                         f"runs on ({dataset.name!r})")
     cfg = default_config(method)
     cfg.update(config)
     _check_sizes(method, cfg)
     if repeats > 1:
         runs = [run_trial(method, cfg, dataset, seed + i, repeats=1,
-                          instrument=instrument, cache=cache)
+                          instrument=instrument)
                 for i in range(repeats)]
         out = runs[0]
         vals = [r.val_acc for r in runs]
@@ -600,14 +623,15 @@ def run_trial(method: str, config: dict, dataset: Dataset, seed: int = 0,
                           repeat_n=repeats)
         return out
     category = METHODS[method].category
+    dataset._retain(_READS[category], str(cfg["norm_kind"]))
     if category in ("node-wise", "layer-wise", "subgraph-wise"):
-        result = _train_sampled(method, cfg, dataset, seed, cache)
+        result = _train_sampled(method, cfg, dataset, seed)
     elif category == "precompute":
-        result = _train_precompute(method, cfg, dataset, seed, cache)
+        result = _train_precompute(method, cfg, dataset, seed)
     elif category == "labelprop":
-        result = _train_labelprop(method, cfg, dataset, seed, cache)
+        result = _train_labelprop(method, cfg, dataset, seed)
     else:
-        result = _train_engcn(method, cfg, dataset, seed, cache)
+        result = _train_engcn(method, cfg, dataset, seed)
     if not instrument:
         result.epoch_seconds = [0.0] * len(result.epoch_seconds)
         result.iterations_per_second = 0.0

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from scalegnn import graph, nn
 from scalegnn.harness import METHODS
 from scalegnn.synth import SyntheticSpec
-from scalegnn.trainers import TrialCache, dataset_from_sbm, run_trial
+from scalegnn.trainers import dataset_from_sbm, run_trial
 
 H32 = dict(epochs=3, hidden_dim=32, batch_size=256)
 S300 = dict(epochs=3, hidden_dim=32, batch_size=300)
@@ -69,7 +69,9 @@ def test_float32_trial_never_upcasts(sbm3k, monkeypatch, method):
     patch_everywhere(monkeypatch, graph.csr_matmul, watch(graph.csr_matmul, 1))
     patch_everywhere(monkeypatch, nn.mlp_forward,
                      watch(nn.mlp_forward, 2, lambda out: out[0]))
-    run_trial(method, SHORT[method], sbm3k, seed=0)
+    # on a fresh Dataset the trial builds its own adjacency and hops, whose
+    # products are watched too
+    run_trial(method, SHORT[method], dataclasses.replace(sbm3k), seed=0)
     upcasts = [s for s in seen if s[1] != s[2]]
     assert not upcasts, upcasts[:3]
     assert not mixed_blocks, mixed_blocks[:3]  # blocks come out in x's dtype
@@ -102,14 +104,14 @@ def test_adjacency_builds_scipy_form_once_per_dtype(sbm3k, monkeypatch):
         return sp.csr_matrix(arg, *args, **kwargs)
 
     monkeypatch.setattr(graph, "sp", types.SimpleNamespace(csr_matrix=csr_matrix))
-    cache = TrialCache(sbm3k)
+    ds = dataclasses.replace(sbm3k)
     # float32 features and float64 label embeddings (engcn), float32 hops
     # (sign), a float32 full-graph evaluation (graphsage), float64 diffusion
     # of float32 base-model scores (cs): one adjacency, one form per dtype
     for method in ("engcn", "sign", "graphsage", "cs"):
-        run_trial(method, SHORT[method], sbm3k, seed=0, cache=cache)
+        run_trial(method, SHORT[method], ds, seed=0)
     assert sorted(map(str, built)) == ["float32", "float64"]
-    a = cache.adjacency("sym")
+    a = ds.adjacency("sym")
     assert a.to_scipy(np.float32) is a.to_scipy(np.float32)
     f32, f64 = a.to_scipy(np.float32), a.to_scipy(np.float64)
     assert np.shares_memory(f32.indices, f64.indices)

@@ -1,6 +1,7 @@
 """Benchmark harness: search spaces, greedy search mechanics, cost
 estimators, convergence records, artifact writers."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -68,7 +69,7 @@ def make_stub_runner(score):
     """Deterministic runner whose val acc is score(cfg); records calls."""
     calls = []
 
-    def runner(method, cfg, dataset, seed, repeats=1, cache=None):
+    def runner(method, cfg, dataset, seed, repeats=1):
         calls.append(dict(cfg))
         return stub_result(method, cfg, seed, score(cfg))
 
@@ -229,15 +230,15 @@ class TestGreedySearch:
         space = space.without(*(n for n in space.axis_names() if n not in axes))
         runs = []
 
-        def uncached(m, cfg, ds, seed, repeats=1, cache=None):
+        def uncached(m, cfg, ds, seed, repeats=1):  # each trial on a fresh Dataset
             runs.append(dict(cfg))
-            return run_trial(m, cfg, ds, seed, repeats=repeats)
+            return run_trial(m, cfg, dataclasses.replace(ds), seed, repeats=repeats)
 
         alone = greedy_search(method, space, sbm3k, runner=uncached)
         norms = counting(monkeypatch, trainers, "normalize_adjacency")
         bases = counting(monkeypatch, trainers, "_train_mlp_base")
         hops = counting(monkeypatch, trainers, "precompute_hops")
-        shared = greedy_search(method, space, sbm3k)
+        shared = greedy_search(method, space, dataclasses.replace(sbm3k))
         assert untimed(shared.to_dict()) == untimed(alone.to_dict())
         # the one-value adjacency slot rebuilds whenever the norm kind
         # differs from the previous run trial's
@@ -255,12 +256,12 @@ class TestGreedySearch:
     def test_engcn_search_builds_adjacency_once(self, tiny_dataset, monkeypatch):
         space = HPSpace([Axis("epochs", [1, 2], 1), Axis("hidden_dim", [8, 16], 8)])
 
-        def uncached(m, cfg, ds, seed, repeats=1, cache=None):
-            return run_trial(m, cfg, ds, seed, repeats=repeats)
+        def uncached(m, cfg, ds, seed, repeats=1):  # each trial on a fresh Dataset
+            return run_trial(m, cfg, dataclasses.replace(ds), seed, repeats=repeats)
 
         alone = greedy_search("engcn", space, tiny_dataset, runner=uncached)
         norms = counting(monkeypatch, trainers, "normalize_adjacency")
-        shared = greedy_search("engcn", space, tiny_dataset)
+        shared = greedy_search("engcn", space, dataclasses.replace(tiny_dataset))
         assert [args[1] for args in norms] == ["sym"]  # one build for all its trials
         assert untimed(shared.to_dict()) == untimed(alone.to_dict())
 

@@ -1,14 +1,17 @@
 """End-to-end trainers: per-method smoke accuracy against a majority-class
 baseline, configuration merging, determinism, repeats, instrumentation."""
 
+import dataclasses
+import gc
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from scalegnn import samplers, trainers
-from scalegnn.graph import DataSplit, induced_subgraph, normalize_adjacency
+from scalegnn import engcn, samplers, trainers
+from scalegnn.graph import (DataSplit, LabelVector, induced_subgraph,
+                            normalize_adjacency)
 from scalegnn.harness import METHODS, default_space, estimate_activation_memory
 from scalegnn.models import (SAGNConfig, SGCConfig, SIGNConfig,
                              precompute_hops, sagn_forward, sgc_forward,
@@ -20,7 +23,7 @@ from scalegnn.samplers import (layer_wise_sample, node_wise_sample,
                                partition_graph, random_walk_sample,
                                saint_edge_sample, saint_node_sample,
                                subgraph_batch)
-from scalegnn.trainers import (Dataset, TrialCache, _plan_source, _subset_hops,
+from scalegnn.trainers import (Dataset, _plan_source, _subset_hops,
                                dataset_from_sbm, default_config, full_plan,
                                run_trial)
 
@@ -346,9 +349,10 @@ BELOW_FLOOR = pytest.mark.xfail(
 
 @pytest.fixture(scope="module")
 def default_trials(sbm3k):
-    """Every method at its default_config on the 3k SBM, seed 0."""
-    cache = TrialCache(sbm3k)
-    return {m: run_trial(m, default_config(m), sbm3k, seed=0, cache=cache)
+    """Every method at its default_config on the 3k SBM, seed 0, one after
+    another on one fresh Dataset."""
+    ds = dataclasses.replace(sbm3k)
+    return {m: run_trial(m, default_config(m), ds, seed=0)
             for m in sorted(METHODS)}
 
 
@@ -376,12 +380,12 @@ class TestPrecomputeEvaluation:
     @pytest.mark.parametrize("method", sorted(PRECOMPUTE))
     def test_matches_full_graph_oracle(self, sbm3k, monkeypatch, method, seed):
         cfg = {**default_config(method), **PRECOMPUTE[method]}
-        cache = TrialCache(sbm3k)
-        got = run_trial(method, cfg, sbm3k, seed=seed, cache=cache)
-        hops = cache.hops(cfg["norm_kind"], int(cfg["num_layers"]))[0]
+        ds = dataclasses.replace(sbm3k)
+        got = run_trial(method, cfg, ds, seed=seed)
+        hops = ds.hops(cfg["norm_kind"], int(cfg["num_layers"]))[0]
         monkeypatch.setattr(trainers, "_best_epoch", _oracle_best_epoch(
-            _full_graph_logits(method, cfg, hops, sbm3k)))
-        want = run_trial(method, cfg, sbm3k, seed=seed, cache=cache)
+            _full_graph_logits(method, cfg, hops, ds)))
+        want = run_trial(method, cfg, ds, seed=seed)
         assert len(set(want.val_acc_curve)) > 1  # the best epoch is a choice
         assert got.val_acc_curve == want.val_acc_curve
         assert ((got.best_epoch, got.val_acc, got.train_acc, got.test_acc)
@@ -425,11 +429,11 @@ class TestPrecomputeEvaluation:
         graph size: with the hops built beforehand, the trial's tracemalloc
         peak stays under half of one full-graph hidden layer."""
         cfg = dict(epochs=2, hidden_dim=256, batch_size=128, num_layers=2)
-        cache = TrialCache(sbm3k)
-        cache.hops("sym", 2)
+        ds = dataclasses.replace(sbm3k)
+        ds.hops("sym", 2)
         tracemalloc.start()
         try:
-            run_trial("sign", cfg, sbm3k, seed=0, cache=cache)
+            run_trial("sign", cfg, ds, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -562,9 +566,9 @@ class TestTrialCache:
                              ids=["adjacency", "hops", "mlp_base"])
     def test_slot_drops_old_value_before_building(self, dataset, monkeypatch,
                                                   builder, first, second, part):
-        cache = TrialCache(dataset)
-        assert part(first(cache)) is part(first(cache))  # a hit returns the held value
-        old = weakref.ref(part(first(cache)))
+        ds = dataclasses.replace(dataset)
+        assert part(first(ds)) is part(first(ds))  # a hit returns the held value
+        old = weakref.ref(part(first(ds)))
         original = getattr(trainers, builder)
         dead_at_build = []
 
@@ -573,22 +577,129 @@ class TestTrialCache:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(trainers, builder, build)
-        second(cache)
+        second(ds)
         assert dead_at_build == [True]
 
-    def test_cache_of_another_dataset_rejected(self, dataset):
-        other = Dataset(dataset.graph, dataset.features, dataset.labels,
-                        dataset.split, name="other")
-        with pytest.raises(ValueError, match="cache belongs to dataset"):
-            run_trial("sgc", {"epochs": 20}, other, cache=TrialCache(dataset))
-
     def test_trials_sharing_a_base_model_do_not_share_lists(self, dataset):
-        cache = TrialCache(dataset)
+        ds = dataclasses.replace(dataset)
         cfg = {"epochs": 20, "num_propagations": 2}
-        a = run_trial("cs", {**cfg, "alpha": 0.5}, dataset, cache=cache)
-        b = run_trial("cs", {**cfg, "alpha": 0.9}, dataset, cache=cache)
+        a = run_trial("cs", {**cfg, "alpha": 0.5}, ds)
+        b = run_trial("cs", {**cfg, "alpha": 0.9}, ds)
         assert a.loss_curve == b.loss_curve  # one base model, trained once
         want = (list(b.loss_curve), list(b.val_acc_curve), list(b.epoch_seconds))
         for curve in (a.loss_curve, a.val_acc_curve, a.epoch_seconds):
             curve.append(-1.0)
         assert (b.loss_curve, b.val_acc_curve, b.epoch_seconds) == want
+
+    # a sequence that warms the Dataset for every method: sgc's hops before
+    # cs, sign's before sagn, and sign (K = 2 >= engcn's 2 stages) right
+    # before engcn, so that engcn borrows its stages' features
+    WARM_ORDER = ("sgc", "cs", "lp", "graphsage", "fastgcn", "ladies",
+                  "clustergcn", "saint-node", "saint-edge", "saint-rw",
+                  "sign", "sagn", "sign", "engcn")
+
+    def test_warm_dataset_changes_no_result(self, dataset):
+        assert set(self.WARM_ORDER) == set(METHODS)
+        warm = dataclasses.replace(dataset)
+        for method in self.WARM_ORDER:
+            got, want = (run_trial(method, SMOKE_CONFIGS[method], ds, seed=0,
+                                   instrument=False).to_dict()
+                         for ds in (warm, dataclasses.replace(dataset)))
+            assert got == want, method
+
+    def test_trials_share_adjacency_and_hops(self, dataset, monkeypatch):
+        """engcn -> sign -> sagn -> engcn normalizes once and propagates the
+        hops once; the second engcn borrows them and makes only label-width
+        products."""
+        ds = dataclasses.replace(dataset)
+        built = {}
+        for name in ("normalize_adjacency", "precompute_hops"):
+            original = getattr(trainers, name)
+
+            def count(*args, _name=name, _original=original, **kwargs):
+                built[_name] = built.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(trainers, name, count)
+        widths = []
+        spmm = engcn.spmm
+        monkeypatch.setattr(engcn, "spmm", lambda a, x: widths.append(x.shape[1]) or spmm(a, x))
+        for method in ("engcn", "sign", "sagn", "engcn"):
+            widths.clear()
+            run_trial(method, SMOKE_CONFIGS[method], ds, seed=0)
+        assert built == {"normalize_adjacency": 1, "precompute_hops": 1}
+        assert widths == [dataset.num_classes] * SMOKE_CONFIGS["engcn"]["num_layers"]
+
+    def test_trial_keeps_only_the_slots_it_reads(self, dataset):
+        """Each trial drops the slots its category does not read; engcn
+        also drops hops of another norm kind."""
+        ds = dataclasses.replace(dataset)
+        cs = {**default_config("cs"), **SMOKE_CONFIGS["cs"], "norm_kind": "row"}
+        base_key = (0, *(cs[k] for k in trainers.MLP_BASE_KNOBS))
+        steps = [("sign", {}, {"adjacency": "sym", "hops": ("sym", 2)}),
+                 ("graphsage", {}, {"adjacency": "sym"}),
+                 ("cs", cs, {"adjacency": "row", "mlp_base": base_key}),
+                 ("sign", {}, {"adjacency": "sym", "hops": ("sym", 2)}),
+                 ("engcn", {}, {"adjacency": "sym", "hops": ("sym", 2)}),
+                 ("sign", {"norm_kind": "row"}, {"adjacency": "row", "hops": ("row", 2)}),
+                 ("engcn", {}, {"adjacency": "sym"})]
+        for method, cfg, want in steps:
+            run_trial(method, {**SMOKE_CONFIGS[method], **cfg}, ds, seed=0)
+            assert {slot: key for slot, (key, _) in ds._slots.items()} == want, method
+
+    def test_slots_do_not_keep_the_dataset_alive(self, dataset):
+        ds = dataclasses.replace(dataset)
+        ds.adjacency("sym")
+        ds.hops("sym", 2)
+        ds.mlp_base({**default_config("cs"), "epochs": 2}, 0)
+        assert set(ds._slots) == {"adjacency", "hops", "mlp_base"}
+        ref = weakref.ref(ds)
+        gc.disable()
+        try:
+            del ds  # reference counting alone frees it: no cycle through a slot
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_failed_build_leaves_the_slot_empty(self, dataset, monkeypatch):
+        ds = dataclasses.replace(dataset)
+
+        def fail(*args):
+            raise RuntimeError("build failed")
+
+        monkeypatch.setattr(trainers, "precompute_hops", fail)
+        with pytest.raises(RuntimeError, match="build failed"):
+            run_trial("sign", SMOKE_CONFIGS["sign"], ds, seed=0)
+        assert set(ds._slots) == {"adjacency"}
+        monkeypatch.undo()
+        for method in ("graphsage", "sign"):  # the next trials evict and build as usual
+            run_trial(method, SMOKE_CONFIGS[method], ds, seed=0)
+        assert set(ds._slots) == {"adjacency", "hops"}
+
+    def test_dataset_fields_cannot_be_reassigned(self, dataset):
+        ds = dataclasses.replace(dataset)
+        ds.adjacency("sym")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.features = dataset.features * 2
+        assert dataclasses.replace(ds, name="copy")._slots == {}  # a new Dataset starts cold
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_training_never_reads_val_or_test_labels(sbm3k, method):
+    """Permuting the val and test labels and shifting them by one class
+    leaves every method's training bit-identical: its loss curve and final
+    parameters (engcn's checksum is a placeholder, so its loss curve, which
+    follows its pseudo labels, is the check). A Dataset's slots never cross
+    to another, so the cs base model is trained on each."""
+    cfg = default_config(method)
+    if "epochs" in cfg:
+        cfg["epochs"] = min(cfg["epochs"], 5)
+    y, split, c = sbm3k.labels.labels, sbm3k.split, sbm3k.num_classes
+    held_out = np.concatenate([split.val, split.test])
+    moved = y.copy()
+    moved[held_out] = (y[np.random.default_rng(0).permutation(held_out)] + 1) % c
+    assert (moved[held_out] != y[held_out]).any()
+    other = Dataset(sbm3k.graph, sbm3k.features, LabelVector(moved, c), split)
+    a = run_trial(method, cfg, sbm3k, seed=0)
+    b = run_trial(method, cfg, other, seed=0)
+    assert a.loss_curve == b.loss_curve
+    assert a.extras["param_checksum"] == b.extras["param_checksum"]
