@@ -20,6 +20,13 @@ and on a float64 copy of them (the same names under "f64:", e.g.
 "f64:sgc/0", "f64:default/sgc"). Trials compute in their features'
 dtype, so the "f64:" entries show whether the float64 path moved.
 
+The short and default sampled models have two layers, whose full-graph
+evaluation feeds the hidden layer's row blocks straight into the
+narrowing last layer. "deep/graphsage" and "deep/saint-rw" (seed 0,
+`num_layers` 3) also build a hidden layer in full, which the next
+layer's Â h reads, and "deep/graphsage-h8" (`hidden_dim` 8, below the 16
+features) narrows in its first layer, so every eval path is compared.
+
 All of these trials run one after another on one Dataset, which keeps
 the adjacency and hops an earlier trial built for the next. "warm/engcn"
 and "warm/sagn" (and their "f64:" twins) each run `sign` and then the
@@ -69,6 +76,10 @@ SHORT = {"graphsage": H32, "fastgcn": H32, "ladies": H32, "clustergcn": H32,
          "sagn": dict(H32, dropout=0.2), "lp": dict(num_propagations=5),
          "cs": dict(H32, dropout=0.2),
          "engcn": dict(epochs=2, hidden_dim=32, batch_size=256, num_layers=2, dropout=0.2)}
+# name -> (method, config): sampled models deeper than two layers
+DEEP = {"graphsage": ("graphsage", dict(H32, num_layers=3)),
+        "saint-rw": ("saint-rw", dict(S300, num_layers=3)),
+        "graphsage-h8": ("graphsage", dict(H32, num_layers=3, hidden_dim=8))}
 # (method, axes searched); every other knob stays at its default
 SEARCHES = (("sgc", ("epochs", "num_layers")), ("cs", ("norm_kind", "num_mlp_layers")))
 
@@ -232,6 +243,8 @@ def run(path: str) -> None:
         for method in SHORT:
             out[f"{prefix}default/{method}"] = run_trial(method, default_config(method),
                                                          data, seed=0).to_dict()
+        for name, (method, cfg) in DEEP.items():
+            out[f"{prefix}deep/{name}"] = run_trial(method, cfg, data, seed=0).to_dict()
         for method in ("engcn", "sagn"):
             fresh = dataclasses.replace(data)
             run_trial("sign", SHORT["sign"], fresh, seed=0)

@@ -5,6 +5,13 @@ features computed once up front; the sampled GNN consumes BatchPlans from
 the samplers module. All backward passes are hand-written and covered by
 finite-difference checks in the tests. Every function computes in the
 dtype of its inputs and parameters; the init_* functions take that dtype.
+
+The sampled GNN's eval forward, which the trainers run over the whole
+graph, computes its dense part in row blocks of a caller-given size and
+materializes a hidden layer only where the next layer's sparse product
+reads all of it, so its memory follows the block size, not the graph
+size, at every layer a narrowing layer follows (GraphSAGE's layer-wise
+batched inference).
 """
 
 from __future__ import annotations
@@ -313,9 +320,71 @@ def _gather_self(h: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_blocks(n: int, chunk: int | None):
+    """(start, stop) of consecutive row blocks of chunk rows covering n rows;
+    one block when chunk is None."""
+    step = max(n, 1) if chunk is None else chunk
+    return ((s, min(s + step, n)) for s in range(0, n, step))
+
+
+def _dense_rows(h, pos, shared, agg, w_self, w_neigh, bias, relu, chunk, out=None):
+    """A non-narrowing eval layer's output, self_h W_self + (Â h) W_neigh +
+    bias (relu'd when relu), one row block at a time: yields (start, block)
+    per block of chunk output rows, written into out's rows when out is
+    given. agg is Â h; pos places each output row in h (see _gather_self)."""
+    for s, e in _row_blocks(agg.shape[0], chunk):
+        self_h = h[s:e] if shared else _gather_self(h, pos[s:e])
+        z = self_h @ w_self if out is None else np.matmul(self_h, w_self, out=out[s:e])
+        z += agg[s:e] @ w_neigh
+        z += bias
+        if relu:
+            np.maximum(z, 0.0, out=z)
+        yield s, z
+
+
+def _eval_forward(plan, h, params, depth, memo, chunk):
+    """sampled_gnn_forward's eval mode on input features h (see there)."""
+    narrows = [w.shape[1] < w.shape[0] for w in params.w_neigh]
+    rows = None  # a fused layer's output, as _dense_rows' (start, block) pairs
+    for i in range(depth):
+        l = depth - 1 - i  # block index: deepest first
+        block, pos, relu = plan.block(l), plan.self_positions(l), i < depth - 1
+        w_self, w_neigh, bias = params.w_self[i], params.w_neigh[i], params.bias[i]
+        if narrows[i]:  # Â (h W_neigh): both GEMMs per input row block
+            n, width = block.shape[1], w_neigh.shape[1]
+            hs, hn = (np.empty((n, width), dtype=np.result_type(h, w_neigh))
+                      for _ in range(2))
+            if rows is None:
+                rows = ((s, h[s:e]) for s, e in _row_blocks(n, chunk))
+            for s, hb in rows:
+                np.matmul(hb, w_self, out=hs[s:s + hb.shape[0]])
+                np.matmul(hb, w_neigh, out=hn[s:s + hb.shape[0]])
+            z = hs if plan.shared else _gather_self(hs, pos)
+            z += csr_matmul(block, hn)
+            z += bias
+            h, rows = (np.maximum(z, 0.0, out=z) if relu else z), None
+            continue
+        if i > 0 or memo is None:
+            agg = csr_matmul(block, h)
+        elif "agg0" in memo:
+            agg = memo["agg0"]
+        else:
+            agg = memo["agg0"] = csr_matmul(block, h)
+        if relu and narrows[i + 1]:  # fused: the next layer reads the blocks
+            rows = _dense_rows(h, pos, plan.shared, agg, w_self, w_neigh, bias,
+                               relu, chunk)
+            continue
+        z = np.empty((block.shape[0], w_self.shape[1]), dtype=np.result_type(h, w_self))
+        for _ in _dense_rows(h, pos, plan.shared, agg, w_self, w_neigh, bias, relu,
+                             chunk, out=z):
+            pass
+        h = z
+    return h
+
+
 def sampled_gnn_forward(plan: BatchPlan, x: np.ndarray, params: SampledGNNParams,
                         config: SampledGNNConfig, mode: str = "eval", rng=None,
-                        memo: dict | None = None):
+                        memo: dict | None = None, chunk: int | None = None):
     """Mean-style aggregator with separate self and neighbor weights.
 
     Layer i maps features on B_{K-i} to B_{K-i-1}; relu between layers,
@@ -327,7 +396,15 @@ def sampled_gnn_forward(plan: BatchPlan, x: np.ndarray, params: SampledGNNParams
     Eval mode multiplies the block Â at the narrower of each layer's input
     and output widths: Â (h W_neigh) when W_neigh narrows, (Â h) W_neigh
     otherwise. Train mode does not: it always forms Â h, which the backward
-    pass needs.
+    pass needs. Eval runs every layer's dense part in row blocks of chunk
+    rows (one block when chunk is None), so no (Â h) W_neigh temporary is
+    built, and a hidden layer that feeds a narrowing layer is never built
+    at all: each of its row blocks goes straight into that layer's two
+    GEMMs, h W_self and h W_neigh, whose results are kept, and one Â
+    product follows at the narrow width. A hidden layer is built in full
+    only when the next layer's Â h reads all of its rows. Row-blocked
+    GEMMs may round differently from one whole-matrix GEMM, so the logits
+    of different chunks can differ in their last bits.
 
     memo is internal, for a caller that evaluates the same plan and x
     repeatedly (the trainer's per-epoch full-graph evaluation): an eval
@@ -342,29 +419,14 @@ def sampled_gnn_forward(plan: BatchPlan, x: np.ndarray, params: SampledGNNParams
         raise ValueError("train-mode dropout needs an rng")
     x, inputs = np.asarray(x), plan.nodes(depth)
     h = x if plan.shared and inputs.size == x.shape[0] else x[inputs]
+    if not train:
+        return _eval_forward(plan, h, params, depth, memo, chunk), None
     layers = []
     for i in range(depth):
         l = depth - 1 - i  # block index: deepest first
         block, w_neigh = plan.block(l), params.w_neigh[i]
         pos = plan.self_positions(l)
         self_h = h if plan.shared else _gather_self(h, pos)  # shared: B_l is B_{l+1}
-        if not train:
-            z = self_h @ params.w_self[i]
-            del self_h
-            if w_neigh.shape[1] < w_neigh.shape[0]:
-                z += csr_matmul(block, h @ w_neigh)
-            else:
-                if i > 0 or memo is None:
-                    agg = csr_matmul(block, h)
-                elif "agg0" in memo:
-                    agg = memo["agg0"]
-                else:
-                    agg = memo["agg0"] = csr_matmul(block, h)
-                z += agg @ w_neigh
-                del agg
-            z += params.bias[i]
-            h = np.maximum(z, 0.0, out=z) if i < depth - 1 else z
-            continue
         agg = csr_matmul(block, h)
         z = self_h @ params.w_self[i]
         z += agg @ w_neigh
@@ -381,7 +443,7 @@ def sampled_gnn_forward(plan: BatchPlan, x: np.ndarray, params: SampledGNNParams
         else:
             h = z
         layers.append(rec)
-    return h, ({"layers": layers} if train else None)
+    return h, {"layers": layers}
 
 
 def sampled_gnn_backward(plan: BatchPlan, params: SampledGNNParams,

@@ -79,17 +79,16 @@ class Partitioning:
 
 
 def _gather_neighborhood(g: Graph, rows: np.ndarray):
-    """(per-row entry counts, cols, data indices) of the given CSR rows'
-    entries, in row order, vectorized. The row of each entry is
-    np.repeat(rows, counts)."""
+    """(per-row entry counts, data indices) of the given CSR rows' entries,
+    in row order, vectorized. The row of each entry is np.repeat(rows,
+    counts) and its column g.col_indices[data indices], which a caller
+    gathers only for the entries it needs."""
     counts = g.row_offsets[rows + 1] - g.row_offsets[rows]
     total = int(counts.sum())
     if total == 0:
-        z = np.zeros(0, dtype=np.int64)
-        return counts, z, z
+        return counts, np.zeros(0, dtype=np.int64)
     first = np.cumsum(counts) - counts  # where each row's entries start in the gather
-    data_idx = np.arange(total) + np.repeat(g.row_offsets[rows] - first, counts)
-    return counts, g.col_indices[data_idx], data_idx
+    return counts, np.arange(total) + np.repeat(g.row_offsets[rows] - first, counts)
 
 
 def _unique_nodes(nodes: np.ndarray, num_nodes: int) -> np.ndarray:
@@ -116,8 +115,8 @@ def _indptr(per_row: np.ndarray) -> np.ndarray:
 def _restrict(struct: Graph, rows: np.ndarray, cols: np.ndarray):
     """(indices, indptr, data positions) of the CSR block of struct's
     entries from `rows` into `cols` (both sorted unique node ids)."""
-    counts, dst, didx = _gather_neighborhood(struct, rows)
-    pos = _rank(cols, struct.num_nodes)[dst]
+    counts, didx = _gather_neighborhood(struct, rows)
+    pos = _rank(cols, struct.num_nodes)[struct.col_indices[didx]]
     kept = np.flatnonzero(pos >= 0)  # taking by position is faster than by mask
     indptr = kept.searchsorted(_indptr(counts))  # kept entries before each row's first
     return pos[kept], indptr, didx[kept]
@@ -185,7 +184,7 @@ def node_wise_sample(g: Graph, a: NormalizedAdjacency, seeds, Q: int, K: int,
     blocks = []
     for _ in range(K):
         b = node_sets[-1]
-        counts, _, didx = _gather_neighborhood(struct, b)
+        counts, didx = _gather_neighborhood(struct, b)
         if didx.size:
             # uniform without replacement per source: keep the Q smallest
             # random keys within each row segment
@@ -272,7 +271,8 @@ def layer_wise_sample(g: Graph, a: NormalizedAdjacency, B0, Q: int, K: int,
     with the global row-norm distribution restricted to the pool and
     renormalized. Sampled columns are reweighted by 1/(Q * p(v)) via exact
     inclusion probabilities; when Q covers the whole pool, the pool is taken
-    whole with weights 1/(|pool| * p(v)). p_global is fastgcn_layer_probs(a),
+    whole, each node with inclusion probability 1 and so weight 1: the
+    block is Â[B_l, pool] exactly. p_global is fastgcn_layer_probs(a),
     built here when not passed.
     """
     if variant not in ("fastgcn", "ladies"):
@@ -289,17 +289,15 @@ def layer_wise_sample(g: Graph, a: NormalizedAdjacency, B0, Q: int, K: int,
     blocks = []
     for _ in range(K):
         b = node_sets[-1]
-        _, nbrs, _ = _gather_neighborhood(struct, b)
+        nbrs = struct.col_indices[_gather_neighborhood(struct, b)[1]]
         pool = _unique_nodes(np.concatenate([nbrs, b]) if variant == "ladies" else nbrs,
                              struct.num_nodes)
         if pool.size == 0:
             raise ValueError("layer-wise candidate pool is empty")
-        p_pool = _norm_probs(p_global[pool], "restricted layer distribution")
-        if Q >= pool.size:
-            chosen = pool
-            with np.errstate(divide="ignore"):
-                w = np.where(p_pool > 0, 1.0 / (pool.size * p_pool), 0.0)
+        if Q >= pool.size:  # every pool node is taken with probability 1
+            chosen, w = pool, None
         else:
+            p_pool = _norm_probs(p_global[pool], "restricted layer distribution")
             sel, incl = pps_systematic(p_pool, Q, rng)
             chosen = pool[sel]
             w = 1.0 / incl
@@ -401,8 +399,8 @@ def _shed(g: Graph, assignment: np.ndarray, sizes: np.ndarray, c: int, cap: int)
     number moved. Receivers only fill, so the walk runs as vectorized passes,
     each cut at the move that fills a receiver or ends it: k + 1 at most."""
     members = np.flatnonzero(assignment == c)
-    counts, nbrs, _ = _gather_neighborhood(g, members)
-    src, to = np.repeat(members, counts), assignment[nbrs]
+    counts, didx = _gather_neighborhood(g, members)
+    src, to = np.repeat(members, counts), assignment[g.col_indices[didx]]
     src, to = src[to != c], to[to != c]
     start, before = 0, sizes[c]
     while sizes[c] > cap:
@@ -449,7 +447,7 @@ def partition_graph(g: Graph, num_clusters: int) -> Partitioning:
         dist[seeds[-1]], frontier, level = 0, np.array(seeds[-1:]), 0
         while frontier.size:
             level += 1
-            _, nbrs, _ = _gather_neighborhood(g, frontier)
+            nbrs = g.col_indices[_gather_neighborhood(g, frontier)[1]]
             frontier = _unique_nodes(nbrs[dist[nbrs] > level], n)
             dist[frontier] = level
 
@@ -459,8 +457,9 @@ def partition_graph(g: Graph, num_clusters: int) -> Partitioning:
     assignment = np.full(n, -1, dtype=np.int64)
     assignment[frontier] = first
     while frontier.size:
-        counts, nbrs, _ = _gather_neighborhood(g, frontier)
-        src, free = np.repeat(frontier, counts), assignment[nbrs] < 0
+        counts, didx = _gather_neighborhood(g, frontier)
+        src, nbrs = np.repeat(frontier, counts), g.col_indices[didx]
+        free = assignment[nbrs] < 0
         claim = np.full(n, num_clusters)
         np.minimum.at(claim, nbrs[free], assignment[src[free]])
         frontier = np.flatnonzero(claim < num_clusters)

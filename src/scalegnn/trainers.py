@@ -5,12 +5,16 @@ instrumented TrialResult through run_trial. Epoch-trained methods run the
 one mini-batch loop, nn.fit, with their own batch source, rngs and
 optimizers, and score the val rows once per epoch. A precompute model
 scores rows in chunks of its batch size; a sampled one forwards the whole
-graph. A sampled method's batches are the BatchPlans of _plan_source,
-which builds what the method's sampler draws from (partition, CDF, edge
-table, layer distribution) once per trial and draws each epoch's plans
-from it. Label diffusion (plain propagation, the correct-and-smooth
-pipeline) reports its final scores; stage-wise ensembling logs every
-stage's epochs in one curve and reports the vote over the stages.
+graph, its dense part in row blocks of its batch size, and builds an
+all-node hidden layer only where the next layer's sparse product reads all
+of it (see models.sampled_gnn_forward; none at the default two layers).
+The cs base model scores every node in chunks of its batch size too. A
+sampled method's batches are the BatchPlans of _plan_source, which builds
+what the method's sampler draws from (partition, CDF, edge table, layer
+distribution) once per trial and draws each epoch's plans from it. Label
+diffusion (plain propagation, the correct-and-smooth pipeline) reports its
+final scores; stage-wise ensembling logs every stage's epochs in one curve
+and reports the vote over the stages.
 
 Every trial reports one state, picked by _best_epoch and scored by
 _finish. best_epoch is the best val epoch (the first one on ties) for
@@ -361,12 +365,14 @@ def _train_sampled(method, cfg, dataset, seed):
         return loss
 
     # the first layer needs every node, so an evaluation forwards the whole
-    # graph; its logits are the state kept for the final train/test scores.
-    # The memo keeps the first layer's Â x across the trial's evaluations.
-    eval_memo = {}
+    # graph, in row blocks of batch_size; its logits are the state kept for
+    # the final train/test scores. The memo keeps the first layer's Â x
+    # across the trial's evaluations.
+    eval_memo, chunk = {}, int(cfg["batch_size"])
     evaluate, best = _best_epoch(
         dataset,
-        lambda: sampled_gnn_forward(eval_plan, x, params, model_cfg, memo=eval_memo)[0],
+        lambda: sampled_gnn_forward(eval_plan, x, params, model_cfg, memo=eval_memo,
+                                    chunk=chunk)[0],
         lambda logits, rows: predict(logits[rows]))
     log = fit(int(cfg["epochs"]), batches, step, evaluate)
     extras = {"active_input_nodes": float(np.mean(active_sizes)) if active_sizes else 0.0,
@@ -466,7 +472,11 @@ def _train_mlp_base(knobs, dataset, seed):
 
     batches = lambda _: shuffled_batches(shuffle_rng, split.train, int(knobs["batch_size"]))
     log = fit(int(knobs["epochs"]), batches, step, evaluate)
-    logits, _ = mlp_forward(params, mlp_cfg, x, mode="eval")
+    # every node is scored in batch-sized chunks, so no all-node hidden
+    # layer is ever built
+    bs = int(knobs["batch_size"])
+    logits = np.concatenate([mlp_forward(params, mlp_cfg, x[s:s + bs], mode="eval")[0]
+                             for s in range(0, dataset.num_nodes, bs)])
     return params, logits, log
 
 

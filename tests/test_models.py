@@ -27,7 +27,7 @@ from scalegnn.models import (
     sign_backward,
     sign_forward,
 )
-from scalegnn.nn import MLPParams, cross_entropy, gradcheck
+from scalegnn.nn import MLPParams, cross_entropy, gradcheck, predict
 from scalegnn.rng import make_rng
 from scalegnn.samplers import BatchPlan, node_wise_sample, subgraph_batch
 from scalegnn.trainers import full_plan
@@ -397,6 +397,43 @@ def test_sampled_gnn_eval_memo_matches_uncached_eval(dtype, dims):
         assert np.array_equal(memo["agg0"], csr_matmul(plan.block(0), x))
     else:
         assert memo == {}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dims", [[4, 9, 3], [4, 9, 9, 3], [4, 9, 9, 9, 3],
+                                  [12, 5, 3], [12, 5, 5, 3], [4, 6, 6]])
+@pytest.mark.parametrize("chunk", [7, 30, 64])
+def test_sampled_gnn_blocked_eval_matches_unblocked(dtype, dims, chunk):
+    """Row blocks (7 does not divide n = 30; 30 and 64 cover it) give the
+    logits of one whole-matrix block within rounding and the same
+    predictions, through every eval path: a hidden layer built in full
+    (the next layer widens or keeps its width), one fused into the narrowing
+    layer after it, and a narrowing first layer; the sparse products keep
+    their multiply-adds, less the first layer's Â x, which later
+    evaluations sharing a memo reuse."""
+    n = 30
+    g = small_graph(n, 60, seed=7)
+    a = normalize_adjacency(g, "sym")
+    plan = full_plan(a, dtype)
+    x = RNG.normal(size=(n, dims[0])).astype(dtype)
+    config = SampledGNNConfig(dims, seed=17)
+    params = init_sampled_gnn(config, dtype)
+    op_counter.reset()
+    whole = sampled_gnn_forward(plan, x, params, config)[0]
+    madds = op_counter.spmm_madds
+    memo, counts = {}, []
+    for _ in range(2):
+        op_counter.reset()
+        blocked = sampled_gnn_forward(plan, x, params, config, memo=memo, chunk=chunk)[0]
+        counts.append(op_counter.spmm_madds)
+    memoized = a.structure.num_edges * dims[0] if dims[1] >= dims[0] else 0
+    assert counts == [madds, madds - memoized]
+    assert blocked.dtype == dtype and blocked.shape == whole.shape
+    tol = 50 * np.finfo(dtype).eps * max(1.0, np.abs(whole).max())
+    assert np.max(np.abs(blocked - whole)) <= tol
+    assert np.array_equal(predict(blocked), predict(whole))
+    oracle = dense_gnn_forward(a.to_scipy().toarray(), x.astype(np.float64), params)
+    assert np.max(np.abs(blocked - oracle)) <= 1e3 * tol
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

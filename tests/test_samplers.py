@@ -163,16 +163,22 @@ def test_pps_certainty_clamping():
 
 
 def test_layer_wise_exhaustive_weights():
-    g = ring_graph(5)
+    """A budget that covers the pool takes every pool node with probability
+    1, so each weight is 1 and every block is Â[B_l, pool] exactly, on a
+    degree-skewed graph where 1/(|pool| p(v)) is far from 1."""
+    g = build_graph([(0, v) for v in range(1, 8)] + [(1, 2), (2, 3), (8, 9)], 10,
+                    symmetrize=True)  # a hub, a path through its leaves, a pair
     a = normalize_adjacency(g, "sym", with_self_loops=True)
     p = fastgcn_layer_probs(a)
-    plan = layer_wise_sample(g, a, [0], Q=50, K=1, variant="ladies", rng=make_rng(2))
-    pool = plan.nodes(1)
-    p_pool = p[pool] / p[pool].sum()
+    assert p.max() > 2 * p.min()
     dense = a.to_scipy().toarray()
-    block = plan.block(0).toarray()
-    expect = dense[np.ix_(plan.nodes(0), pool)] / (pool.size * p_pool)[None, :]
-    assert np.max(np.abs(block - expect)) < 1e-12
+    for variant in ("fastgcn", "ladies"):
+        plan = layer_wise_sample(g, a, [1, 3], Q=50, K=2, variant=variant, rng=make_rng(2))
+        for l in range(2):
+            rows = plan.nodes(l)
+            pool = np.flatnonzero(dense[rows].any(axis=0))  # N(B_l); B_l by the self-loops
+            assert np.array_equal(plan.nodes(l + 1), pool), variant
+            assert np.array_equal(plan.block(l).toarray(), dense[np.ix_(rows, pool)]), variant
 
 
 def test_layer_wise_cap():
@@ -514,8 +520,7 @@ def _partition_graph_unique(g, num_clusters):
         dist[sources] = 0
         frontier, level = sources, 0
         while frontier.size:
-            _, nbrs, _ = _gather_neighborhood(g, frontier)
-            nbrs = np.unique(nbrs)
+            nbrs = np.unique(g.col_indices[_gather_neighborhood(g, frontier)[1]])
             fresh = nbrs[dist[nbrs] < 0]
             level += 1
             dist[fresh] = level
@@ -543,8 +548,7 @@ def _partition_graph_unique(g, num_clusters):
         for c in range(num_clusters):
             if frontiers[c].size == 0:
                 continue
-            _, nbrs, _ = _gather_neighborhood(g, frontiers[c])
-            nbrs = np.unique(nbrs)
+            nbrs = np.unique(g.col_indices[_gather_neighborhood(g, frontiers[c])[1]])
             fresh = nbrs[assignment[nbrs] < 0]
             assignment[fresh] = c
             frontiers[c] = fresh
@@ -563,8 +567,8 @@ def _partition_graph_unique(g, num_clusters):
         c = int(np.argmax(sizes))
         members = np.flatnonzero(assignment == c)
         moved = False
-        counts, nbrs, _ = _gather_neighborhood(g, members)
-        src = np.repeat(members, counts)
+        counts, didx = _gather_neighborhood(g, members)
+        src, nbrs = np.repeat(members, counts), g.col_indices[didx]
         outside = assignment[nbrs] != c
         for u, other in zip(src[outside], assignment[nbrs[outside]]):
             if sizes[other] < cap and assignment[u] == c:
@@ -632,7 +636,8 @@ def _node_wise_sample_coo(g, a, seeds, Q, K, rng, dtype=np.float64):
     node_sets, edge_layers = [seeds], []
     for _ in range(K):
         b = node_sets[-1]
-        counts, dst, didx = _gather_neighborhood(struct, b)
+        counts, didx = _gather_neighborhood(struct, b)
+        dst = struct.col_indices[didx]
         src = np.repeat(b, counts)
         if src.size:
             keys = rng.random(src.size)

@@ -441,6 +441,28 @@ class TestPrecomputeEvaluation:
         assert peak < hidden_layer / 2, (peak, hidden_layer)
 
 
+@pytest.mark.parametrize("method", ["saint-rw", "cs"])
+def test_full_graph_scoring_peak_below_one_all_node_hidden_layer(sbm3k, method):
+    """A sampled trial's per-epoch full-graph evaluation runs its dense part
+    in batch-sized row blocks, and cs scores every node with its base MLP in
+    batch-sized chunks: with the adjacency (and its scipy forms) built
+    beforehand, neither trial's tracemalloc peak reaches one all-node hidden
+    layer."""
+    cfg = dict(epochs=2, hidden_dim=256, batch_size=128)
+    ds = dataclasses.replace(sbm3k)
+    a = ds.adjacency("sym")
+    for dtype in (np.float64, ds.features.dtype):
+        a.to_scipy(dtype)
+    tracemalloc.start()
+    try:
+        run_trial(method, cfg, ds, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    hidden_layer = sbm3k.num_nodes * 256 * sbm3k.features.itemsize
+    assert peak < hidden_layer, (peak, hidden_layer)
+
+
 class TestEnsembleTrainer:
     def test_stage_metrics_surface(self, dataset):
         r = run_trial("engcn", SMOKE_CONFIGS["engcn"], dataset, seed=0)
