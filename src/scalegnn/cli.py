@@ -1,9 +1,9 @@
 """Command-line entry point.
 
-Subcommands: gen (synthetic bundle), train (one trial), hpsearch (greedy
-axis search), bench (throughput + memory preset), report (aggregate trial
-files into a table). Every subcommand honors --seed, --out and --config
-FILE.
+Subcommands: gen (synthetic bundle), train (one trial at one seed),
+hpsearch (greedy axis search), bench (throughput + memory preset), report
+(mean and std over seeds of each (method, config) in trial files). Every
+subcommand honors --seed, --out and --config FILE.
 
 Config files are flat key=value text ('#' comments allowed). Values parse
 as JSON scalars when possible, else strings. Precedence, lowest to
@@ -35,9 +35,8 @@ from pathlib import Path
 RUN_KEYS = {
     "gen": {"nodes", "classes", "p_in", "p_out", "feature_dim", "separation",
             "noise", "fractions", "name", "seed", "out"},
-    "train": {"method", "bundle", "repeats", "stages", "allow_custom",
-              "seed", "out"},
-    "hpsearch": {"method", "bundle", "budget", "repeats", "axes", "stages",
+    "train": {"method", "bundle", "stages", "allow_custom", "seed", "out"},
+    "hpsearch": {"method", "bundle", "budget", "axes", "stages",
                  "allow_custom", "seed", "out"},
     "bench": {"bundle", "methods", "epochs", "seed", "out"},
     "report": {"inputs", "seed", "out"},
@@ -224,7 +223,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_train(args) -> int:
     options, hp = _merge("train", args, {
-        "method": None, "bundle": None, "repeats": 1, "stages": None,
+        "method": None, "bundle": None, "stages": None,
         "allow_custom": False, "seed": 0, "out": None})
     if options["method"] is None or options["bundle"] is None:
         raise UsageError("train requires --method and --bundle")
@@ -237,8 +236,7 @@ def _cmd_train(args) -> int:
     dataset = _load_dataset(options["bundle"])
     out = Path(options["out"])
     with DirectoryLock(out):
-        result = run_trial(method, hp, dataset, seed=int(options["seed"]),
-                           repeats=int(options["repeats"]))
+        result = run_trial(method, hp, dataset, seed=int(options["seed"]))
         write_trials_jsonl([result], out / "trials.jsonl")
         write_curves([result], out / "curves")
         resolved = default_config(method)
@@ -268,9 +266,8 @@ def _write_stage_curves(path: Path, result, epochs_per_stage: int) -> None:
 
 def _cmd_hpsearch(args) -> int:
     options, hp = _merge("hpsearch", args, {
-        "method": None, "bundle": None, "budget": None, "repeats": 1,
-        "axes": None, "stages": None, "allow_custom": False, "seed": 0,
-        "out": None})
+        "method": None, "bundle": None, "budget": None, "axes": None,
+        "stages": None, "allow_custom": False, "seed": 0, "out": None})
     if options["method"] is None or options["bundle"] is None:
         raise UsageError("hpsearch requires --method and --bundle")
     if options["out"] is None:
@@ -291,14 +288,12 @@ def _cmd_hpsearch(args) -> int:
             if name not in wanted:
                 space = space.without(name)
     # fixed overrides ride along under every trial of the search
-    runner = (lambda m, cfg, ds, seed, repeats=1:
-              run_trial(m, {**cfg, **hp}, ds, seed, repeats=repeats))
+    runner = lambda m, cfg, ds, seed: run_trial(m, {**cfg, **hp}, ds, seed)
     dataset = _load_dataset(options["bundle"])
     out = Path(options["out"])
     with DirectoryLock(out):
         log = greedy_search(method, space, dataset, seed=int(options["seed"]),
-                            budget=options["budget"],
-                            repeats=int(options["repeats"]), runner=runner)
+                            budget=options["budget"], runner=runner)
         write_search_log(log, out / "search_log.json")
         write_trials_jsonl(log.trials, out / "trials.jsonl")
         write_curves(log.trials, out / "curves")
@@ -372,25 +367,32 @@ def _cmd_report(args) -> int:
         inputs = [inputs]
     if not inputs:
         raise UsageError("report requires at least one trials.jsonl path")
+    import numpy as np
     from scalegnn.harness import read_trials_jsonl, write_bench_report
-    by_method: dict = {}
+    # (method, config) -> {seed: row}; a search log re-logs its incumbent,
+    # the same deterministic trial, so a (method, config, seed) counts once
+    groups: dict = {}
     for path in inputs:
         for row in read_trials_jsonl(path):
-            by_method.setdefault(row["method"], []).append(row)
+            key = (row["method"], json.dumps(row["config"], sort_keys=True))
+            groups.setdefault(key, {}).setdefault(row["seed"], row)
     rows = []
-    for method in sorted(by_method):
-        vals = [r["val_acc"] for r in by_method[method]]
-        tests = [r["test_acc"] for r in by_method[method]]
-        rows.append({"method": method, "trials": len(vals),
-                     "mean_val_acc": sum(vals) / len(vals),
-                     "best_val_acc": max(vals),
-                     "mean_test_acc": sum(tests) / len(tests)})
-    print(f"{'method':<12} {'trials':>6} {'mean val':>9} {'best val':>9} "
-          f"{'mean test':>9}")
+    for (method, _), runs in sorted(groups.items(), key=lambda kv: kv[0][0]):
+        # a split without test rows logs test_acc as null: nan here
+        val, test = (np.array([r[k] for r in runs.values()], dtype=float)
+                     for k in ("val_acc", "test_acc"))
+        rows.append({"method": method, "config": next(iter(runs.values()))["config"],
+                     "n": len(runs), "mean_val_acc": val.mean(), "std_val_acc": val.std(),
+                     "mean_test_acc": test.mean(), "std_test_acc": test.std()})
+    print(f"{'method':<12} {'n':>3} {'val mean ± std':>17} "
+          f"{'test mean ± std':>17}  config (keys that differ)")
     for row in rows:
-        print(f"{row['method']:<12} {row['trials']:>6d} "
-              f"{row['mean_val_acc']:>9.4f} {row['best_val_acc']:>9.4f} "
-              f"{row['mean_test_acc']:>9.4f}")
+        same = [r["config"] for r in rows if r["method"] == row["method"]]
+        shown = " ".join(f"{k}={v}" for k, v in row["config"].items()
+                         if any(c.get(k) != v for c in same))
+        print(f"{row['method']:<12} {row['n']:>3d} "
+              f"{row['mean_val_acc']:>8.4f} ± {row['std_val_acc']:.4f} "
+              f"{row['mean_test_acc']:>8.4f} ± {row['std_test_acc']:.4f}  {shown}")
     if options["out"]:
         out = Path(options["out"])
         out.mkdir(parents=True, exist_ok=True)
@@ -433,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--method", choices=method_names, default=None)
     p.add_argument("--bundle", default=None)
-    p.add_argument("--repeats", type=int, default=None)
     p.add_argument("--stages", type=int, default=None,
                    help="propagation stages (alias for num_layers)")
     p.add_argument("--hp", action="append", metavar="KEY=VALUE")
@@ -446,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=method_names, default=None)
     p.add_argument("--bundle", default=None)
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--repeats", type=int, default=None)
     p.add_argument("--axes", default=None,
                    help="comma-separated subset of axes to search")
     p.add_argument("--stages", type=int, default=None)

@@ -12,6 +12,10 @@ validation accuracy can never fall below any logged trial. It also means
 a config seen before (the incumbent, on every axis after the first) is run
 once: its earlier result is logged again rather than recomputed.
 
+A search runs at one seed; a TrialResult is one (method, config, seed)
+run. A config's spread over seeds comes from one trial per seed, which
+`scalegnn report` aggregates per (method, config).
+
 The trials also share what their Dataset holds (see trainers.Dataset): a
 trial that needs the normalized adjacency, hops or cs base model an
 earlier trial on the same Dataset built reuses it instead of rebuilding
@@ -219,17 +223,16 @@ class GreedySearchLog:
 
 
 def greedy_search(method: str, space: HPSpace, dataset, seed: int = 0,
-                  budget: int | None = None, repeats: int = 1,
-                  runner=None) -> GreedySearchLog:
+                  budget: int | None = None, runner=None) -> GreedySearchLog:
     """Axis-by-axis search. Winner per axis = highest validation accuracy,
     first candidate on exact ties. A budget (max trials) cuts the search
     short and flags the log incomplete.
 
-    runner(method, cfg, dataset, seed, repeats=) runs one trial (run_trial
-    by default). Trials reuse the normalized adjacency, hops and cs base
-    model that an earlier trial on the dataset built, this search's or
-    not; the dataset keeps what the last trial read after the search
-    returns."""
+    runner(method, cfg, dataset, seed) runs one trial at the search's one
+    seed (run_trial by default). Trials reuse the normalized adjacency,
+    hops and cs base model that an earlier trial on the dataset built, this
+    search's or not; the dataset keeps what the last trial read after the
+    search returns."""
     if not space.axes:
         raise ValueError("empty search space")
     if runner is None:
@@ -253,7 +256,7 @@ def greedy_search(method: str, space: HPSpace, dataset, seed: int = 0,
             cfg[axis.name] = cand
             key = repr(sorted(cfg.items()))
             if key not in seen:
-                seen[key] = runner(method, cfg, dataset, seed, repeats=repeats)
+                seen[key] = runner(method, cfg, dataset, seed)
             res = seen[key]
             results.append(res)
             trials.append(res)

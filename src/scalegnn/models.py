@@ -75,17 +75,23 @@ def init_sgc(config: SGCConfig, dtype=np.float64) -> MLPParams:
     )
 
 
-def sgc_forward(hops: HopFeatures, params: MLPParams, config: SGCConfig) -> np.ndarray:
+def sgc_forward(hops: HopFeatures, params: MLPParams, config: SGCConfig,
+                mode: str = "eval", rng=None):
+    """Linear readout of hop K. It has no dropout, so mode and rng change
+    nothing; they keep the signature of sign_forward and sagn_forward.
+
+    Returns (logits, None): the backward reads only the hop and the
+    gradient."""
     if hops.K != config.K:
         raise ValueError(f"hop cache has K={hops.K}, model expects K={config.K}")
     x = hops.hops[config.K]
     if x.shape[1] != params.weights[0].shape[0]:
         raise ValueError("feature dim does not match readout")
-    return x @ params.weights[0] + params.biases[0]
+    return x @ params.weights[0] + params.biases[0], None
 
 
 def sgc_backward(hops: HopFeatures, params: MLPParams, config: SGCConfig,
-                 grad_logits: np.ndarray) -> dict:
+                 trace, grad_logits: np.ndarray) -> dict:
     x = hops.hops[config.K]
     return {"W0": x.T @ grad_logits, "b0": grad_logits.sum(axis=0)}
 

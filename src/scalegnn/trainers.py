@@ -400,36 +400,31 @@ def _train_precompute(method, cfg, dataset, seed):
     first = K if method == "sgc" else 0  # the lowest hop the model reads
     if method == "sgc":
         model_cfg = SGCConfig(K, d, c, seed=seed)
-        params = init_sgc(model_cfg, dtype)
-        fwd = lambda h, p, mode, rng: (sgc_forward(h, p, model_cfg), None)
-        bwd = lambda h, tr, gr: sgc_backward(h, params, model_cfg, gr)
+        init, forward, backward = init_sgc, sgc_forward, sgc_backward
     elif method == "sign":
         model_cfg = SIGNConfig(K, d, int(cfg["hidden_dim"]), c,
                                dropout=float(cfg["dropout"]), seed=seed)
-        params = init_sign(model_cfg, dtype)
-        fwd = lambda h, p, mode, rng: sign_forward(h, p, model_cfg, mode, rng)
-        bwd = lambda h, tr, gr: sign_backward(h, params, model_cfg, tr, gr)
+        init, forward, backward = init_sign, sign_forward, sign_backward
     else:
         model_cfg = SAGNConfig(K, d, c, mlp_hidden=[int(cfg["hidden_dim"])],
                                dropout=float(cfg["dropout"]), seed=seed)
-        params = init_sagn(model_cfg, dtype)
-        fwd = lambda h, p, mode, rng: sagn_forward(h, p, model_cfg, mode, rng)
-        bwd = lambda h, tr, gr: sagn_backward(h, params, model_cfg, tr, gr)
+        init, forward, backward = init_sagn, sagn_forward, sagn_backward
+    params = init(model_cfg, dtype)
     opt = AdamState(cfg["learning_rate"], cfg["weight_decay"])
     shuffle_rng, drop_rng = spawn_rngs(seed, 2)
     batch_size = int(cfg["batch_size"])
 
     def step(batch):
         sub = _subset_hops(hops, batch, first)
-        logits, trace = fwd(sub, params, "train", drop_rng)
+        logits, trace = forward(sub, params, model_cfg, "train", drop_rng)
         loss, grad = cross_entropy(logits, y[batch])
-        grads = bwd(sub, trace, grad)
+        grads = backward(sub, params, model_cfg, trace, grad)
         adam_step(opt, params.trainable(), grads)
         return loss
 
     def classify(p, rows):  # a node's logits read only its own hop rows
         return predict(np.concatenate([
-            fwd(_subset_hops(hops, rows[s:s + batch_size], first), p, "eval", None)[0]
+            forward(_subset_hops(hops, rows[s:s + batch_size], first), p, model_cfg)[0]
             for s in range(0, rows.size, batch_size)]))
 
     evaluate, best = _best_epoch(dataset, lambda: copy.deepcopy(params), classify)
@@ -592,10 +587,10 @@ def _check_sizes(method: str, cfg: dict) -> None:
 
 
 def run_trial(method: str, config: dict, dataset: Dataset, seed: int = 0,
-              repeats: int = 1, instrument: bool = True) -> TrialResult:
-    """Train and evaluate one method/config pair. repeats > 1 reruns with
-    seeds seed..seed+repeats-1 and reports mean accuracies with per-run
-    values and standard deviations in extras.
+              instrument: bool = True) -> TrialResult:
+    """Train and evaluate one method/config pair at one seed. To compare
+    seeds, run one trial per seed; `scalegnn report` aggregates them per
+    config.
 
     instrument=False zeroes every timing field: epoch_seconds,
     iterations_per_second, and extras["eval_seconds"] and
@@ -617,21 +612,6 @@ def run_trial(method: str, config: dict, dataset: Dataset, seed: int = 0,
     cfg = default_config(method)
     cfg.update(config)
     _check_sizes(method, cfg)
-    if repeats > 1:
-        runs = [run_trial(method, cfg, dataset, seed + i, repeats=1,
-                          instrument=instrument)
-                for i in range(repeats)]
-        out = runs[0]
-        vals = [r.val_acc for r in runs]
-        tests = [r.test_acc for r in runs]
-        out.val_acc = float(np.mean(vals))
-        out.test_acc = float(np.mean(tests))
-        out.train_acc = float(np.mean([r.train_acc for r in runs]))
-        out.extras.update(repeat_val_accs=vals, repeat_test_accs=tests,
-                          repeat_val_std=float(np.std(vals)),
-                          repeat_test_std=float(np.std(tests)),
-                          repeat_n=repeats)
-        return out
     category = METHODS[method].category
     dataset._retain(_READS[category], str(cfg["norm_kind"]))
     if category in ("node-wise", "layer-wise", "subgraph-wise"):

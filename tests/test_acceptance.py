@@ -163,9 +163,9 @@ def test_02_gradient_suite_finite_differences(capsys):
         sgc_params = init_sgc(sgc_config)
 
         def f_sgc(_, hops=hops, params=sgc_params, config=sgc_config, y=y):
-            logits = sgc_forward(hops, params, config)
+            logits, _ = sgc_forward(hops, params, config)
             loss, gl = cross_entropy(logits, y)
-            return loss, sgc_backward(hops, params, config, gl)
+            return loss, sgc_backward(hops, params, config, None, gl)
 
         errs[f"sgc[{i}]"] = gradcheck(f_sgc, sgc_params.trainable())["max_rel_err"]
 

@@ -100,6 +100,18 @@ class TestTrain:
                    "--out", str(out), "--hp", "epochs=20"])
         assert rc == 1
 
+    def test_repeats_is_no_option(self, bundle, tmp_path):
+        """One trial is one seed: --repeats is an unknown flag, and a config
+        file key repeats an unknown hyperparameter."""
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--method", "sgc", "--bundle", str(bundle),
+                  "--out", str(tmp_path / "x"), "--repeats", "3"])
+        assert err.value.code == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("method = sgc\nrepeats = 3\n")
+        assert main(["train", "--config", str(cfg), "--bundle", str(bundle),
+                     "--out", str(tmp_path / "y")]) == 2
+
     def test_corrupt_bundle_exits_1(self, bundle, tmp_path):
         blob = bytearray((bundle / "labels.bin").read_bytes())
         blob[20] ^= 0x01
@@ -257,7 +269,50 @@ class TestBenchAndReport:
                    str(t2 / "trials.jsonl"), "--out", str(out)])
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["rows"][0]["trials"] == 2
+        assert report["rows"][0]["n"] == 2
+
+    def _report(self, tmp_path, paths):
+        out = tmp_path / "agg"
+        assert main(["report", *map(str, paths), "--out", str(out)]) == 0
+        return json.loads((out / "report.json").read_text())["rows"]
+
+    def test_report_groups_seeds_per_config(self, bundle, tmp_path):
+        paths, runs = [], {}
+        for epochs in (5, 6):
+            for seed in (0, 1):
+                out = tmp_path / f"e{epochs}-s{seed}"
+                assert main(["train", "--method", "sgc", "--bundle", str(bundle),
+                             "--out", str(out), "--seed", str(seed),
+                             "--hp", f"epochs={epochs}", "--allow-custom"]) == 0
+                paths.append(out / "trials.jsonl")
+                runs.setdefault(epochs, []).append(
+                    json.loads(paths[-1].read_text()))
+        rows = self._report(tmp_path, paths)
+        assert [(r["config"]["epochs"], r["n"]) for r in rows] == [(5, 2), (6, 2)]
+        for row in rows:
+            vals = [r["val_acc"] for r in runs[row["config"]["epochs"]]]
+            assert row["mean_val_acc"] == pytest.approx(sum(vals) / 2)
+            assert row["std_val_acc"] == pytest.approx(abs(vals[0] - vals[1]) / 2)
+
+    def test_report_counts_a_search_incumbent_once(self, bundle, tmp_path):
+        out = tmp_path / "search"
+        assert main(["hpsearch", "--method", "sgc", "--bundle", str(bundle),
+                     "--out", str(out), "--axes", "learning_rate,weight_decay",
+                     "--hp", "epochs=5", "--allow-custom"]) == 0
+        trials = [json.loads(r) for r in (out / "trials.jsonl").read_text().splitlines()]
+        configs = {json.dumps(t["config"], sort_keys=True) for t in trials}
+        assert len(trials) == 6 and len(configs) == 5
+        rows = self._report(tmp_path, [out / "trials.jsonl"])
+        assert len(rows) == 5 and all(r["n"] == 1 for r in rows)
+        assert {json.dumps(r["config"], sort_keys=True) for r in rows} == configs
+
+    def test_report_std_is_zero_for_one_seed(self, bundle, tmp_path):
+        out = tmp_path / "run"
+        assert main(["train", "--method", "sgc", "--bundle", str(bundle),
+                     "--out", str(out), "--hp", "epochs=5", "--allow-custom"]) == 0
+        [row] = self._report(tmp_path, [out / "trials.jsonl"])
+        assert row["n"] == 1
+        assert row["std_val_acc"] == 0.0 and row["std_test_acc"] == 0.0
 
     def test_report_without_inputs_exits_2(self):
         assert main(["report"]) == 2

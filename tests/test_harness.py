@@ -69,7 +69,7 @@ def make_stub_runner(score):
     """Deterministic runner whose val acc is score(cfg); records calls."""
     calls = []
 
-    def runner(method, cfg, dataset, seed, repeats=1):
+    def runner(method, cfg, dataset, seed):
         calls.append(dict(cfg))
         return stub_result(method, cfg, seed, score(cfg))
 
@@ -230,9 +230,9 @@ class TestGreedySearch:
         space = space.without(*(n for n in space.axis_names() if n not in axes))
         runs = []
 
-        def uncached(m, cfg, ds, seed, repeats=1):  # each trial on a fresh Dataset
+        def uncached(m, cfg, ds, seed):  # each trial on a fresh Dataset
             runs.append(dict(cfg))
-            return run_trial(m, cfg, dataclasses.replace(ds), seed, repeats=repeats)
+            return run_trial(m, cfg, dataclasses.replace(ds), seed)
 
         alone = greedy_search(method, space, sbm3k, runner=uncached)
         norms = counting(monkeypatch, trainers, "normalize_adjacency")
@@ -256,8 +256,8 @@ class TestGreedySearch:
     def test_engcn_search_builds_adjacency_once(self, tiny_dataset, monkeypatch):
         space = HPSpace([Axis("epochs", [1, 2], 1), Axis("hidden_dim", [8, 16], 8)])
 
-        def uncached(m, cfg, ds, seed, repeats=1):  # each trial on a fresh Dataset
-            return run_trial(m, cfg, dataclasses.replace(ds), seed, repeats=repeats)
+        def uncached(m, cfg, ds, seed):  # each trial on a fresh Dataset
+            return run_trial(m, cfg, dataclasses.replace(ds), seed)
 
         alone = greedy_search("engcn", space, tiny_dataset, runner=uncached)
         norms = counting(monkeypatch, trainers, "normalize_adjacency")

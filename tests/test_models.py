@@ -101,7 +101,7 @@ def test_sgc_identity_readout():
     hops = precompute_hops(a, x, 2)
     params = MLPParams([np.eye(4)], [np.zeros(4)])
     config = SGCConfig(K=2, in_dim=4, num_classes=4)
-    assert np.array_equal(sgc_forward(hops, params, config), hops.hops[2])
+    assert np.array_equal(sgc_forward(hops, params, config)[0], hops.hops[2])
 
 
 def test_sgc_k0_is_linear_model():
@@ -109,7 +109,7 @@ def test_sgc_k0_is_linear_model():
     hops = HopFeatures([x], 0)
     config = SGCConfig(K=0, in_dim=3, num_classes=2, seed=1)
     params = init_sgc(config)
-    logits = sgc_forward(hops, params, config)
+    logits, _ = sgc_forward(hops, params, config)
     assert np.allclose(logits, x @ params.weights[0] + params.biases[0])
 
 
@@ -130,9 +130,9 @@ def test_sgc_gradcheck():
     y = RNG.integers(0, 3, size=6)
 
     def f(_):
-        logits = sgc_forward(hops, params, config)
+        logits, _ = sgc_forward(hops, params, config)
         loss, gl = cross_entropy(logits, y)
-        return loss, sgc_backward(hops, params, config, gl)
+        return loss, sgc_backward(hops, params, config, None, gl)
 
     assert gradcheck(f, params.trainable())["max_rel_err"] < 1e-6
 

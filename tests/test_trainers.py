@@ -1,5 +1,5 @@
 """End-to-end trainers: per-method smoke accuracy against a majority-class
-baseline, configuration merging, determinism, repeats, instrumentation."""
+baseline, configuration merging, determinism, instrumentation."""
 
 import dataclasses
 import gc
@@ -194,14 +194,6 @@ class TestTrialSemantics:
         b = run_trial("sign", SMOKE_CONFIGS["sign"], dataset, seed=1)
         assert a.extras["param_checksum"] != b.extras["param_checksum"]
 
-    def test_repeats_aggregate(self, dataset):
-        r = run_trial("sgc", SMOKE_CONFIGS["sgc"], dataset, seed=0, repeats=3)
-        assert len(r.extras["repeat_val_accs"]) == 3
-        assert r.val_acc == pytest.approx(np.mean(r.extras["repeat_val_accs"]))
-        assert r.test_acc == pytest.approx(np.mean(r.extras["repeat_test_accs"]))
-        assert r.extras["repeat_n"] == 3
-        assert r.extras["repeat_val_std"] >= 0.0
-
     def test_instrument_off_does_not_change_training(self, dataset):
         on = run_trial("sgc", SMOKE_CONFIGS["sgc"], dataset, seed=0,
                        instrument=True)
@@ -312,7 +304,7 @@ def _full_graph_logits(method, cfg, hops, ds):
     model over all of hops."""
     K, d, c = int(cfg["num_layers"]), ds.feature_dim, ds.num_classes
     if method == "sgc":
-        return lambda p: sgc_forward(hops, p, SGCConfig(K, d, c))
+        return lambda p: sgc_forward(hops, p, SGCConfig(K, d, c))[0]
     if method == "sign":
         model_cfg = SIGNConfig(K, d, int(cfg["hidden_dim"]), c)
         return lambda p: sign_forward(hops, p, model_cfg)[0]
@@ -356,6 +348,16 @@ def default_trials(sbm3k):
             for m in sorted(METHODS)}
 
 
+@pytest.fixture(scope="module")
+def precompute_seed_vals(sbm3k):
+    """The val accuracies of sgc, sign and sagn at default_config on the 3k
+    SBM, one trial per seed 0-4, all on one fresh Dataset."""
+    ds = dataclasses.replace(sbm3k)
+    return {m: np.array([run_trial(m, default_config(m), ds, seed=s).val_acc
+                         for s in range(5)])
+            for m in PRECOMPUTE}
+
+
 class TestDefaultConfigTrials:
     @pytest.mark.parametrize("method", [
         pytest.param(m, marks=BELOW_FLOOR) if m in ("fastgcn", "ladies") else m
@@ -373,6 +375,15 @@ class TestDefaultConfigTrials:
             assert r.best_epoch == len(r.val_acc_curve) - 1
         else:
             assert r.val_acc_curve[r.best_epoch] == r.val_acc
+
+    @pytest.mark.parametrize("method", [
+        "sign", pytest.param("sagn", marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 5: SAGN's skip path swamps its hop attention"))])
+    def test_superset_of_sgc_input_clears_sgc_seed_spread(self, precompute_seed_vals, method):
+        """sign and sagn read every hop sgc reads, so over seeds 0-4 each
+        one's mean val is at least sgc's mean val minus sgc's std."""
+        sgc = precompute_seed_vals["sgc"]
+        assert precompute_seed_vals[method].mean() >= sgc.mean() - sgc.std()
 
 
 class TestPrecomputeEvaluation:
@@ -406,8 +417,6 @@ class TestPrecomputeEvaluation:
         def spy(hops, params, model_cfg, mode="eval", rng=None):
             calls.append((hops.hops[-1].shape[0], mode,
                           [h is not None for h in hops.hops]))
-            if method == "sgc":
-                return original(hops, params, model_cfg)
             return original(hops, params, model_cfg, mode, rng)
 
         monkeypatch.setattr(trainers, name, spy)
@@ -419,10 +428,9 @@ class TestPrecomputeEvaluation:
         K = PRECOMPUTE[method].get("num_layers", default_config(method)["num_layers"])
         gathered = [True] * (K + 1) if method != "sgc" else [False] * K + [True]
         assert all(g == gathered for _, _, g in calls)
-        if method != "sgc":  # sgc_forward has no mode
-            modes = [m for _, m, _ in calls]
-            assert modes == (["train"] * len(train) + ["eval"] * len(val)) * 3 \
-                + ["eval"] * (len(train) + len(test))
+        modes = [m for _, m, _ in calls]
+        assert modes == (["train"] * len(train) + ["eval"] * len(val)) * 3 \
+            + ["eval"] * (len(train) + len(test))
 
     def test_sign_peak_below_one_full_graph_hidden_layer(self, sbm3k):
         """Scoring in batch-sized chunks keeps a sign trial's memory off the
