@@ -56,7 +56,9 @@ product pool (see scalegnn.graph). "above-split" covers that path on a
 `lp` trial at its `default_config` (one propagation step per epoch).
 
 Every key that holds a duration (`*seconds`, `iterations_per_second`) is
-dropped. `compare` prints "<n> entries, <k> differ", names the differing
+dropped, and so is a trial's `dataset`, which names where the trial ran
+rather than what it computed. A search entry lists its trials'
+`to_dict()` under "trials" next to the log's own `to_dict()`. `compare` prints "<n> entries, <k> differ", names the differing
 entries and their differing fields, and exits 1 when any differ. For a
 differing trial it also prints the largest relative gap between the two
 loss curves and whether the reported accuracies are equal.
@@ -85,10 +87,11 @@ SEARCHES = (("sgc", ("epochs", "num_layers")), ("cs", ("norm_kind", "num_mlp_lay
 
 
 def _untimed(value):
-    """value with every duration key removed, at any depth."""
+    """value with every duration key and every dataset name removed, at
+    any depth."""
     if isinstance(value, dict):
         return {k: _untimed(v) for k, v in value.items()
-                if not (k.endswith("seconds") or k == "iterations_per_second")}
+                if not (k.endswith("seconds") or k in ("iterations_per_second", "dataset"))}
     if isinstance(value, list):
         return [_untimed(v) for v in value]
     return value
@@ -253,8 +256,9 @@ def run(path: str) -> None:
         for method, axes in SEARCHES:
             space = default_space(method)
             space = space.without(*(n for n in space.axis_names() if n not in axes))
-            out[f"{prefix}search-{method}/0"] = greedy_search(method, space, data,
-                                                              seed=0).to_dict()
+            log = greedy_search(method, space, data, seed=0)
+            out[f"{prefix}search-{method}/0"] = {
+                **log.to_dict(), "trials": [t.to_dict() for t in log.trials]}
     out["partitions"] = {str(k): _partition_digest(ds.graph, k) for k in (4, 16)}
     out["partitions-passes"] = _partition_pass_digests(ds.graph)
     out["above-split"] = _above_split_entries()

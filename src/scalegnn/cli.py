@@ -2,8 +2,8 @@
 
 Subcommands: gen (synthetic bundle), train (one trial at one seed),
 hpsearch (greedy axis search), bench (throughput + memory preset), report
-(mean and std over seeds of each (method, config) in trial files). Every
-subcommand honors --seed, --out and --config FILE.
+(mean and std over seeds of each (dataset, method, config) in trial
+files). Every subcommand honors --seed, --out and --config FILE.
 
 Config files are flat key=value text ('#' comments allowed). Values parse
 as JSON scalars when possible, else strings. Precedence, lowest to
@@ -13,15 +13,23 @@ bench and rejected elsewhere.
 
 Hyperparameter keys are validated against the method's known knobs, and
 values of searched axes against their candidate lists; --allow-custom
-lifts the candidate restriction. Usage problems exit 2, runtime failures
-exit 1.
+lifts the candidate restriction. On hpsearch each hyperparameter fixes its
+axis to that one value: it becomes a one-candidate axis ahead of the
+searched ones, replacing a searched axis of the same name. Usage problems
+exit 2, runtime failures exit 1.
 
 Each run takes an exclusive lock (.lock file) on the output directory and
 writes resolved_config.json recording every effective setting, which is
-sufficient to reproduce the run with the same build. The environment
-variable SCALEGNN_NUM_THREADS caps the BLAS/OpenMP thread pools: importing
-the scalegnn package exports it to them before numpy loads (see
-scalegnn/__init__.py), and a pool's own variable, if set, wins.
+sufficient to reproduce the run with the same build; train and hpsearch
+record there the full config of the trial that ran or was selected. Trial
+records go to trials.jsonl (one line per trial, curves included), and
+hpsearch writes the axis visits to search_log.json. A trial records its
+dataset: a bundle's manifest name, then '@' and the first 12 hex digits of
+a sha256 over the manifest's file checksums.
+
+The environment variable SCALEGNN_NUM_THREADS caps the BLAS/OpenMP thread
+pools: importing the scalegnn package exports it to them before numpy
+loads (see scalegnn/__init__.py), and a pool's own variable, if set, wins.
 """
 
 from __future__ import annotations
@@ -35,9 +43,9 @@ from pathlib import Path
 RUN_KEYS = {
     "gen": {"nodes", "classes", "p_in", "p_out", "feature_dim", "separation",
             "noise", "fractions", "name", "seed", "out"},
-    "train": {"method", "bundle", "stages", "allow_custom", "seed", "out"},
-    "hpsearch": {"method", "bundle", "budget", "axes", "stages",
-                 "allow_custom", "seed", "out"},
+    "train": {"method", "bundle", "allow_custom", "seed", "out"},
+    "hpsearch": {"method", "bundle", "budget", "axes", "allow_custom",
+                 "seed", "out"},
     "bench": {"bundle", "methods", "epochs", "seed", "out"},
     "report": {"inputs", "seed", "out"},
 }
@@ -145,8 +153,6 @@ def _merge(command: str, args: argparse.Namespace, defaults: dict):
         if flag_val is not None:
             options[key] = flag_val
     hp.update(_parse_hp_pairs(getattr(args, "hp", None)))
-    if options.get("stages") is not None:
-        hp["num_layers"] = int(options["stages"])
     return options, hp
 
 
@@ -185,11 +191,16 @@ def _write_resolved(out_dir: Path, command: str, options: dict, hp: dict,
 
 
 def _load_dataset(bundle_dir):
+    """The bundle as a Dataset named <manifest name>@<content digest>, so
+    two bundles that share a name stay apart in trial records."""
+    import hashlib
     from scalegnn.bundle import load_bundle, read_manifest
     from scalegnn.trainers import Dataset
     g, x, labels, split = load_bundle(bundle_dir)
-    name = read_manifest(bundle_dir)["name"]
-    return Dataset(g, x, labels, split, name=name)
+    manifest = read_manifest(bundle_dir)
+    digest = hashlib.sha256(json.dumps(manifest["checksums"], sort_keys=True)
+                            .encode()).hexdigest()[:12]
+    return Dataset(g, x, labels, split, name=f"{manifest['name']}@{digest}")
 
 
 # ------------------------------------------------------------ subcommands
@@ -223,60 +234,39 @@ def _cmd_gen(args) -> int:
 
 def _cmd_train(args) -> int:
     options, hp = _merge("train", args, {
-        "method": None, "bundle": None, "stages": None,
-        "allow_custom": False, "seed": 0, "out": None})
+        "method": None, "bundle": None, "allow_custom": False, "seed": 0,
+        "out": None})
     if options["method"] is None or options["bundle"] is None:
         raise UsageError("train requires --method and --bundle")
     if options["out"] is None:
         raise UsageError("train requires --out")
     method = options["method"]
     hp = _validate_hp(method, hp, bool(options["allow_custom"]))
-    from scalegnn.harness import write_curves, write_trials_jsonl
-    from scalegnn.trainers import default_config, run_trial
+    from scalegnn.harness import write_trials_jsonl
+    from scalegnn.trainers import run_trial
     dataset = _load_dataset(options["bundle"])
     out = Path(options["out"])
     with DirectoryLock(out):
         result = run_trial(method, hp, dataset, seed=int(options["seed"]))
         write_trials_jsonl([result], out / "trials.jsonl")
-        write_curves([result], out / "curves")
-        resolved = default_config(method)
-        resolved.update(hp)
-        if method == "engcn":
-            _write_stage_curves(out / "stage_curves.csv", result,
-                                int(resolved["epochs"]))
-        _write_resolved(out, "train", options, hp, resolved)
+        _write_resolved(out, "train", options, hp, result.config)
     print(f"{method}: val_acc={result.val_acc:.4f} "
           f"test_acc={result.test_acc:.4f} ({out}/trials.jsonl)")
     return 0
 
 
-def _write_stage_curves(path: Path, result, epochs_per_stage: int) -> None:
-    """Stage-segmented curve: consecutive blocks of epochs_per_stage rows
-    share a stage id (one row per stage when no epochs were trained)."""
-    with open(path, "w") as fh:
-        fh.write("stage,epoch,loss,val_acc\n")
-        for i, (loss, acc) in enumerate(zip(result.loss_curve,
-                                            result.val_acc_curve)):
-            if epochs_per_stage > 0:
-                stage, epoch = divmod(i, epochs_per_stage)
-            else:
-                stage, epoch = i, 0
-            fh.write(f"{stage},{epoch},{loss},{acc}\n")
-
-
 def _cmd_hpsearch(args) -> int:
     options, hp = _merge("hpsearch", args, {
         "method": None, "bundle": None, "budget": None, "axes": None,
-        "stages": None, "allow_custom": False, "seed": 0, "out": None})
+        "allow_custom": False, "seed": 0, "out": None})
     if options["method"] is None or options["bundle"] is None:
         raise UsageError("hpsearch requires --method and --bundle")
     if options["out"] is None:
         raise UsageError("hpsearch requires --out")
     method = options["method"]
     hp = _validate_hp(method, hp, bool(options["allow_custom"]))
-    from scalegnn.harness import (default_space, greedy_search, write_curves,
+    from scalegnn.harness import (Axis, HPSpace, default_space, greedy_search,
                                   write_search_log, write_trials_jsonl)
-    from scalegnn.trainers import run_trial
     space = default_space(method)
     if options["axes"]:
         wanted = [a.strip() for a in str(options["axes"]).split(",")]
@@ -287,16 +277,16 @@ def _cmd_hpsearch(args) -> int:
         for name in space.axis_names():
             if name not in wanted:
                 space = space.without(name)
-    # fixed overrides ride along under every trial of the search
-    runner = lambda m, cfg, ds, seed: run_trial(m, {**cfg, **hp}, ds, seed)
+    # each override fixes its axis: one candidate, ahead of the searched axes
+    fixed = tuple(Axis(key, (value,), value) for key, value in hp.items())
+    space = HPSpace(fixed + space.without(*hp).axes)
     dataset = _load_dataset(options["bundle"])
     out = Path(options["out"])
     with DirectoryLock(out):
         log = greedy_search(method, space, dataset, seed=int(options["seed"]),
-                            budget=options["budget"], runner=runner)
+                            budget=options["budget"])
         write_search_log(log, out / "search_log.json")
         write_trials_jsonl(log.trials, out / "trials.jsonl")
-        write_curves(log.trials, out / "curves")
         _write_resolved(out, "hpsearch", options, hp, log.final_config)
     print(f"{method}: {log.trial_count} trials, best val_acc="
           f"{log.final_val_acc:.4f}, complete={log.complete} "
@@ -369,28 +359,33 @@ def _cmd_report(args) -> int:
         raise UsageError("report requires at least one trials.jsonl path")
     import numpy as np
     from scalegnn.harness import read_trials_jsonl, write_bench_report
-    # (method, config) -> {seed: row}; a search log re-logs its incumbent,
-    # the same deterministic trial, so a (method, config, seed) counts once
+    # (dataset, method, config) -> {seed: row}; a search log re-logs its
+    # incumbent, the same deterministic trial, so a seed counts once. Rows
+    # written before trials recorded their dataset group under None.
     groups: dict = {}
     for path in inputs:
         for row in read_trials_jsonl(path):
-            key = (row["method"], json.dumps(row["config"], sort_keys=True))
+            key = (row.get("dataset"), row["method"],
+                   json.dumps(row["config"], sort_keys=True))
             groups.setdefault(key, {}).setdefault(row["seed"], row)
     rows = []
-    for (method, _), runs in sorted(groups.items(), key=lambda kv: kv[0][0]):
+    for (dataset, method, _), runs in sorted(
+            groups.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
         # a split without test rows logs test_acc as null: nan here
         val, test = (np.array([r[k] for r in runs.values()], dtype=float)
                      for k in ("val_acc", "test_acc"))
-        rows.append({"method": method, "config": next(iter(runs.values()))["config"],
+        rows.append({"dataset": dataset, "method": method,
+                     "config": next(iter(runs.values()))["config"],
                      "n": len(runs), "mean_val_acc": val.mean(), "std_val_acc": val.std(),
                      "mean_test_acc": test.mean(), "std_test_acc": test.std()})
-    print(f"{'method':<12} {'n':>3} {'val mean ± std':>17} "
+    print(f"{'dataset':<24} {'method':<12} {'n':>3} {'val mean ± std':>17} "
           f"{'test mean ± std':>17}  config (keys that differ)")
     for row in rows:
-        same = [r["config"] for r in rows if r["method"] == row["method"]]
+        same = [r["config"] for r in rows
+                if (r["dataset"], r["method"]) == (row["dataset"], row["method"])]
         shown = " ".join(f"{k}={v}" for k, v in row["config"].items()
                          if any(c.get(k) != v for c in same))
-        print(f"{row['method']:<12} {row['n']:>3d} "
+        print(f"{str(row['dataset']):<24} {row['method']:<12} {row['n']:>3d} "
               f"{row['mean_val_acc']:>8.4f} ± {row['std_val_acc']:.4f} "
               f"{row['mean_test_acc']:>8.4f} ± {row['std_test_acc']:.4f}  {shown}")
     if options["out"]:
@@ -435,8 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--method", choices=method_names, default=None)
     p.add_argument("--bundle", default=None)
-    p.add_argument("--stages", type=int, default=None,
-                   help="propagation stages (alias for num_layers)")
     p.add_argument("--hp", action="append", metavar="KEY=VALUE")
     p.add_argument("--allow-custom", dest="allow_custom",
                    action="store_const", const=True, default=None,
@@ -449,9 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--axes", default=None,
                    help="comma-separated subset of axes to search")
-    p.add_argument("--stages", type=int, default=None)
     p.add_argument("--hp", action="append", metavar="KEY=VALUE",
-                   help="fixed overrides applied to every trial")
+                   help="fix an axis to one value (a one-candidate axis)")
     p.add_argument("--allow-custom", dest="allow_custom",
                    action="store_const", const=True, default=None)
 

@@ -34,7 +34,7 @@ import numpy as np
 from scalegnn.graph import DataSplit, LabelVector, spmm
 from scalegnn.nn import (AdamState, FitLog, MLPConfig, MLPParams, accuracy,
                          adam_step, cross_entropy, fit, log_softmax_row,
-                         mlp_backward, mlp_forward, one_hot,
+                         mlp_backward, mlp_forward, one_hot, score_in_chunks,
                          shuffled_batches, softmax_row)
 
 
@@ -173,12 +173,12 @@ def engcn_train_stage(state: EnGCNState, phi_params: MLPParams,
         return loss
 
     def evaluate(_):  # in batch-sized chunks, as the stage scoring
-        val, bs = state.split.val, config.batch_size
+        val = state.split.val
         if not val.size:  # as accuracy scores no rows
             return 0.0
-        logits = np.concatenate([
-            engcn_stage_forward(state, phi_params, psi_params, config, val[s:s + bs])
-            for s in range(0, val.size, bs)])
+        logits = score_in_chunks(
+            lambda rows: engcn_stage_forward(state, phi_params, psi_params, config, rows),
+            val, config.batch_size)
         return accuracy(logits, state.true_labels[val])
 
     return fit(config.epochs_per_stage,

@@ -1,6 +1,8 @@
 """Benchmark orchestration: greedy axis-by-axis hyperparameter search,
 analytic activation-memory and complexity accounting, convergence curves,
-and the JSON/CSV artifact writers.
+and the JSON writers. Each trial's full record, curves included, goes to
+trials.jsonl; a search log holds the axis visits and the final config, not
+the trials.
 
 The greedy search walks the axes in their declared order; within an axis
 every candidate is trialed with already-searched axes fixed to their
@@ -25,10 +27,8 @@ or search on it.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -156,7 +156,8 @@ class TrialResult:
     last logged epoch for the methods that report their final state (lp and
     cs their final scores, engcn its vote). val_acc is the metric axis
     winners compete on; a split without val rows reports 0.0. Wall-clock
-    fields are populated only when instrumented.
+    fields are populated only when instrumented. dataset names the Dataset
+    the trial ran on (None where it is not known).
     """
 
     method: str
@@ -172,6 +173,7 @@ class TrialResult:
     iterations_per_second: float
     activation_bytes: int
     extras: dict = field(default_factory=dict)
+    dataset: str | None = None
 
     def __post_init__(self):
         if not self.loss_curve or not self.val_acc_curve:
@@ -218,7 +220,6 @@ class GreedySearchLog:
                 "chosen": v.chosen,
                 "val_accs": [r.val_acc for r in v.results],
             } for v in self.axis_visits],
-            "trials": [t.to_dict() for t in self.trials],
         })
 
 
@@ -377,13 +378,6 @@ class ConvergenceCurve:
                 return i + 1
         return self.num_epochs
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["epoch", "loss", "val_acc"])
-            for i, (l, v) in enumerate(zip(self.losses, self.val_accs)):
-                w.writerow([i, repr(float(l)), repr(float(v))])
-
 
 def record_convergence(result: TrialResult) -> ConvergenceCurve:
     return ConvergenceCurve(result.method, result.seed,
@@ -425,18 +419,6 @@ def read_trials_jsonl(path) -> list:
 def write_search_log(log: GreedySearchLog, path) -> None:
     with open(path, "w") as fh:
         json.dump(log.to_dict(), fh, indent=2)
-
-
-def write_curves(results: list, directory) -> list:
-    """One curves/<method>_<seed>_<index>.csv per result; returns paths."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for i, r in enumerate(results):
-        p = directory / f"{r.method}_{r.seed}_{i}.csv"
-        record_convergence(r).to_csv(p)
-        paths.append(p)
-    return paths
 
 
 def write_bench_report(report: dict, path) -> None:

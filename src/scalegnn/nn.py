@@ -263,6 +263,15 @@ def shuffled_batches(rng: np.random.Generator, idx: np.ndarray, batch_size: int)
         yield order[start:start + batch_size]
 
 
+def score_in_chunks(score, rows: np.ndarray, chunk_size: int) -> np.ndarray:
+    """score(rows[s:s + chunk_size]) over consecutive chunks of rows (the
+    last one may be shorter), concatenated along the first axis. The
+    chunks are slices, so no copy of rows is made, and no all-row
+    intermediate of score is ever built. rows must not be empty."""
+    return np.concatenate([score(rows[s:s + chunk_size])
+                           for s in range(0, len(rows), chunk_size)])
+
+
 def fit(epochs: int, batches, step, evaluate=None) -> FitLog:
     """The mini-batch training loop of every epoch-trained method.
 

@@ -68,7 +68,8 @@ from scalegnn.models import (HopFeatures, SAGNConfig, SampledGNNConfig,
                              sign_forward)
 from scalegnn.nn import (AdamState, FitLog, MLPConfig, accuracy, adam_step,
                          cross_entropy, fit, init_mlp, mlp_backward,
-                         mlp_forward, predict, shuffled_batches, softmax_row)
+                         mlp_forward, predict, score_in_chunks, shuffled_batches,
+                         softmax_row)
 from scalegnn.rng import spawn_rngs
 from scalegnn.samplers import (BatchPlan, fastgcn_layer_probs,
                                layer_wise_sample, node_wise_sample,
@@ -223,7 +224,8 @@ def _finish(method, cfg, dataset, seed, *, log: FitLog, best, extras):
         iterations_per_second=log.steps / train_seconds if train_seconds > 0 else 0.0,
         activation_bytes=estimate_activation_memory(method, **estimator_inputs(cfg, dataset)),
         extras={**extras, "category": spec.category,
-                "batch_semantics": spec.batch_semantics})
+                "batch_semantics": spec.batch_semantics},
+        dataset=dataset.name)
     # scored only once TrialResult has accepted the curves: a trial that
     # logged no epoch kept no state to score
     y = dataset.labels.labels
@@ -423,9 +425,9 @@ def _train_precompute(method, cfg, dataset, seed):
         return loss
 
     def classify(p, rows):  # a node's logits read only its own hop rows
-        return predict(np.concatenate([
-            forward(_subset_hops(hops, rows[s:s + batch_size], first), p, model_cfg)[0]
-            for s in range(0, rows.size, batch_size)]))
+        return predict(score_in_chunks(
+            lambda chunk: forward(_subset_hops(hops, chunk, first), p, model_cfg)[0],
+            rows, batch_size))
 
     evaluate, best = _best_epoch(dataset, lambda: copy.deepcopy(params), classify)
     batches = lambda _: shuffled_batches(shuffle_rng, split.train, batch_size)
@@ -467,11 +469,9 @@ def _train_mlp_base(knobs, dataset, seed):
 
     batches = lambda _: shuffled_batches(shuffle_rng, split.train, int(knobs["batch_size"]))
     log = fit(int(knobs["epochs"]), batches, step, evaluate)
-    # every node is scored in batch-sized chunks, so no all-node hidden
-    # layer is ever built
-    bs = int(knobs["batch_size"])
-    logits = np.concatenate([mlp_forward(params, mlp_cfg, x[s:s + bs], mode="eval")[0]
-                             for s in range(0, dataset.num_nodes, bs)])
+    # every node is scored in batch-sized chunks: no all-node hidden layer
+    logits = score_in_chunks(lambda rows: mlp_forward(params, mlp_cfg, rows, mode="eval")[0],
+                             x, int(knobs["batch_size"]))
     return params, logits, log
 
 
@@ -539,7 +539,7 @@ def _train_engcn(method, cfg, dataset, seed):
     state = engcn_init(x, dataset.labels, split)
     phi, psi = init_mlp(sle.phi, x.dtype), init_mlp(sle.psi)
     stage_rngs = spawn_rngs(sle.seed, sle.num_stages + 1)
-    n, bs = dataset.num_nodes, sle.batch_size
+    nodes = np.arange(dataset.num_nodes)
     log, stage_logits, pseudo_sizes = FitLog(), [], []
     for stage in range(sle.num_stages + 1):
         if stage >= 1:
@@ -551,11 +551,9 @@ def _train_engcn(method, cfg, dataset, seed):
         stage_log = engcn_train_stage(state, phi, psi, sle, stage_rngs[stage])
         for f in fields(FitLog):  # concatenates the curves, adds the steps
             setattr(log, f.name, getattr(log, f.name) + getattr(stage_log, f.name))
-        # every node is scored in batch-sized chunks, so no all-node hidden
-        # layer is ever built
-        logits = np.concatenate([
-            engcn_stage_forward(state, phi, psi, sle, np.arange(s, min(s + bs, n)))
-            for s in range(0, n, bs)])
+        # every node is scored in batch-sized chunks: no all-node hidden layer
+        logits = score_in_chunks(lambda rows: engcn_stage_forward(state, phi, psi, sle, rows),
+                                 nodes, sle.batch_size)
         stage_logits.append(logits)
         sle_update(state, logits, sle.threshold)
     stage_val = [accuracy(z[split.val], y[split.val]) for z in stage_logits]

@@ -53,22 +53,28 @@ class TestTrain:
         assert len(rows) == 1
         rec = json.loads(rows[0])
         assert rec["method"] == "sgc" and 0.0 <= rec["val_acc"] <= 1.0
-        assert (out / "resolved_config.json").exists()
-        assert list((out / "curves").glob("sgc_*.csv"))
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved["resolved_hyperparameters"] == rec["config"]
         assert not (out / ".lock").exists()
+
+    def test_output_directory_holds_trials_and_resolved_config(self, bundle, tmp_path):
+        out = tmp_path / "run"
+        assert main(["train", "--method", "engcn", "--bundle", str(bundle),
+                     "--out", str(out), "--hp", "epochs=3",
+                     "--allow-custom"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json",
+                                                        "trials.jsonl"]
 
     def test_engcn_stage_curve_segments(self, bundle, tmp_path):
         out = tmp_path / "run"
         rc = main(["train", "--method", "engcn", "--bundle", str(bundle),
-                   "--out", str(out), "--stages", "2", "--hp", "epochs=3",
+                   "--out", str(out), "--hp", "num_layers=2", "--hp", "epochs=3",
                    "--hp", "hidden_dim=16", "--hp", "batch_size=64",
                    "--allow-custom"])
         assert rc == 0
-        lines = (out / "stage_curves.csv").read_text().splitlines()
-        assert lines[0] == "stage,epoch,loss,val_acc"
-        stages = {line.split(",")[0] for line in lines[1:]}
-        assert stages == {"0", "1", "2"}  # --stages 2 -> 2+1 segments
-        assert len(lines) - 1 == 3 * 3
+        rec = json.loads((out / "trials.jsonl").read_text())
+        assert len(rec["loss_curve"]) == 3 * 3  # num_layers 2 -> 2+1 stages
+        assert len(rec["extras"]["stage_val_acc"]) == 3
 
     def test_unknown_method_exits_2(self, bundle, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -111,6 +117,20 @@ class TestTrain:
         cfg.write_text("method = sgc\nrepeats = 3\n")
         assert main(["train", "--config", str(cfg), "--bundle", str(bundle),
                      "--out", str(tmp_path / "y")]) == 2
+
+    @pytest.mark.parametrize("command", ["train", "hpsearch"])
+    def test_stages_is_no_option(self, bundle, tmp_path, command):
+        """--stages was an alias of --hp num_layers=: an unknown flag now,
+        and a config file key stages an unknown hyperparameter."""
+        with pytest.raises(SystemExit) as err:
+            main([command, "--method", "engcn", "--bundle", str(bundle),
+                  "--out", str(tmp_path / "x"), "--stages", "2"])
+        assert err.value.code == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("method = engcn\nstages = 2\n")
+        assert main([command, "--config", str(cfg), "--bundle", str(bundle),
+                     "--out", str(tmp_path / "y")]) == 2
+        assert not (tmp_path / "y").exists()
 
     def test_corrupt_bundle_exits_1(self, bundle, tmp_path):
         blob = bytearray((bundle / "labels.bin").read_bytes())
@@ -187,10 +207,42 @@ class TestHpsearch:
                    "--allow-custom"])
         assert rc == 0
         rows = [json.loads(r) for r in (out / "trials.jsonl").read_text().splitlines()]
-        assert len(rows) == 3 + 3
+        assert len(rows) == 3 + 3 + 2  # each fixed axis logs its one trial
         assert all(r["config"]["epochs"] == 3 and r["config"]["hidden_dim"] == 16
                    for r in rows)
         assert all(len(r["loss_curve"]) == 3 for r in rows)
+
+    def test_final_config_is_the_selected_trial_config(self, bundle, tmp_path):
+        out = tmp_path / "search"
+        assert main(["hpsearch", "--method", "cs", "--bundle", str(bundle),
+                     "--out", str(out), "--axes", "norm_kind,num_mlp_layers",
+                     "--hp", "epochs=3", "--hp", "hidden_dim=16",
+                     "--allow-custom"]) == 0
+        log = json.loads((out / "search_log.json").read_text())
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        rows = [json.loads(r) for r in (out / "trials.jsonl").read_text().splitlines()]
+        last = log["axis_visits"][-1]
+        selected = rows[-len(last["candidates"]) + last["candidates"].index(last["chosen"])]
+        assert log["final_config"] == resolved["resolved_hyperparameters"] == selected["config"]
+        assert log["final_config"]["epochs"] == 3
+        assert log["final_config"]["hidden_dim"] == 16
+        assert log["final_val_acc"] == selected["val_acc"]
+        assert "trials" not in log  # trials.jsonl holds them
+
+    def test_hp_on_a_searched_axis_is_a_one_candidate_visit(self, bundle, tmp_path):
+        out = tmp_path / "search"
+        assert main(["hpsearch", "--method", "sgc", "--bundle", str(bundle),
+                     "--out", str(out), "--axes", "learning_rate,num_layers",
+                     "--hp", "num_layers=4", "--hp", "epochs=20"]) == 0
+        log = json.loads((out / "search_log.json").read_text())
+        visits = {v["axis"]: v for v in log["axis_visits"]}
+        assert [v["axis"] for v in log["axis_visits"]] == [
+            "num_layers", "epochs", "learning_rate"]
+        assert visits["num_layers"]["candidates"] == [4]
+        assert visits["epochs"]["candidates"] == [20]
+        assert log["final_config"]["num_layers"] == 4
+        assert log["final_config"]["epochs"] == 20
+        assert log["trial_count"] == 1 + 1 + 3
 
     def test_unknown_axis_exits_2(self, bundle, tmp_path):
         rc = main(["hpsearch", "--method", "sgc", "--bundle", str(bundle),
@@ -301,7 +353,7 @@ class TestBenchAndReport:
                      "--hp", "epochs=5", "--allow-custom"]) == 0
         trials = [json.loads(r) for r in (out / "trials.jsonl").read_text().splitlines()]
         configs = {json.dumps(t["config"], sort_keys=True) for t in trials}
-        assert len(trials) == 6 and len(configs) == 5
+        assert len(trials) == 1 + 3 + 3 and len(configs) == 5  # epochs is fixed
         rows = self._report(tmp_path, [out / "trials.jsonl"])
         assert len(rows) == 5 and all(r["n"] == 1 for r in rows)
         assert {json.dumps(r["config"], sort_keys=True) for r in rows} == configs
@@ -313,6 +365,26 @@ class TestBenchAndReport:
         [row] = self._report(tmp_path, [out / "trials.jsonl"])
         assert row["n"] == 1
         assert row["std_val_acc"] == 0.0 and row["std_test_acc"] == 0.0
+
+    def test_report_keeps_datasets_apart(self, bundle, tmp_path):
+        """Two bundles of one name but different content: one row each."""
+        other = tmp_path / "other"
+        assert main([*GEN[:-1], "6", "--out", str(other)]) == 0
+        paths, recs = [], []
+        for b in (bundle, other):
+            out = tmp_path / f"run-{b.name}"
+            assert main(["train", "--method", "sgc", "--bundle", str(b),
+                         "--out", str(out), "--hp", "epochs=20"]) == 0
+            paths.append(out / "trials.jsonl")
+            recs.append(json.loads(paths[-1].read_text()))
+        names = [r["dataset"] for r in recs]
+        assert names[0] != names[1]
+        assert all(n.startswith("sbm-200@") for n in names)
+        rows = self._report(tmp_path, paths)
+        assert sorted(r["dataset"] for r in rows) == sorted(names)
+        assert all(r["n"] == 1 for r in rows)
+        by = {r["dataset"]: r["mean_val_acc"] for r in rows}
+        assert [by[n] for n in names] == [r["val_acc"] for r in recs]
 
     def test_report_without_inputs_exits_2(self):
         assert main(["report"]) == 2

@@ -15,8 +15,7 @@ from scalegnn.harness import (GNN_SEARCH_SPACE, LP_SEARCH_SPACE, METHODS,
                               estimate_complexity, greedy_search,
                               read_trials_jsonl,
                               record_convergence, write_bench_report,
-                              write_curves, write_search_log,
-                              write_trials_jsonl)
+                              write_search_log, write_trials_jsonl)
 from scalegnn.synth import SyntheticSpec
 from scalegnn.trainers import dataset_from_sbm, run_trial
 
@@ -376,17 +375,7 @@ class TestWriters:
         d = json.loads(p.read_text())
         assert d["schema_version"] == 1
         assert d["final_val_acc"] == 0.5
-
-    def test_curve_csv_layout(self, tmp_path):
-        r = stub_result("sgc", {}, 7, 0.5)
-        r.loss_curve = [2.0, 1.0]
-        r.val_acc_curve = [0.3, 0.6]
-        paths = write_curves([r], tmp_path / "curves")
-        assert paths[0].name == "sgc_7_0.csv"
-        lines = paths[0].read_text().splitlines()
-        assert lines[0] == "epoch,loss,val_acc"
-        assert lines[1].startswith("0,2.0")
-        assert len(lines) == 3
+        assert d["trial_count"] == 1 and "trials" not in d  # trials.jsonl holds them
 
     def test_bench_report_sanitizes(self, tmp_path):
         p = tmp_path / "r.json"

@@ -18,6 +18,7 @@ from scalegnn.nn import (
     mlp_backward,
     mlp_forward,
     one_hot,
+    score_in_chunks,
     shuffled_batches,
     softmax_row,
 )
@@ -322,3 +323,16 @@ class TestFit:
         chunks = list(shuffled_batches(make_rng(0), idx, 4))
         assert [c.size for c in chunks] == [4, 4, 2]
         assert np.array_equal(np.sort(np.concatenate(chunks)), idx)
+
+    def test_score_in_chunks_passes_slices_and_concatenates(self):
+        x = np.arange(20.0).reshape(10, 2)
+        seen = []
+
+        def score(rows):
+            seen.append(rows)
+            return rows * 2
+
+        out = score_in_chunks(score, x, 4)
+        assert np.array_equal(out, x * 2)
+        assert [r.shape[0] for r in seen] == [4, 4, 2]
+        assert all(np.shares_memory(r, x) for r in seen)  # slices, not copies

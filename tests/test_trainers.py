@@ -63,6 +63,10 @@ class TestDataset:
         assert dataset.feature_dim == 16
         assert dataset.name == "sbm-300"
 
+    def test_trial_records_its_dataset(self, dataset):
+        r = run_trial("lp", {"num_propagations": 2}, dataset, seed=0)
+        assert r.dataset == "sbm-300" and r.to_dict()["dataset"] == "sbm-300"
+
     def test_split_covers_all_nodes(self, dataset):
         s = dataset.split
         joined = np.concatenate([s.train, s.val, s.test])
