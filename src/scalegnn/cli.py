@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: gen (synthetic bundle), train (one trial at one seed),
-hpsearch (greedy axis search), bench (throughput + memory preset), report
-(mean and std over seeds of each (dataset, method, config) in trial
-files). Every subcommand honors --seed, --out and --config FILE.
+hpsearch (greedy axis search), bench (throughput + memory preset: each
+method at 3 epochs unless --hp epochs=N), report (mean and std over seeds
+of each (dataset, method, config) in trial files). Every subcommand honors
+--out and --config FILE, and all but report honor --seed.
 
 Config files are flat key=value text ('#' comments allowed). Values parse
 as JSON scalars when possible, else strings. Precedence, lowest to
@@ -39,17 +40,6 @@ import json
 import os
 import sys
 from pathlib import Path
-
-RUN_KEYS = {
-    "gen": {"nodes", "classes", "p_in", "p_out", "feature_dim", "separation",
-            "noise", "fractions", "name", "seed", "out"},
-    "train": {"method", "bundle", "allow_custom", "seed", "out"},
-    "hpsearch": {"method", "bundle", "budget", "axes", "allow_custom",
-                 "seed", "out"},
-    "bench": {"bundle", "methods", "epochs", "seed", "out"},
-    "report": {"inputs", "seed", "out"},
-}
-
 
 class UsageError(Exception):
     pass
@@ -136,19 +126,20 @@ def _parse_hp_pairs(pairs) -> dict:
 
 
 def _merge(command: str, args: argparse.Namespace, defaults: dict):
-    """defaults < config file < explicit flags; returns (options, hp)."""
+    """defaults < config file < explicit flags; returns (options, hp). The
+    keys of defaults are the command's run-level options."""
     options = dict(defaults)
     hp = {}
     if args.config:
         for key, val in read_config_file(args.config).items():
-            if key in RUN_KEYS[command]:
+            if key in defaults:
                 options[key] = val
             elif command in ("train", "hpsearch", "bench"):
                 hp[key] = val
             else:
                 raise UsageError(f"config key {key!r} not valid for "
                                  f"'{command}'")
-    for key in RUN_KEYS[command]:
+    for key in defaults:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             options[key] = flag_val
@@ -296,8 +287,7 @@ def _cmd_hpsearch(args) -> int:
 
 def _cmd_bench(args) -> int:
     options, hp = _merge("bench", args, {
-        "bundle": None, "methods": "sgc,graphsage", "epochs": 3, "seed": 0,
-        "out": None})
+        "bundle": None, "methods": "sgc,graphsage", "seed": 0, "out": None})
     if options["bundle"] is None or options["out"] is None:
         raise UsageError("bench requires --bundle and --out")
     from scalegnn.harness import (METHODS, estimate_complexity, estimator_inputs,
@@ -321,7 +311,7 @@ def _cmd_bench(args) -> int:
             merged = default_config(m)
             cfg = {k: v for k, v in hp.items() if k in merged}
             if "epochs" in merged:  # lp propagates, it has no epochs knob
-                cfg.setdefault("epochs", int(options["epochs"]))  # --hp wins
+                cfg.setdefault("epochs", 3)  # the preset; --hp epochs=N wins
             r = run_trial(m, cfg, dataset, seed=int(options["seed"]))
             merged.update(cfg)
             est = estimate_complexity(m, **estimator_inputs(merged, dataset),
@@ -350,8 +340,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    options, _ = _merge("report", args, {"inputs": None, "seed": 0,
-                                         "out": None})
+    options, _ = _merge("report", args, {"inputs": None, "out": None})
     inputs = options["inputs"] or []
     if isinstance(inputs, str):
         inputs = [inputs]
@@ -404,8 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="scalegnn", description="CPU toolkit for scalable GNN training")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None)
+    def common(p, seeded=True):
+        if seeded:
+            p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--config", default=None,
                        help="flat key=value config file")
@@ -439,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--method", choices=method_names, default=None)
     p.add_argument("--bundle", default=None)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None,
+                   help="most trials to run; a config already run is logged free")
     p.add_argument("--axes", default=None,
                    help="comma-separated subset of axes to search")
     p.add_argument("--hp", action="append", metavar="KEY=VALUE",
@@ -451,12 +442,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--bundle", default=None)
     p.add_argument("--methods", default=None, help="comma-separated methods")
-    p.add_argument("--epochs", type=int, default=None,
-                   help="epochs of each method (default 3); --hp epochs=N wins")
-    p.add_argument("--hp", action="append", metavar="KEY=VALUE")
+    p.add_argument("--hp", action="append", metavar="KEY=VALUE",
+                   help="a method's hyperparameter (epochs defaults to 3)")
 
     p = sub.add_parser("report", help="aggregate trials.jsonl files")
-    common(p)
+    common(p, seeded=False)
     p.add_argument("inputs", nargs="*", default=None,
                    help="trials.jsonl paths")
     return parser

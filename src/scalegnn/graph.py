@@ -54,7 +54,6 @@ class NormalizedAdjacency:
     # sampling distributions are built from these
     values: np.ndarray
     norm_kind: str  # "sym" | "row" | "col"
-    self_loops_added: bool
     _scipy: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -207,7 +206,7 @@ def normalize_adjacency(g: Graph, kind: str, with_self_loops: bool = True) -> No
     if with_self_loops:
         g = add_self_loops(g)
     values = degree_weights(g.row_offsets, g.col_indices, kind, g.is_symmetric)
-    return NormalizedAdjacency(g, values, kind, bool(with_self_loops))
+    return NormalizedAdjacency(g, values, kind)
 
 
 def degree_weights(row_offsets: np.ndarray, col_indices: np.ndarray, kind: str,

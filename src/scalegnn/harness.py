@@ -226,8 +226,10 @@ class GreedySearchLog:
 def greedy_search(method: str, space: HPSpace, dataset, seed: int = 0,
                   budget: int | None = None, runner=None) -> GreedySearchLog:
     """Axis-by-axis search. Winner per axis = highest validation accuracy,
-    first candidate on exact ties. A budget (max trials) cuts the search
-    short and flags the log incomplete.
+    first candidate on exact ties. A budget caps the runner calls: a config
+    the search has already run is logged again at no cost, and a new one
+    runs only while fewer than budget configs have run. The first config
+    the budget refuses ends the search and flags the log incomplete.
 
     runner(method, cfg, dataset, seed) runs one trial at the search's one
     seed (run_trial by default). Trials reuse the normalized adjacency,
@@ -243,20 +245,20 @@ def greedy_search(method: str, space: HPSpace, dataset, seed: int = 0,
     base.update(space.defaults())
     chosen: dict = {}
     visits, trials = [], []
-    seen: dict = {}  # repr of a config -> its TrialResult
+    seen: dict = {}  # repr of a config -> its TrialResult; one per runner call
     complete = True
     final_val = float("nan")
     for axis in space.axes:
         results = []
         for cand in axis.candidates:
-            if budget is not None and len(trials) >= budget:
-                complete = False
-                break
             cfg = dict(base)
             cfg.update(chosen)
             cfg[axis.name] = cand
             key = repr(sorted(cfg.items()))
             if key not in seen:
+                if budget is not None and len(seen) >= budget:
+                    complete = False
+                    break
                 seen[key] = runner(method, cfg, dataset, seed)
             res = seen[key]
             results.append(res)

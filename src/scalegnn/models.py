@@ -1,8 +1,12 @@
 """Precompute-based predictors (SGC, SIGN, SAGN) and the sampled GNN.
 
-The precompute family trains plain feed-forward heads on hop-propagated
-features computed once up front; the sampled GNN consumes BatchPlans from
-the samplers module. All backward passes are hand-written and covered by
+The precompute family trains plain feed-forward networks on hop-propagated
+features computed once up front, and their dense layers are nn's MLP: SGC
+is a one-layer MLP on X^K (nn.MLPConfig and init_mlp; it has no config of
+its own), SIGN's readout over its per-hop projections is a one-layer MLP
+head, and SAGN's fusion network is an MLP. The sampled GNN consumes
+BatchPlans from the samplers module. Every dropout mask is
+nn.dropout_mask's. All backward passes are hand-written and covered by
 finite-difference checks in the tests. Every function computes in the
 dtype of its inputs and parameters; the init_* functions take that dtype.
 
@@ -24,6 +28,7 @@ from scalegnn.graph import NormalizedAdjacency, csr_matmul, spmm
 from scalegnn.nn import (
     MLPConfig,
     MLPParams,
+    dropout_mask,
     init_mlp,
     kaiming_uniform,
     mlp_backward,
@@ -60,40 +65,16 @@ def precompute_hops(a: NormalizedAdjacency, x: np.ndarray, K: int) -> HopFeature
 # ---------------------------------------------------------------------- SGC
 
 
-@dataclass
-class SGCConfig:
-    K: int
-    in_dim: int
-    num_classes: int
-    seed: int = 0
-
-
-def init_sgc(config: SGCConfig, dtype=np.float64) -> MLPParams:
-    return MLPParams(
-        [kaiming_uniform(make_rng(config.seed), config.in_dim, config.num_classes, dtype)],
-        [np.zeros(config.num_classes, dtype=dtype)],
-    )
-
-
-def sgc_forward(hops: HopFeatures, params: MLPParams, config: SGCConfig,
+def sgc_forward(hops: HopFeatures, params: MLPParams, config: MLPConfig,
                 mode: str = "eval", rng=None):
-    """Linear readout of hop K. It has no dropout, so mode and rng change
-    nothing; they keep the signature of sign_forward and sagn_forward.
-
-    Returns (logits, None): the backward reads only the hop and the
-    gradient."""
-    if hops.K != config.K:
-        raise ValueError(f"hop cache has K={hops.K}, model expects K={config.K}")
-    x = hops.hops[config.K]
-    if x.shape[1] != params.weights[0].shape[0]:
-        raise ValueError("feature dim does not match readout")
-    return x @ params.weights[0] + params.biases[0], None
+    """SGC, logistic regression on X^K: config's one-layer MLP on the last
+    hop. Returns mlp_forward's (logits, trace)."""
+    return mlp_forward(params, config, hops.hops[-1], mode, rng)
 
 
-def sgc_backward(hops: HopFeatures, params: MLPParams, config: SGCConfig,
+def sgc_backward(hops: HopFeatures, params: MLPParams, config: MLPConfig,
                  trace, grad_logits: np.ndarray) -> dict:
-    x = hops.hops[config.K]
-    return {"W0": x.T @ grad_logits, "b0": grad_logits.sum(axis=0)}
+    return mlp_backward(params, config, trace, grad_logits)[0]
 
 
 # --------------------------------------------------------------------- SIGN
@@ -108,17 +89,20 @@ class SIGNConfig:
     dropout: float = 0.0
     seed: int = 0
 
+    def head(self) -> MLPConfig:
+        """The linear readout of the K+1 concatenated hop projections."""
+        return MLPConfig([(self.K + 1) * self.hidden, self.num_classes])
+
 
 @dataclass
 class SIGNParams:
     omegas: list  # K+1 projections (in_dim, hidden)
-    readout_w: np.ndarray
-    readout_b: np.ndarray
+    head: MLPParams  # one layer, SIGNConfig.head()
 
     def trainable(self) -> dict:
         out = {f"omega{k}": w for k, w in enumerate(self.omegas)}
-        out["readout_W"] = self.readout_w
-        out["readout_b"] = self.readout_b
+        for name, arr in self.head.trainable().items():
+            out[f"head_{name}"] = arr
         return out
 
 
@@ -126,13 +110,16 @@ def init_sign(config: SIGNConfig, dtype=np.float64) -> SIGNParams:
     rng = make_rng(config.seed)
     omegas = [kaiming_uniform(rng, config.in_dim, config.hidden, dtype)
               for _ in range(config.K + 1)]
-    readout_w = kaiming_uniform(rng, (config.K + 1) * config.hidden, config.num_classes, dtype)
-    return SIGNParams(omegas, readout_w, np.zeros(config.num_classes, dtype=dtype))
+    # the head's weights come from the same stream, after the omegas
+    fan_in, fan_out = config.head().layer_dims
+    head = MLPParams([kaiming_uniform(rng, fan_in, fan_out, dtype)],
+                     [np.zeros(fan_out, dtype=dtype)])
+    return SIGNParams(omegas, head)
 
 
 def sign_forward(hops: HopFeatures, params: SIGNParams, config: SIGNConfig,
                  mode: str = "eval", rng=None):
-    """Per-hop projection, concat, ReLU, optional dropout, readout.
+    """Per-hop projection, concat, ReLU, optional dropout, the head.
 
     Returns (logits, trace) in train mode and (logits, None) otherwise.
     """
@@ -145,25 +132,22 @@ def sign_forward(hops: HopFeatures, params: SIGNParams, config: SIGNConfig,
         np.matmul(hops.hops[k], params.omegas[k], out=pre[:, k * H:(k + 1) * H])
     if mode != "train":
         h = np.maximum(pre, 0.0, out=pre)
-        return h @ params.readout_w + params.readout_b, None
+        return mlp_forward(params.head, config.head(), h, "eval")[0], None
     h = np.maximum(pre, 0.0)
     mask = None
     if config.dropout > 0:
         if rng is None:
             raise ValueError("train-mode dropout needs an rng")
-        keep = 1.0 - config.dropout
-        mask = (rng.random(h.shape) < keep).astype(h.dtype) / keep
+        mask = dropout_mask(rng, h.shape, config.dropout, h.dtype)
         h = h * mask
-    logits = h @ params.readout_w + params.readout_b
-    trace = {"pre": pre, "h": h, "mask": mask}
-    return logits, trace
+    logits, head_trace = mlp_forward(params.head, config.head(), h, "train")
+    return logits, {"pre": pre, "mask": mask, "head": head_trace}
 
 
 def sign_backward(hops: HopFeatures, params: SIGNParams, config: SIGNConfig,
                   trace: dict, grad_logits: np.ndarray) -> dict:
-    grads = {"readout_W": trace["h"].T @ grad_logits,
-             "readout_b": grad_logits.sum(axis=0)}
-    g = grad_logits @ params.readout_w.T
+    head_grads, g = mlp_backward(params.head, config.head(), trace["head"], grad_logits)
+    grads = {f"head_{name}": v for name, v in head_grads.items()}
     if trace["mask"] is not None:
         g = g * trace["mask"]
     g = g * (trace["pre"] > 0)
@@ -441,9 +425,7 @@ def sampled_gnn_forward(plan: BatchPlan, x: np.ndarray, params: SampledGNNParams
         if i < depth - 1:
             h = np.maximum(z, 0.0)
             if config.dropout > 0:
-                keep = 1.0 - config.dropout
-                # one pass; the values of (u < keep).astype(dtype) / keep
-                mask = (rng.random(h.shape) < keep) * (h.dtype.type(1) / h.dtype.type(keep))
+                mask = dropout_mask(rng, h.shape, config.dropout, h.dtype)
                 h = h * mask
                 rec["mask"] = mask
         else:

@@ -1,5 +1,6 @@
-"""Hand-rolled dense numerics: MLP forward/backward, losses, AdamW, the
-mini-batch training loop (fit), gradcheck.
+"""Hand-rolled dense numerics: MLP forward/backward, the dropout mask,
+losses, AdamW, the mini-batch training loop (fit), gradcheck. The MLP is
+also the dense readout of the precompute models (see models).
 
 Everything is plain numpy and computes in the dtype of its inputs and
 parameters. init_mlp takes that dtype: trials pass their features' dtype
@@ -68,6 +69,14 @@ def kaiming_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, dtype) 
     return rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype)
 
 
+def dropout_mask(rng: np.random.Generator, shape, rate: float, dtype) -> np.ndarray:
+    """Inverted-dropout mask of shape: 1/keep where a uniform draw is below
+    keep = 1 - rate, else 0, in dtype. One pass; its values and draws are
+    those of (rng.random(shape) < keep).astype(dtype) / keep."""
+    keep, t = 1.0 - rate, np.dtype(dtype).type
+    return (rng.random(shape) < keep) * (t(1) / t(keep))
+
+
 def init_mlp(config: MLPConfig, dtype=np.float64) -> MLPParams:
     rng = make_rng(config.seed)
     dims = config.layer_dims
@@ -110,8 +119,7 @@ def mlp_forward(params: MLPParams, config: MLPConfig, x: np.ndarray, mode: str =
         trace.pre_act.append(z)
         h = np.maximum(z, 0.0)
         if config.dropout_rate > 0:
-            keep = 1.0 - config.dropout_rate
-            mask = (rng.random(h.shape) < keep).astype(h.dtype) / keep
+            mask = dropout_mask(rng, h.shape, config.dropout_rate, h.dtype)
             h = h * mask
             trace.dropout_masks.append(mask)
         else:

@@ -60,8 +60,7 @@ from scalegnn.harness import (METHODS, TrialResult, default_space,
 from scalegnn.labelprop import (DiffusionConfig, build_zeros_source,
                                 correct_and_smooth, lp_iterate)
 from scalegnn.models import (HopFeatures, SAGNConfig, SampledGNNConfig,
-                             SGCConfig, SIGNConfig, init_sagn,
-                             init_sampled_gnn, init_sgc, init_sign,
+                             SIGNConfig, init_sagn, init_sampled_gnn, init_sign,
                              precompute_hops, sagn_backward, sagn_forward,
                              sampled_gnn_backward, sampled_gnn_forward,
                              sgc_backward, sgc_forward, sign_backward,
@@ -401,8 +400,8 @@ def _train_precompute(method, cfg, dataset, seed):
     d, c, dtype = dataset.feature_dim, dataset.num_classes, hops.hops[0].dtype
     first = K if method == "sgc" else 0  # the lowest hop the model reads
     if method == "sgc":
-        model_cfg = SGCConfig(K, d, c, seed=seed)
-        init, forward, backward = init_sgc, sgc_forward, sgc_backward
+        model_cfg = MLPConfig([d, c], seed=seed)
+        init, forward, backward = init_mlp, sgc_forward, sgc_backward
     elif method == "sign":
         model_cfg = SIGNConfig(K, d, int(cfg["hidden_dim"]), c,
                                dropout=float(cfg["dropout"]), seed=seed)

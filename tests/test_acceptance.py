@@ -31,12 +31,10 @@ from scalegnn.harness import (
 from scalegnn.labelprop import lp_iterate, residual_error_iterate
 from scalegnn.models import (
     SAGNConfig,
-    SGCConfig,
     SIGNConfig,
     SampledGNNConfig,
     init_sagn,
     init_sampled_gnn,
-    init_sgc,
     init_sign,
     precompute_hops,
     sagn_backward,
@@ -159,13 +157,13 @@ def test_02_gradient_suite_finite_differences(capsys):
         hops = precompute_hops(a, rng.standard_normal((n, d)), k)
         y = rng.integers(0, c, size=n)
 
-        sgc_config = SGCConfig(K=k, in_dim=d, num_classes=c, seed=230 + i)
-        sgc_params = init_sgc(sgc_config)
+        sgc_config = MLPConfig([d, c], seed=230 + i)
+        sgc_params = init_mlp(sgc_config)
 
         def f_sgc(_, hops=hops, params=sgc_params, config=sgc_config, y=y):
-            logits, _ = sgc_forward(hops, params, config)
+            logits, trace = sgc_forward(hops, params, config, mode="train")
             loss, gl = cross_entropy(logits, y)
-            return loss, sgc_backward(hops, params, config, None, gl)
+            return loss, sgc_backward(hops, params, config, trace, gl)
 
         errs[f"sgc[{i}]"] = gradcheck(f_sgc, sgc_params.trainable())["max_rel_err"]
 

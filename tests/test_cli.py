@@ -189,7 +189,11 @@ class TestHpsearch:
         assert log["complete"] is True
         assert len((out / "trials.jsonl").read_text().splitlines()) == 7
 
-    def test_budget_flags_incomplete(self, bundle, tmp_path):
+    def test_budget_flags_incomplete(self, bundle, tmp_path, monkeypatch):
+        from scalegnn import trainers
+        calls, real = [], trainers.run_trial
+        monkeypatch.setattr(trainers, "run_trial",
+                            lambda *a, **k: calls.append(a[1]) or real(*a, **k))
         out = tmp_path / "search"
         rc = main(["hpsearch", "--method", "sgc", "--bundle", str(bundle),
                    "--out", str(out), "--axes", "learning_rate,weight_decay",
@@ -197,7 +201,10 @@ class TestHpsearch:
         assert rc == 0
         log = json.loads((out / "search_log.json").read_text())
         assert log["complete"] is False
-        assert log["trial_count"] <= 2
+        # the budget counts runs: the first learning_rate candidate repeats
+        # the epochs axis's config and is logged without a run
+        assert len(calls) == 2
+        assert log["trial_count"] == 3
 
     def test_hp_overrides_reach_every_trial(self, bundle, tmp_path):
         out = tmp_path / "search"
@@ -254,7 +261,7 @@ class TestBenchAndReport:
     def test_bench_report_schema(self, bundle, tmp_path):
         out = tmp_path / "bench"
         rc = main(["bench", "--bundle", str(bundle), "--out", str(out),
-                   "--methods", "sgc,saint-node", "--epochs", "2",
+                   "--methods", "sgc,saint-node", "--hp", "epochs=2",
                    "--hp", "hidden_dim=16", "--hp", "batch_size=64"])
         assert rc == 0
         report = json.loads((out / "bench_report.json").read_text())
@@ -273,12 +280,12 @@ class TestBenchAndReport:
 
         monkeypatch.setattr(trainers, "normalize_adjacency", counting)
         rc = main(["bench", "--bundle", str(bundle), "--out", str(tmp_path / "bench"),
-                   "--methods", "sgc,graphsage,sign", "--epochs", "1",
+                   "--methods", "sgc,graphsage,sign", "--hp", "epochs=1",
                    "--hp", "hidden_dim=16", "--hp", "batch_size=64"])
         assert rc == 0
         assert kinds == ["sym"]
 
-    def test_bench_hp_epochs_wins_over_epochs_flag(self, bundle, tmp_path, monkeypatch):
+    def test_bench_hp_epochs_overrides_the_preset(self, bundle, tmp_path, monkeypatch):
         from scalegnn import trainers
         seen = []
         original = trainers.run_trial
@@ -292,9 +299,16 @@ class TestBenchAndReport:
                    "--methods", "sgc,lp", "--hp", "epochs=7"])
         assert rc == 0
         rc = main(["bench", "--bundle", str(bundle), "--out", str(tmp_path / "b"),
-                   "--methods", "sgc", "--epochs", "2"])
+                   "--methods", "sgc"])
         assert rc == 0
-        assert seen == [("sgc", 7), ("lp", None), ("sgc", 2)]
+        assert seen == [("sgc", 7), ("lp", None), ("sgc", 3)]
+
+    @pytest.mark.parametrize("argv", [["bench", "--epochs", "2"],
+                                      ["report", "--seed", "0"]])
+    def test_removed_flag_exits_2(self, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
 
     def test_bench_unknown_method_exits_2(self, bundle, tmp_path):
         out = tmp_path / "bench"

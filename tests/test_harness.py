@@ -201,11 +201,18 @@ class TestGreedySearch:
         assert any(c["alpha"] == 1 and c["beta"] == 10 for c in first_visit)
 
     def test_budget_marks_incomplete(self, tiny_dataset):
+        # 4 distinct configs: the beta axis re-logs the incumbent (1, 10)
+        # without running it, so budget 3 runs 3 and logs 4 trials
+        runner = make_stub_runner(lambda c: 0.5)
+        log = greedy_search("sgc", self.space(), tiny_dataset, budget=3,
+                            runner=runner)
+        assert not log.complete
+        assert len(runner.calls) == 3 and log.trial_count == 4
         runner = make_stub_runner(lambda c: 0.5)
         log = greedy_search("sgc", self.space(), tiny_dataset, budget=4,
                             runner=runner)
-        assert not log.complete
-        assert log.trial_count <= 4
+        assert log.complete
+        assert len(runner.calls) == 4 and log.trial_count == 5
 
     def test_empty_space_rejected(self, tiny_dataset):
         with pytest.raises(ValueError):

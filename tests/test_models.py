@@ -10,12 +10,10 @@ from scalegnn.instrument import op_counter
 from scalegnn.models import (
     HopFeatures,
     SAGNConfig,
-    SGCConfig,
     SIGNConfig,
     SampledGNNConfig,
     init_sagn,
     init_sampled_gnn,
-    init_sgc,
     init_sign,
     precompute_hops,
     sagn_backward,
@@ -27,7 +25,8 @@ from scalegnn.models import (
     sign_backward,
     sign_forward,
 )
-from scalegnn.nn import MLPParams, cross_entropy, gradcheck, predict
+from scalegnn.nn import (MLPConfig, MLPParams, cross_entropy, gradcheck, init_mlp,
+                         mlp_forward, predict)
 from scalegnn.rng import make_rng
 from scalegnn.samplers import BatchPlan, node_wise_sample, subgraph_batch
 from scalegnn.trainers import full_plan
@@ -100,39 +99,48 @@ def test_sgc_identity_readout():
     x = RNG.normal(size=(6, 4))
     hops = precompute_hops(a, x, 2)
     params = MLPParams([np.eye(4)], [np.zeros(4)])
-    config = SGCConfig(K=2, in_dim=4, num_classes=4)
-    assert np.array_equal(sgc_forward(hops, params, config)[0], hops.hops[2])
+    assert np.array_equal(sgc_forward(hops, params, MLPConfig([4, 4]))[0], hops.hops[2])
 
 
 def test_sgc_k0_is_linear_model():
     x = RNG.normal(size=(5, 3))
     hops = HopFeatures([x], 0)
-    config = SGCConfig(K=0, in_dim=3, num_classes=2, seed=1)
-    params = init_sgc(config)
+    config = MLPConfig([3, 2], seed=1)
+    params = init_mlp(config)
     logits, _ = sgc_forward(hops, params, config)
     assert np.allclose(logits, x @ params.weights[0] + params.biases[0])
+
+
+@pytest.mark.parametrize("mode", ["eval", "train"])
+def test_sgc_forward_is_mlp_forward_on_hop_k(mode):
+    hops = precompute_hops(normalize_adjacency(small_graph(), "sym"),
+                           RNG.normal(size=(6, 3)), 2)
+    config = MLPConfig([3, 4], seed=7)
+    params = init_mlp(config)
+    want = mlp_forward(params, config, hops.hops[2], mode)[0]
+    assert np.array_equal(sgc_forward(hops, params, config, mode)[0], want)
 
 
 def test_sgc_hop_mismatch():
     x = RNG.normal(size=(5, 3))
     hops = HopFeatures([x], 0)
-    config = SGCConfig(K=2, in_dim=3, num_classes=2)
-    with pytest.raises(ValueError, match="K="):
-        sgc_forward(hops, init_sgc(config), config)
+    config = MLPConfig([4, 2])
+    with pytest.raises(ValueError, match="input has 3 features, config expects 4"):
+        sgc_forward(hops, init_mlp(config), config)
 
 
 def test_sgc_gradcheck():
     g = small_graph()
     a = normalize_adjacency(g, "sym")
     hops = precompute_hops(a, RNG.normal(size=(6, 3)), 2)
-    config = SGCConfig(K=2, in_dim=3, num_classes=3, seed=2)
-    params = init_sgc(config)
+    config = MLPConfig([3, 3], seed=2)
+    params = init_mlp(config)
     y = RNG.integers(0, 3, size=6)
 
     def f(_):
-        logits, _ = sgc_forward(hops, params, config)
+        logits, trace = sgc_forward(hops, params, config, mode="train")
         loss, gl = cross_entropy(logits, y)
-        return loss, sgc_backward(hops, params, config, None, gl)
+        return loss, sgc_backward(hops, params, config, trace, gl)
 
     assert gradcheck(f, params.trainable())["max_rel_err"] < 1e-6
 
@@ -143,8 +151,8 @@ def test_sign_identity_collapse():
     config = SIGNConfig(K=0, in_dim=3, hidden=3, num_classes=3)
     params = init_sign(config)
     params.omegas[0][:] = np.eye(3)
-    params.readout_w[:] = np.eye(3)
-    params.readout_b[:] = 0
+    params.head.weights[0][:] = np.eye(3)
+    params.head.biases[0][:] = 0
     logits, _ = sign_forward(hops, params, config)
     assert np.allclose(logits, x, atol=1e-15)
 

@@ -11,6 +11,7 @@ from scalegnn.nn import (
     adam_step,
     accuracy,
     cross_entropy,
+    dropout_mask,
     fit,
     gradcheck,
     init_mlp,
@@ -52,6 +53,19 @@ def test_forward_deterministic():
         logits, _ = mlp_forward(params, config, x, mode="train", rng=make_rng(99))
         outs.append(logits)
     assert np.array_equal(outs[0], outs[1])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rate", [0.1, 0.2, 0.5])
+def test_dropout_mask_is_the_scaled_keep_draw(dtype, rate):
+    """The values and the draws of (u < keep).astype(dtype) / keep."""
+    rng, ref = make_rng(3), make_rng(3)
+    mask = dropout_mask(rng, (7, 5), rate, dtype)
+    keep = 1.0 - rate
+    want = (ref.random((7, 5)) < keep).astype(dtype) / keep
+    assert mask.dtype == want.dtype == dtype
+    assert np.array_equal(mask, want)
+    assert rng.random() == ref.random()
 
 
 def test_forward_shape_error():

@@ -13,10 +13,9 @@ from scalegnn import engcn, samplers, trainers
 from scalegnn.graph import (DataSplit, LabelVector, induced_subgraph,
                             normalize_adjacency)
 from scalegnn.harness import METHODS, default_space, estimate_activation_memory
-from scalegnn.models import (SAGNConfig, SGCConfig, SIGNConfig,
-                             precompute_hops, sagn_forward, sgc_forward,
-                             sign_forward)
-from scalegnn.nn import accuracy, shuffled_batches
+from scalegnn.models import (SAGNConfig, SIGNConfig, precompute_hops,
+                             sagn_forward, sgc_forward, sign_forward)
+from scalegnn.nn import MLPConfig, accuracy, shuffled_batches
 from scalegnn.synth import SyntheticSpec
 from scalegnn.rng import make_rng
 from scalegnn.samplers import (layer_wise_sample, node_wise_sample,
@@ -308,7 +307,7 @@ def _full_graph_logits(method, cfg, hops, ds):
     model over all of hops."""
     K, d, c = int(cfg["num_layers"]), ds.feature_dim, ds.num_classes
     if method == "sgc":
-        return lambda p: sgc_forward(hops, p, SGCConfig(K, d, c))[0]
+        return lambda p: sgc_forward(hops, p, MLPConfig([d, c]))[0]
     if method == "sign":
         model_cfg = SIGNConfig(K, d, int(cfg["hidden_dim"]), c)
         return lambda p: sign_forward(hops, p, model_cfg)[0]
