@@ -48,6 +48,13 @@ nodes into many receivers, and a graph of four components and isolated
 nodes at k below the component count (the leftover pass) and above it
 (clusters that hold a whole component shed nodes).
 
+"large-index" covers node ids past the int32 range of a u * n + v key
+on a 60k-node random graph: symmetry detection, self-loops,
+normalization, subgraph induction, partitioning and one epoch of plans
+per sampler (see `_large_index_entries`). Its index arrays, like those of
+every "plans" entry, are hashed widened to int64, so two checkouts whose
+graphs differ only in index dtype compare equal.
+
 The 3k SBM's products are mostly too small to run as row blocks on the
 product pool (see scalegnn.graph). "above-split" covers that path on a
 20k-node SBM from synth with 128-dim features: a sha256 of
@@ -131,10 +138,23 @@ def _stage_snapshots(ds, seed: int) -> dict:
     return {"snapshots": snapshots, "epoch_logs": logs}
 
 
-def _plan_digests(ds, seed: int, kind: str, dtype) -> dict:
+def _int64_digest(arrays) -> str:
+    """sha256 of the arrays' bytes with every integer array widened to
+    int64, so index arrays that differ only in dtype hash the same."""
+    import numpy as np
+    h = hashlib.sha256()
+    for arr in arrays:
+        arr = np.asarray(arr)
+        h.update(np.ascontiguousarray(arr, dtype=np.int64 if arr.dtype.kind in "iu"
+                                      else arr.dtype).tobytes())
+    return h.hexdigest()
+
+
+def _plan_digests(g, train, seed: int, kind: str, dtype) -> dict:
     """sha256 per sampled method of one epoch of plans, drawn the way the
     trainer draws them (default fanout 10, two layers) from the public
-    one-shot sampler calls, on the norm-kind adjacency with dtype blocks."""
+    one-shot sampler calls on graph g with training nodes train, on the
+    norm-kind adjacency with dtype blocks. Index arrays hash as int64."""
     import numpy as np
     from scalegnn.graph import normalize_adjacency
     from scalegnn.nn import shuffled_batches
@@ -143,7 +163,6 @@ def _plan_digests(ds, seed: int, kind: str, dtype) -> dict:
                                    saint_edge_sample, saint_node_sample,
                                    subgraph_batch)
 
-    g, train = ds.graph, ds.split.train
     a = normalize_adjacency(g, kind)
     parts = partition_graph(g, 16)
     node_sets = {
@@ -155,7 +174,7 @@ def _plan_digests(ds, seed: int, kind: str, dtype) -> dict:
     }
     out = {}
     for method in ("graphsage", "fastgcn", "ladies", *node_sets):
-        rng, h = np.random.default_rng(seed), hashlib.sha256()
+        rng = np.random.default_rng(seed)
         if method in node_sets:
             plans = [subgraph_batch(g, a, nodes, dtype) for nodes in node_sets[method](rng)]
         elif method == "graphsage":
@@ -164,13 +183,12 @@ def _plan_digests(ds, seed: int, kind: str, dtype) -> dict:
         else:
             plans = [layer_wise_sample(g, a, b, 10, 2, method, rng, dtype=dtype)
                      for b in shuffled_batches(rng, train, 256)]
+        arrays = []
         for plan in plans:
-            for arr in plan.node_sets:
-                h.update(arr.tobytes())
+            arrays += plan.node_sets
             for block in plan.blocks:
-                for arr in (block.indptr, block.indices, block.data):
-                    h.update(arr.tobytes())
-        out[method] = h.hexdigest()
+                arrays += [block.indptr, block.indices, block.data]
+        out[method] = _int64_digest(arrays)
     return out
 
 
@@ -191,6 +209,40 @@ def _partition_pass_digests(sbm) -> dict:
     multi = build_graph(np.concatenate(parts), base + 10, symmetrize=True)
     out = {"sbm/32": _partition_digest(sbm, 32)}
     out.update({f"components/{k}": _partition_digest(multi, k) for k in (2, 3, 8, 32)})
+    return out
+
+
+def _large_index_entries() -> dict:
+    """A 60k-node sparse graph, past n = 46341, where a u * n + v key no
+    longer fits int32. For a random edge set built symmetrized
+    ("symmetrized"), as given ("directed"), and with every reverse edge
+    listed but not symmetrized ("listed-symmetric", which the symmetry
+    check must find symmetric): is_symmetric, the sym adjacency with its
+    self-loops, the subgraph induced on every third node, and a
+    partition_graph assignment at k = 8. Plus one epoch of plans per
+    sampler on the symmetrized graph ("plans", as "plans/<seed>" draws
+    them, seed 0, float32 blocks). Index arrays hash as int64."""
+    import numpy as np
+    from scalegnn.graph import build_graph, induced_subgraph, normalize_adjacency
+    from scalegnn.samplers import partition_graph
+
+    n, rng = 60000, np.random.default_rng(11)
+    edges = rng.integers(0, n, size=(3 * n, 2))
+    graphs = {"symmetrized": build_graph(edges, n, symmetrize=True),
+              "directed": build_graph(edges, n),
+              "listed-symmetric": build_graph(np.concatenate([edges, edges[:, ::-1]]), n)}
+    out = {}
+    for name, g in graphs.items():
+        a = normalize_adjacency(g, "sym")
+        sub, mapping = induced_subgraph(g, np.arange(0, n, 3))
+        out[name] = {
+            "is_symmetric": g.is_symmetric,
+            "adjacency": _int64_digest([a.structure.row_offsets, a.structure.col_indices,
+                                        a.values]),
+            "subgraph": _int64_digest([sub.row_offsets, sub.col_indices, mapping]),
+            "partition": _int64_digest([partition_graph(g, 8).assignment])}
+    train = np.sort(rng.choice(n, size=600, replace=False))
+    out["plans"] = _plan_digests(graphs["symmetrized"], train, 0, "sym", np.float32)
     return out
 
 
@@ -236,7 +288,8 @@ def run(path: str) -> None:
         for kind in ("sym", "row", "col"):
             for dtype, tag in ((np.float64, ""), (np.float32, "-f32")):
                 name = "plans" + ("" if kind == "sym" else f"-{kind}") + tag
-                out[f"{name}/{seed}"] = _plan_digests(ds, seed, kind, dtype)
+                out[f"{name}/{seed}"] = _plan_digests(ds.graph, ds.split.train, seed,
+                                                      kind, dtype)
     for prefix, data in (("", ds), ("f64:", ds64)):
         for seed in (0, 1):
             for method, cfg in SHORT.items():
@@ -262,6 +315,7 @@ def run(path: str) -> None:
     out["partitions"] = {str(k): _partition_digest(ds.graph, k) for k in (4, 16)}
     out["partitions-passes"] = _partition_pass_digests(ds.graph)
     out["above-split"] = _above_split_entries()
+    out["large-index"] = _large_index_entries()
     with open(path, "w") as fh:
         json.dump(_untimed(out), fh, sort_keys=True)
 

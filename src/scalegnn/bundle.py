@@ -14,9 +14,14 @@ plus a JSON manifest:
                     (0 train, 1 val, 2 test)
 
 Fixed widths and endianness make bundles portable across platforms without
-a serialization library. Corrupt inputs surface as distinct error types:
-BundleVersionError, BundleCountError, BundleChecksumError,
-BundleFormatError.
+a serialization library. load_bundle reads each file once, straight into
+the array it becomes, and hashes it there; the edge pairs are freed once
+the graph's CSR is built (int32 indices below 2^31 nodes and entries,
+int64 from there; see scalegnn.graph), so a load peaks at about the
+files' bytes plus half of that again. save_bundle writes each array
+straight from memory and hashes it as it writes. Corrupt inputs surface
+as distinct error types: BundleVersionError, BundleCountError,
+BundleChecksumError, BundleFormatError.
 
 Converter contract for real datasets (no downloaders here): prepare four
 CSV files and call bundle_from_csv. edges.csv has one "src,dst" integer
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -67,36 +73,42 @@ class BundleFormatError(BundleError):
     pass
 
 
-def _sha256(path: Path) -> str:
+def _write_array(directory: Path, name: str, arr: np.ndarray) -> str:
+    """Write the array file `name`: magic, uint64 element count, then the
+    elements little-endian, straight from arr when it is already contiguous
+    and little-endian. Returns the file's sha256."""
+    flat = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).reshape(-1)
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+    with open(directory / name, "wb") as fh:
+        for part in (MAGIC[name], flat.size.to_bytes(8, "little"), flat):
+            h.update(part)
+            fh.write(part)
     return h.hexdigest()
 
 
-def _write_array(path: Path, magic: bytes, arr: np.ndarray) -> None:
-    flat = np.ascontiguousarray(arr).reshape(-1)
-    with open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(np.uint64(flat.size).astype("<u8").tobytes())
-        fh.write(flat.astype(flat.dtype.newbyteorder("<")).tobytes())
-
-
-def _read_array(path: Path, magic: bytes, dtype: str, name: str) -> np.ndarray:
-    raw = path.read_bytes()
-    if len(raw) < 16 or raw[:8] != magic:
-        raise BundleFormatError(f"{name}: bad or missing magic header")
-    count = int(np.frombuffer(raw[8:16], dtype="<u8")[0])
-    width = np.dtype(dtype).itemsize
-    if (len(raw) - 16) % width:
-        raise BundleCountError(f"{name}: body is not a whole number of "
-                               f"{width}-byte elements")
-    body = np.frombuffer(raw[16:], dtype=dtype)
-    if body.size != count:
-        raise BundleCountError(f"{name}: header declares {count} elements, "
-                               f"file holds {body.size}")
-    return body
+def _read_array(directory: Path, name: str, dtype: str) -> tuple[np.ndarray, str]:
+    """(body of the array file `name` as a dtype array, the file's sha256).
+    The header is checked first; the body is then read once, straight into
+    its array, and hashed there."""
+    with open(directory / name, "rb") as fh:
+        head = fh.read(16)
+        if len(head) < 16 or head[:8] != MAGIC[name]:
+            raise BundleFormatError(f"{name}: bad or missing magic header")
+        count = int.from_bytes(head[8:16], "little")
+        size = os.fstat(fh.fileno()).st_size - 16
+        width = np.dtype(dtype).itemsize
+        if size % width:
+            raise BundleCountError(f"{name}: body is not a whole number of "
+                                   f"{width}-byte elements")
+        if size // width != count:
+            raise BundleCountError(f"{name}: header declares {count} elements, "
+                                   f"file holds {size // width}")
+        body = np.empty(count, dtype=dtype)
+        if fh.readinto(body.view(np.uint8)) != size:
+            raise BundleCountError(f"{name}: file shrank while it was read")
+    h = hashlib.sha256(head)
+    h.update(body.view(np.uint8))
+    return body, h.hexdigest()
 
 
 def save_bundle(directory, g: Graph, x: np.ndarray, labels: LabelVector,
@@ -105,21 +117,16 @@ def save_bundle(directory, g: Graph, x: np.ndarray, labels: LabelVector,
     """Write the four core files and the manifest; returns the directory."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    src = np.repeat(np.arange(g.num_nodes, dtype=np.uint64),
-                    np.diff(g.row_offsets))
     pairs = np.empty((g.num_edges, 2), dtype=np.uint64)
-    pairs[:, 0] = src
-    pairs[:, 1] = g.col_indices.astype(np.uint64)
-    _write_array(directory / "edges.bin", MAGIC["edges.bin"], pairs)
-    _write_array(directory / "features.bin", MAGIC["features.bin"],
-                 x.astype(np.float32))
-    _write_array(directory / "labels.bin", MAGIC["labels.bin"],
-                 labels.labels.astype(np.uint64))
+    pairs[:, 0] = np.repeat(np.arange(g.num_nodes, dtype=np.uint64),
+                            np.diff(g.row_offsets))
+    pairs[:, 1] = g.col_indices
     codes = np.full(g.num_nodes, _SPLIT_CODES["test"], dtype=np.uint64)
     codes[split.train] = _SPLIT_CODES["train"]
     codes[split.val] = _SPLIT_CODES["val"]
-    _write_array(directory / "splits.bin", MAGIC["splits.bin"], codes)
-    files = ["edges.bin", "features.bin", "labels.bin", "splits.bin"]
+    arrays = {"edges.bin": pairs, "features.bin": x.astype(np.float32, copy=False),
+              "labels.bin": labels.labels.astype(np.uint64), "splits.bin": codes}
+    checksums = {f: _write_array(directory, f, arr) for f, arr in arrays.items()}
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "name": name,
@@ -131,7 +138,7 @@ def save_bundle(directory, g: Graph, x: np.ndarray, labels: LabelVector,
                         "val": int(split.val.size),
                         "test": int(split.test.size)},
         "symmetrize": symmetrize,
-        "checksums": {f: _sha256(directory / f) for f in files},
+        "checksums": checksums,
     }
     with open(directory / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -157,7 +164,10 @@ def load_bundle(directory):
     Returns (Graph, float32 features, LabelVector, DataSplit). Checks run
     in order version -> counts -> checksums so each corruption mode maps to
     one error type: truncation is a count mismatch, a flipped payload byte
-    is a checksum mismatch.
+    is a checksum mismatch. Each file is read once, into the array it
+    becomes (features and labels are views of it) and hashed there; the
+    edge pairs go to build_graph, which frees them once the CSR is built,
+    so the load peaks near the files' bytes plus the CSR.
     """
     directory = Path(directory)
     manifest = read_manifest(directory)
@@ -166,34 +176,33 @@ def load_bundle(directory):
             raise BundleFormatError(f"{fname}: listed in manifest, missing")
     n = int(manifest["num_nodes"])
     d = int(manifest["feature_dim"])
-    raw = _read_array(directory / "edges.bin", MAGIC["edges.bin"], "<u8",
-                      "edges.bin")
-    if raw.size != 2 * manifest["num_edges"]:
+    sums = {}
+    edges, sums["edges.bin"] = _read_array(directory, "edges.bin", "<u8")
+    if edges.size != 2 * manifest["num_edges"]:
         raise BundleCountError(
-            f"edges.bin: {raw.size // 2} pairs, manifest says "
+            f"edges.bin: {edges.size // 2} pairs, manifest says "
             f"{manifest['num_edges']}")
-    pairs = raw.reshape(-1, 2).astype(np.int64)
-    feats = _read_array(directory / "features.bin", MAGIC["features.bin"],
-                        "<f4", "features.bin")
+    feats, sums["features.bin"] = _read_array(directory, "features.bin", "<f4")
     if feats.size != n * d:
         raise BundleCountError(f"features.bin: {feats.size} scalars, "
                                f"manifest implies {n * d}")
-    x = feats.reshape(n, d).copy()
-    lab = _read_array(directory / "labels.bin", MAGIC["labels.bin"], "<u8",
-                      "labels.bin")
+    lab, sums["labels.bin"] = _read_array(directory, "labels.bin", "<u8")
     if lab.size != n:
         raise BundleCountError(f"labels.bin: {lab.size} labels for {n} nodes")
-    codes = _read_array(directory / "splits.bin", MAGIC["splits.bin"], "<u8",
-                        "splits.bin")
+    codes, sums["splits.bin"] = _read_array(directory, "splits.bin", "<u8")
     if codes.size != n:
         raise BundleCountError(f"splits.bin: {codes.size} codes for {n} nodes")
     for fname, want in manifest["checksums"].items():
-        got = _sha256(directory / fname)
+        got = sums.get(fname) or hashlib.sha256((directory / fname).read_bytes()).hexdigest()
         if got != want:
             raise BundleChecksumError(f"{fname}: sha256 {got[:12]}.. does "
                                       f"not match manifest {want[:12]}..")
-    g = build_graph(pairs, n, symmetrize=bool(manifest["symmetrize"]))
-    labels = LabelVector(lab.astype(np.int64), int(manifest["num_classes"]))
+    # uint64 as int64 in place: an id of 2^63 or more reads negative, as a
+    # cast would make it, and fails build_graph's endpoint check. The list
+    # hands build_graph the only reference, so it can free the pairs.
+    edges = [edges.view("<i8").reshape(-1, 2)]
+    g = build_graph(edges.pop(), n, symmetrize=bool(manifest["symmetrize"]))
+    labels = LabelVector(lab.view("<i8"), int(manifest["num_classes"]))
     split = DataSplit(np.flatnonzero(codes == _SPLIT_CODES["train"]),
                       np.flatnonzero(codes == _SPLIT_CODES["val"]),
                       np.flatnonzero(codes == _SPLIT_CODES["test"]))
@@ -202,7 +211,7 @@ def load_bundle(directory):
             raise BundleCountError(f"split {part}: {getattr(split, part).size}"
                                    f" nodes, manifest says "
                                    f"{manifest['split_sizes'][key]}")
-    return g, x, labels, split
+    return g, feats.reshape(n, d), labels, split
 
 
 def write_synthetic_bundle(spec: SyntheticSpec, directory,

@@ -164,11 +164,12 @@ def engcn_train_stage(state: EnGCNState, phi_params: MLPParams,
         loss, grad = cross_entropy(logits, targets_all[batch])
         # the float64 loss gradient goes back into phi in phi's dtype
         grads_phi, _ = mlp_backward(phi_params, config.phi, trace_phi,
-                                    grad.astype(phi_params.weights[0].dtype, copy=False))
+                                    grad.astype(phi_params.weights[0].dtype, copy=False),
+                                    input_grad=False)
         adam_step(opt_phi, phi_params.trainable(), grads_phi)
         if use_psi:
             grads_psi, _ = mlp_backward(psi_params, config.psi,
-                                        trace_psi, grad)
+                                        trace_psi, grad, input_grad=False)
             adam_step(opt_psi, psi_params.trainable(), grads_psi)
         return loss
 

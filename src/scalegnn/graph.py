@@ -1,9 +1,12 @@
 """CSR graph storage, adjacency normalization, and sparse-dense products.
 
-All node indices are int64 so multi-million-node graphs fit without care.
-Graphs are plain CSR structure (no weights); weights only ever come from
-normalization and live in NormalizedAdjacency. Both types are frozen after
-construction and safe to share.
+A graph's CSR index arrays (row offsets and column indices) are int32
+when its node count and its number of entries are both below 2^31, and
+int64 otherwise (_index_dtype), so a graph holds 4 bytes per entry until
+it needs 8. Products of index values (the symmetry check's u * n + v keys)
+are formed in int64. Graphs are plain CSR structure (no weights); weights
+only ever come from normalization and live in NormalizedAdjacency. Both
+types are frozen after construction and safe to share.
 
 spmm and csr_matmul run a large CSR product (at least _SPLIT_MADDS
 multiply-adds, nnz x width, with x already in the matrix's dtype) as row
@@ -35,8 +38,9 @@ from scalegnn.instrument import op_counter
 @dataclass(frozen=True)
 class Graph:
     num_nodes: int
-    row_offsets: np.ndarray  # int64, len num_nodes+1
-    col_indices: np.ndarray  # int64, len num_edges
+    # int32, or int64 at 2^31 nodes or entries and up (_index_dtype)
+    row_offsets: np.ndarray  # len num_nodes+1
+    col_indices: np.ndarray  # len num_edges
     is_symmetric: bool = False
 
     @property
@@ -63,7 +67,10 @@ class NormalizedAdjacency:
     def to_scipy(self, dtype=np.float64) -> sp.csr_matrix:
         """The matrix as scipy CSR with values in dtype, built on the first
         call per dtype and shared after it, so callers must not modify it.
-        The forms of all dtypes share one set of (int32) index arrays."""
+        The forms of all dtypes share one set of index arrays: the
+        structure's own, which scipy keeps as they are because their dtype
+        is the one it would pick (a hand-built Graph's int64 indices are
+        converted once, by the first form)."""
         dtype = np.dtype(dtype)
         mat = self._scipy.get(dtype)
         if mat is None:
@@ -104,15 +111,24 @@ class DataSplit:
             raise ValueError("negative node index in split")
 
 
+def _index_dtype(num_nodes: int, nnz: int) -> np.dtype:
+    """The dtype of a CSR structure's index arrays: int32 when its node
+    count and its number of entries both fit below 2^31, int64 otherwise."""
+    return np.dtype(np.int32 if max(num_nodes, nnz) < 2**31 else np.int64)
+
+
 def _strictly_increasing(src: np.ndarray, dst: np.ndarray) -> bool:
     """Whether the (src, dst) pairs are in strictly increasing lexicographic
-    order, i.e. already sorted and free of duplicates. O(E)."""
-    step = np.diff(src)
-    return bool(((step > 0) | ((step == 0) & (np.diff(dst) > 0))).all())
+    order, i.e. already sorted and free of duplicates. O(E), with boolean
+    temporaries only."""
+    up = src[1:] > src[:-1]
+    up |= (src[1:] == src[:-1]) & (dst[1:] > dst[:-1])
+    return bool(up.all())
 
 
 def _csr_from_pairs(num_nodes: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort by (src, dst), drop duplicates, return (row_offsets, col_indices).
+    """Sort by (src, dst), drop duplicates, return (row_offsets, col_indices)
+    in _index_dtype.
 
     Pairs that are already strictly increasing skip the sort and the dedup.
     """
@@ -122,19 +138,24 @@ def _csr_from_pairs(num_nodes: int, src: np.ndarray, dst: np.ndarray) -> tuple[n
         keep = np.ones(src.size, dtype=bool)
         keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
         src, dst = src[keep], dst[keep]
-    counts = np.bincount(src, minlength=num_nodes)
-    row_offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_offsets[1:])
-    return row_offsets, dst.astype(np.int64)
+    dtype = _index_dtype(num_nodes, src.size)
+    row_offsets = np.zeros(num_nodes + 1, dtype=dtype)
+    np.cumsum(np.bincount(src, minlength=num_nodes), out=row_offsets[1:])
+    return row_offsets, dst.astype(dtype)
 
 
 def _check_symmetry(num_nodes: int, row_offsets: np.ndarray, col_indices: np.ndarray) -> bool:
     """Whether a sorted, deduplicated CSR (as _csr_from_pairs returns it)
-    holds the reverse of every edge."""
+    holds the reverse of every edge. The u * n + v keys are int64 whatever
+    the index dtype (they pass 2^31 from n = 46341 on), built in place."""
     src = np.repeat(np.arange(num_nodes, dtype=np.int64), np.diff(row_offsets))
-    fwd = src * num_nodes + col_indices  # already increasing
-    rev = col_indices * num_nodes + src
+    rev = col_indices.astype(np.int64)
+    rev *= num_nodes
+    rev += src
     rev.sort()
+    fwd = src  # already increasing
+    fwd *= num_nodes
+    fwd += col_indices
     return bool(np.array_equal(fwd, rev))
 
 
@@ -142,7 +163,9 @@ def build_graph(edge_list, num_nodes: int, symmetrize: bool = False) -> Graph:
     """Build a sorted, deduplicated CSR graph from an iterable/array of (u, v).
 
     With symmetrize=True every reverse edge is added before deduplication.
-    Endpoint validation happens first and names the offending pair.
+    Endpoint validation happens first and names the offending pair. The
+    index arrays are in _index_dtype; an int64 edge array is used as it is
+    and dropped once the CSR is built, before the symmetry check.
     """
     edges = np.asarray(list(edge_list) if not isinstance(edge_list, np.ndarray) else edge_list,
                        dtype=np.int64)
@@ -150,18 +173,16 @@ def build_graph(edge_list, num_nodes: int, symmetrize: bool = False) -> Graph:
         edges = edges.reshape(0, 2)
     if edges.ndim != 2 or edges.shape[1] != 2:
         raise ValueError("edge_list must be pairs of node indices")
-    bad = (edges < 0) | (edges >= num_nodes)
-    if bad.any():
-        u, v = edges[bad.any(axis=1)][0]
+    if edges.size and (edges.min() < 0 or edges.max() >= num_nodes):
+        u, v = edges[((edges < 0) | (edges >= num_nodes)).any(axis=1)][0]
         raise ValueError(f"edge ({u}, {v}) has endpoint outside [0, {num_nodes})")
     src, dst = edges[:, 0], edges[:, 1]
     if symmetrize:
         src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
     row_offsets, col_indices = _csr_from_pairs(num_nodes, src, dst)
-    if symmetrize:
-        is_sym = True
-    else:
-        is_sym = _check_symmetry(num_nodes, row_offsets, col_indices)
+    # the pairs (a loaded bundle's whole edge file) are not needed past here
+    del edge_list, edges, src, dst
+    is_sym = True if symmetrize else _check_symmetry(num_nodes, row_offsets, col_indices)
     return Graph(num_nodes, row_offsets, col_indices, is_symmetric=is_sym)
 
 
@@ -174,10 +195,10 @@ def add_self_loops(g: Graph) -> Graph:
     """
     n = g.num_nodes
     counts = np.diff(g.row_offsets)
-    src = np.repeat(np.arange(n, dtype=np.int64), counts)
+    src = np.repeat(np.arange(n, dtype=_index_dtype(n, g.num_edges)), counts)
     dst = g.col_indices
     if not _strictly_increasing(src, dst):
-        loops = np.arange(n, dtype=np.int64)
+        loops = np.arange(n, dtype=src.dtype)
         row_offsets, col_indices = _csr_from_pairs(
             n, np.concatenate([src, loops]), np.concatenate([dst, loops]))
         return Graph(n, row_offsets, col_indices, is_symmetric=g.is_symmetric)
@@ -186,9 +207,10 @@ def add_self_loops(g: Graph) -> Graph:
     missing = np.flatnonzero(~has_loop)
     # a row's loop goes after its columns below v
     below = np.bincount(src[dst < src], minlength=n)
-    col_indices = np.insert(dst.astype(np.int64, copy=False),
+    dtype = _index_dtype(n, g.num_edges + missing.size)
+    col_indices = np.insert(dst.astype(dtype, copy=False),
                             g.row_offsets[missing] + below[missing], missing)
-    row_offsets = np.zeros(n + 1, dtype=np.int64)
+    row_offsets = np.zeros(n + 1, dtype=dtype)
     np.cumsum(counts + ~has_loop, out=row_offsets[1:])
     return Graph(n, row_offsets, col_indices, is_symmetric=g.is_symmetric)
 
@@ -350,8 +372,8 @@ def induced_subgraph(g: Graph, nodes) -> tuple[Graph, np.ndarray]:
         rows_new = np.repeat(np.arange(nodes.size, dtype=np.int64), counts)
         cols_new = mapping[cols]
         keep = cols_new >= 0
-        row_offsets, col_indices = _csr_from_pairs(nodes.size, rows_new[keep], cols_new[keep])
+        src, dst = rows_new[keep], cols_new[keep]
     else:
-        row_offsets = np.zeros(nodes.size + 1, dtype=np.int64)
-        col_indices = np.zeros(0, dtype=np.int64)
+        src = dst = np.zeros(0, dtype=np.int64)
+    row_offsets, col_indices = _csr_from_pairs(nodes.size, src, dst)
     return Graph(nodes.size, row_offsets, col_indices, is_symmetric=g.is_symmetric), mapping

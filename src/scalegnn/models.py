@@ -74,7 +74,7 @@ def sgc_forward(hops: HopFeatures, params: MLPParams, config: MLPConfig,
 
 def sgc_backward(hops: HopFeatures, params: MLPParams, config: MLPConfig,
                  trace, grad_logits: np.ndarray) -> dict:
-    return mlp_backward(params, config, trace, grad_logits)[0]
+    return mlp_backward(params, config, trace, grad_logits, input_grad=False)[0]
 
 
 # --------------------------------------------------------------------- SIGN

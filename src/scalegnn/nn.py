@@ -127,8 +127,10 @@ def mlp_forward(params: MLPParams, config: MLPConfig, x: np.ndarray, mode: str =
 
 
 def mlp_backward(params: MLPParams, config: MLPConfig, trace: ForwardTrace,
-                 grad_logits: np.ndarray):
-    """Reverse-mode gradients. Returns (grads dict keyed like trainable(), grad_input)."""
+                 grad_logits: np.ndarray, input_grad: bool = True):
+    """Reverse-mode gradients. Returns (grads dict keyed like trainable(),
+    grad_input); with input_grad=False grad_input is None and its product
+    with the first layer's weights is skipped."""
     if trace is None:
         raise ValueError("backward needs a train-mode trace")
     if trace.consumed:
@@ -148,6 +150,8 @@ def mlp_backward(params: MLPParams, config: MLPConfig, trace: ForwardTrace,
             g = g * (z > 0).astype(z.dtype)
         grads[f"W{l}"] = trace.inputs[l].T @ g
         grads[f"b{l}"] = g.sum(axis=0)
+        if l == 0 and not input_grad:
+            return grads, None
         g = g @ params.weights[l].T
     return grads, g
 

@@ -459,7 +459,7 @@ def _train_mlp_base(knobs, dataset, seed):
         logits, trace = mlp_forward(params, mlp_cfg, x[batch], mode="train",
                                     rng=drop_rng)
         loss, grad = cross_entropy(logits, y[batch])
-        grads, _ = mlp_backward(params, mlp_cfg, trace, grad)
+        grads, _ = mlp_backward(params, mlp_cfg, trace, grad, input_grad=False)
         adam_step(opt, params.trainable(), grads)
         return loss
 

@@ -1,7 +1,9 @@
 """Bundle format: round trips, corruption detection, CSV converter."""
 
+import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +106,33 @@ class TestCorruption:
         (bundle_dir / "splits.bin").unlink()
         with pytest.raises(BundleFormatError):
             load_bundle(bundle_dir)
+
+
+    def test_id_past_int64_is_an_endpoint_error(self, bundle_dir):
+        # 2^63 reads as a negative int64, as a cast would make it
+        path = bundle_dir / "edges.bin"
+        blob = bytearray(path.read_bytes())
+        blob[16:24] = struct.pack("<Q", 2**63)
+        path.write_bytes(bytes(blob))
+        m = json.loads((bundle_dir / "manifest.json").read_text())
+        m["checksums"]["edges.bin"] = hashlib.sha256(blob).hexdigest()
+        (bundle_dir / "manifest.json").write_text(json.dumps(m))
+        with pytest.raises(ValueError, match="outside"):
+            load_bundle(bundle_dir)
+
+
+def test_load_peak_within_twice_the_file_bytes(tmp_path):
+    out = write_synthetic_bundle(
+        SyntheticSpec(20000, 5, 0.005, 0.0005, feature_dim=16), tmp_path / "b")
+    file_bytes = sum(f.stat().st_size for f in out.glob("*.bin"))
+    tracemalloc.start()
+    try:
+        g, *_ = load_bundle(out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.col_indices.dtype == np.int32
+    assert peak <= 2 * file_bytes, f"peak {peak / file_bytes:.2f}x the file bytes"
 
 
 class TestCsvConverter:

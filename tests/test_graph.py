@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from scalegnn import graph
 from scalegnn.graph import (
@@ -16,6 +17,7 @@ from scalegnn.graph import (
     DataSplit,
     LabelVector,
     _csr_from_pairs,
+    _index_dtype,
     add_self_loops,
     build_graph,
     csr_matmul,
@@ -24,6 +26,7 @@ from scalegnn.graph import (
     spmm,
 )
 from scalegnn.instrument import op_counter
+from scalegnn.samplers import partition_graph
 
 
 def dense_from_edges(edges, n, symmetrize=False):
@@ -127,8 +130,9 @@ def reference_self_loops(g):
 
 
 def assert_csr_equal(got, want):
+    # every graph here is far below 2^31 nodes and entries: int32 indices
     for a, b in zip(got, want):
-        assert a.dtype == np.int64 and np.array_equal(a, b)
+        assert a.dtype == np.int32 and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -159,7 +163,7 @@ def test_self_loops_unsorted_rows_fall_back_to_sort():
     # a Graph built directly with unsorted, duplicate columns in its rows
     g = Graph(3, np.array([0, 3, 3, 6]), np.array([2, 0, 2, 1, 1, 0]))
     got = add_self_loops(g)
-    want = (np.array([0, 2, 3, 6]), np.array([0, 2, 1, 0, 1, 2]))
+    want = (np.array([0, 2, 3, 6], dtype=np.int32), np.array([0, 2, 1, 0, 1, 2], dtype=np.int32))
     assert_csr_equal((got.row_offsets, got.col_indices), want)
     assert_csr_equal(want, reference_self_loops(g))
 
@@ -416,3 +420,70 @@ def test_split_disjoint():
     DataSplit(np.array([0, 1]), np.array([2]), np.array([3]))
     with pytest.raises(ValueError, match="overlap"):
         DataSplit(np.array([0, 1]), np.array([1]), np.array([3]))
+
+
+# ------------------------------------------------------------ index dtypes
+
+
+def test_index_dtype_is_int32_below_2_31_and_int64_from_it():
+    # sizes only: nothing of that size is allocated
+    assert _index_dtype(0, 0) == np.int32
+    assert _index_dtype(2**31 - 1, 2**31 - 1) == np.int32
+    assert _index_dtype(2**31, 5) == np.int64
+    assert _index_dtype(5, 2**31) == np.int64
+    assert _index_dtype(2**40, 2**40) == np.int64
+
+
+def test_graph_indices_are_int32_and_shared_with_scipy():
+    rng = np.random.default_rng(3)
+    g = build_graph(random_edges(rng, 50, 200), 50)
+    a = normalize_adjacency(g, "sym")
+    sub, _ = induced_subgraph(g, np.arange(0, 50, 2))
+    for h in (g, a.structure, sub):
+        assert h.row_offsets.dtype == np.int32 and h.col_indices.dtype == np.int32
+    for dtype in (np.float32, np.float64):
+        mat = a.to_scipy(dtype)
+        assert np.shares_memory(mat.indices, a.structure.col_indices)
+        assert np.shares_memory(mat.indptr, a.structure.row_offsets)
+
+
+def _scipy_pattern(n, src, dst):
+    """Canonical 0/1 scipy CSR of the pairs (sorted, duplicates summed)."""
+    m = sp.csr_matrix((np.ones(src.size), (src, dst)), shape=(n, n))
+    m.sum_duplicates()
+    m.data[:] = 1.0
+    return m
+
+
+def _assert_pattern(g, m):
+    assert np.array_equal(g.row_offsets, m.indptr)
+    assert np.array_equal(g.col_indices, m.indices)
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_past_int32_keys_match_scipy_and_int64(symmetric):
+    # n > 46341, where u * n + v no longer fits int32
+    n, rng = 100_000, np.random.default_rng(5)
+    edges = rng.integers(0, n, size=(2 * n, 2))
+    if symmetric:
+        edges = np.concatenate([edges, edges[:, ::-1]])
+    g = build_graph(edges, n)  # the symmetry check decides
+    m = _scipy_pattern(n, edges[:, 0], edges[:, 1])
+    _assert_pattern(g, m)
+    assert g.is_symmetric == symmetric == ((m != m.T).nnz == 0)
+
+    _assert_pattern(add_self_loops(g), _scipy_pattern(
+        n, np.concatenate([edges[:, 0], np.arange(n)]),
+        np.concatenate([edges[:, 1], np.arange(n)])))
+
+    nodes = np.sort(rng.choice(n, size=n // 3, replace=False))
+    sub, mapping = induced_subgraph(g, nodes)
+    want = m[nodes][:, nodes].tocsr()
+    want.sort_indices()
+    _assert_pattern(sub, want)
+    assert np.array_equal(mapping[nodes], np.arange(nodes.size))
+
+    wide = Graph(n, g.row_offsets.astype(np.int64), g.col_indices.astype(np.int64),
+                 is_symmetric=g.is_symmetric)
+    assert np.array_equal(partition_graph(g, 4).assignment,
+                          partition_graph(wide, 4).assignment)
