@@ -20,6 +20,10 @@ and on a float64 copy of them (the same names under "f64:", e.g.
 "f64:sgc/0", "f64:default/sgc"). Trials compute in their features'
 dtype, so the "f64:" entries show whether the float64 path moved.
 
+"config/<method>" holds each method's `default_config` as (key, value)
+pairs, in their order, and the axes of its `default_space` as (name,
+candidates, default), so a change to the method table shows as well.
+
 The short and default sampled models have two layers, whose full-graph
 evaluation feeds the hidden layer's row blocks straight into the
 narrowing last layer. "deep/graphsage" and "deep/saint-rw" (seed 0,
@@ -312,6 +316,11 @@ def run(path: str) -> None:
             log = greedy_search(method, space, data, seed=0)
             out[f"{prefix}search-{method}/0"] = {
                 **log.to_dict(), "trials": [t.to_dict() for t in log.trials]}
+    for method in SHORT:
+        out[f"config/{method}"] = {
+            "config": list(default_config(method).items()),
+            "axes": [[a.name, list(a.candidates), a.default]
+                     for a in default_space(method).axes]}
     out["partitions"] = {str(k): _partition_digest(ds.graph, k) for k in (4, 16)}
     out["partitions-passes"] = _partition_pass_digests(ds.graph)
     out["above-split"] = _above_split_entries()

@@ -49,6 +49,7 @@ from scalegnn.harness import (
     GNN_SEARCH_SPACE,
     LP_SEARCH_SPACE,
     METHODS,
+    default_config,
     default_space,
     estimate_activation_memory,
     estimate_complexity,
@@ -58,7 +59,7 @@ from scalegnn.instrument import op_counter
 from scalegnn.labelprop import DiffusionConfig, correct_and_smooth, lp_iterate
 from scalegnn.nn import TrainingDiverged
 from scalegnn.synth import SyntheticSpec, generate_sbm
-from scalegnn.trainers import Dataset, dataset_from_sbm, default_config, run_trial
+from scalegnn.trainers import Dataset, dataset_from_sbm, run_trial
 
 __all__ = [
     "Graph",

@@ -148,8 +148,7 @@ def _merge(command: str, args: argparse.Namespace, defaults: dict):
 
 
 def _validate_hp(method: str, hp: dict, allow_custom: bool) -> dict:
-    from scalegnn.harness import default_space
-    from scalegnn.trainers import default_config
+    from scalegnn.harness import default_config, default_space
     known = set(default_config(method))
     unknown = sorted(set(hp) - known)
     if unknown:
@@ -290,9 +289,9 @@ def _cmd_bench(args) -> int:
         "bundle": None, "methods": "sgc,graphsage", "seed": 0, "out": None})
     if options["bundle"] is None or options["out"] is None:
         raise UsageError("bench requires --bundle and --out")
-    from scalegnn.harness import (METHODS, estimate_complexity, estimator_inputs,
-                                  write_bench_report)
-    from scalegnn.trainers import default_config, run_trial
+    from scalegnn.harness import (METHODS, default_config, estimate_complexity,
+                                  estimator_inputs, write_bench_report)
+    from scalegnn.trainers import run_trial
     methods = [m.strip() for m in str(options["methods"]).split(",")]
     unknown = sorted(set(methods) - set(METHODS))
     if unknown:
@@ -308,13 +307,12 @@ def _cmd_bench(args) -> int:
     rows = []
     with DirectoryLock(out):
         for m in methods:
-            merged = default_config(m)
-            cfg = {k: v for k, v in hp.items() if k in merged}
-            if "epochs" in merged:  # lp propagates, it has no epochs knob
+            known = default_config(m)
+            cfg = {k: v for k, v in hp.items() if k in known}
+            if "epochs" in known:  # lp propagates, it has no epochs knob
                 cfg.setdefault("epochs", 3)  # the preset; --hp epochs=N wins
             r = run_trial(m, cfg, dataset, seed=int(options["seed"]))
-            merged.update(cfg)
-            est = estimate_complexity(m, **estimator_inputs(merged, dataset),
+            est = estimate_complexity(m, **estimator_inputs(r.config, dataset),
                                       num_nodes=dataset.num_nodes,
                                       nnz=dataset.graph.num_edges)
             rows.append({
@@ -324,7 +322,6 @@ def _cmd_bench(args) -> int:
                 "eval_seconds": r.extras["eval_seconds"],
                 "activation_bytes": r.activation_bytes,
                 "estimated_time_ops": est.time_ops,
-                "estimated_space_bytes": est.space_bytes,
             })
         write_bench_report({"dataset": dataset.name, "rows": rows},
                            out / "bench_report.json")

@@ -1,8 +1,13 @@
-"""Benchmark orchestration: greedy axis-by-axis hyperparameter search,
-analytic activation-memory and complexity accounting, convergence curves,
-and the JSON writers. Each trial's full record, curves included, goes to
-trials.jsonl; a search log holds the axis visits and the final config, not
-the trials.
+"""Benchmark orchestration: the method table, greedy axis-by-axis
+hyperparameter search, analytic activation-memory and complexity
+accounting, convergence curves, and the JSON writers. Each trial's full
+record, curves included, goes to trials.jsonl; a search log holds the axis
+visits and the final config, not the trials.
+
+Each method's configuration is stated once, in its METHODS row: its search
+space and its fixed knobs, the ones no axis covers. default_space returns
+the space, and default_config the space's defaults followed by the fixed
+knobs; a search and a trial both start from that config.
 
 The greedy search walks the axes in their declared order; within an axis
 every candidate is trialed with already-searched axes fixed to their
@@ -33,42 +38,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 SCHEMA_VERSION = 1
-
-
-# ------------------------------------------------------------ method table
-
-
-@dataclass(frozen=True)
-class MethodSpec:
-    """Registry row: training category plus what the batch-size knob counts
-    for this method (the raw knob is normalized to 'active nodes per batch'
-    by the trainer and both are recorded)."""
-
-    name: str
-    category: str  # node-wise | layer-wise | subgraph-wise | precompute | labelprop | stagewise
-    batch_semantics: str
-
-
-METHODS = {
-    m.name: m for m in [
-        MethodSpec("graphsage", "node-wise", "training seed nodes per step"),
-        MethodSpec("fastgcn", "layer-wise", "training seed nodes per step"),
-        MethodSpec("ladies", "layer-wise", "training seed nodes per step"),
-        MethodSpec("clustergcn", "subgraph-wise",
-                   "target nodes per step, rounded to whole clusters"),
-        MethodSpec("saint-node", "subgraph-wise", "node draws per subgraph"),
-        MethodSpec("saint-edge", "subgraph-wise",
-                   "target nodes per subgraph (half as many edge draws)"),
-        MethodSpec("saint-rw", "subgraph-wise",
-                   "target nodes per subgraph (roots = size / walk length)"),
-        MethodSpec("sgc", "precompute", "input rows per step"),
-        MethodSpec("sign", "precompute", "input rows per step"),
-        MethodSpec("sagn", "precompute", "input rows per step"),
-        MethodSpec("lp", "labelprop", "not batched"),
-        MethodSpec("cs", "labelprop", "input rows per step (base predictor)"),
-        MethodSpec("engcn", "stagewise", "pseudo-training nodes per step"),
-    ]
-}
 
 
 # ------------------------------------------------------------ search space
@@ -125,23 +94,82 @@ LP_SEARCH_SPACE = HPSpace((
 ))
 
 
+# ------------------------------------------------------------ method table
+
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """Registry row: training category, what the batch-size knob counts
+    for this method (the raw knob is normalized to 'active nodes per batch'
+    by the trainer and both are recorded), the search space, and the fixed
+    knobs, those no axis of the space covers."""
+
+    name: str
+    category: str  # node-wise | layer-wise | subgraph-wise | precompute | labelprop | stagewise
+    batch_semantics: str
+    space: HPSpace
+    fixed: dict
+
+
+# cs gets the diffusion axes and its base MLP's depth, with the base MLP's
+# other knobs fixed; lp, plain label propagation, has no base MLP and so
+# drops autoscale and the depth. Precompute methods do not search the
+# batch size (their mini-batching is over precomputed rows), and sgc, a
+# single linear layer on the hops, also drops the hidden width and dropout
+# it does not have.
+_SYM = dict(norm_kind="sym")
+_FANOUT = dict(_SYM, fanout=10)
+_PRECOMPUTE = dict(batch_size=1000, **_SYM)
+_SEED_BATCHES = "training seed nodes per step"
+_ROWS = "input rows per step"
+METHODS = {
+    m.name: m for m in [
+        MethodSpec("graphsage", "node-wise", _SEED_BATCHES, GNN_SEARCH_SPACE, _FANOUT),
+        MethodSpec("fastgcn", "layer-wise", _SEED_BATCHES, GNN_SEARCH_SPACE, _FANOUT),
+        MethodSpec("ladies", "layer-wise", _SEED_BATCHES, GNN_SEARCH_SPACE, _FANOUT),
+        MethodSpec("clustergcn", "subgraph-wise",
+                   "target nodes per step, rounded to whole clusters",
+                   GNN_SEARCH_SPACE, dict(_SYM, num_clusters=16)),
+        MethodSpec("saint-node", "subgraph-wise", "node draws per subgraph",
+                   GNN_SEARCH_SPACE, _SYM),
+        MethodSpec("saint-edge", "subgraph-wise",
+                   "target nodes per subgraph (half as many edge draws)",
+                   GNN_SEARCH_SPACE, _SYM),
+        MethodSpec("saint-rw", "subgraph-wise",
+                   "target nodes per subgraph (roots = size / walk length)",
+                   GNN_SEARCH_SPACE, dict(_SYM, walk_length=2)),
+        MethodSpec("sgc", "precompute", _ROWS,
+                   GNN_SEARCH_SPACE.without("batch_size", "dropout", "hidden_dim"),
+                   _PRECOMPUTE),
+        MethodSpec("sign", "precompute", _ROWS, GNN_SEARCH_SPACE.without("batch_size"),
+                   _PRECOMPUTE),
+        MethodSpec("sagn", "precompute", _ROWS, GNN_SEARCH_SPACE.without("batch_size"),
+                   _PRECOMPUTE),
+        MethodSpec("lp", "labelprop", "not batched",
+                   LP_SEARCH_SPACE.without("autoscale", "num_mlp_layers"), {}),
+        MethodSpec("cs", "labelprop", "input rows per step (base predictor)",
+                   LP_SEARCH_SPACE,
+                   dict(hidden_dim=64, learning_rate=0.01, weight_decay=0.0,
+                        dropout=0.0, epochs=30, batch_size=512)),
+        MethodSpec("engcn", "stagewise", "pseudo-training nodes per step",
+                   GNN_SEARCH_SPACE, dict(_SYM, threshold=0.9, warm_start=True)),
+    ]
+}
+
+
 def default_space(method: str) -> HPSpace:
-    """Table-ordered search space for a method. cs gets the diffusion axes
-    and its base MLP's depth; lp, plain label propagation, has no base MLP
-    and so drops autoscale and the depth. Precompute methods drop the
-    batch-size axis (their mini-batching is over precomputed rows, so the
-    knob is not searched), and sgc, a single linear layer on the hops, also
-    drops the hidden width and dropout it does not have."""
+    """The method's table-ordered search space, from its METHODS row."""
+    return METHODS[method].space
+
+
+def default_config(method: str) -> dict:
+    """Full default config: the method's search-space defaults, then its
+    fixed knobs."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; known: "
+                         f"{sorted(METHODS)}")
     spec = METHODS[method]
-    if method == "lp":
-        return LP_SEARCH_SPACE.without("autoscale", "num_mlp_layers")
-    if spec.category == "labelprop":
-        return LP_SEARCH_SPACE
-    if method == "sgc":
-        return GNN_SEARCH_SPACE.without("batch_size", "dropout", "hidden_dim")
-    if spec.category == "precompute":
-        return GNN_SEARCH_SPACE.without("batch_size")
-    return GNN_SEARCH_SPACE
+    return {**spec.space.defaults(), **spec.fixed}
 
 
 # ---------------------------------------------------------------- results
@@ -240,7 +268,6 @@ def greedy_search(method: str, space: HPSpace, dataset, seed: int = 0,
         raise ValueError("empty search space")
     if runner is None:
         from scalegnn.trainers import run_trial as runner
-    from scalegnn.trainers import default_config
     base = default_config(method)
     base.update(space.defaults())
     chosen: dict = {}

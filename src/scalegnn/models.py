@@ -4,9 +4,9 @@ The precompute family trains plain feed-forward networks on hop-propagated
 features computed once up front, and their dense layers are nn's MLP: SGC
 is a one-layer MLP on X^K (nn.MLPConfig and init_mlp; it has no config of
 its own), SIGN's readout over its per-hop projections is a one-layer MLP
-head, and SAGN's fusion network is an MLP. The sampled GNN consumes
-BatchPlans from the samplers module. Every dropout mask is
-nn.dropout_mask's. All backward passes are hand-written and covered by
+head, and SAGN's fusion network is a one-hidden-layer MLP; SIGN and SAGN
+share one config, HopConfig. The sampled GNN consumes BatchPlans from the
+samplers module. Every dropout mask is nn.dropout_mask's. All backward passes are hand-written and covered by
 finite-difference checks in the tests. Every function computes in the
 dtype of its inputs and parameters; the init_* functions take that dtype.
 
@@ -20,7 +20,7 @@ batched inference).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,11 +77,15 @@ def sgc_backward(hops: HopFeatures, params: MLPParams, config: MLPConfig,
     return mlp_backward(params, config, trace, grad_logits, input_grad=False)[0]
 
 
-# --------------------------------------------------------------------- SIGN
+# ---------------------------------------------------------- SIGN and SAGN
 
 
 @dataclass
-class SIGNConfig:
+class HopConfig:
+    """A hop model over hops X^0..X^K of in_dim features: SIGN projects
+    each hop to width hidden, and SAGN's fusion MLP has one hidden layer
+    of that width."""
+
     K: int
     in_dim: int
     hidden: int
@@ -90,14 +94,22 @@ class SIGNConfig:
     seed: int = 0
 
     def head(self) -> MLPConfig:
-        """The linear readout of the K+1 concatenated hop projections."""
+        """SIGN's linear readout of the K+1 concatenated hop projections."""
         return MLPConfig([(self.K + 1) * self.hidden, self.num_classes])
+
+    def fusion(self) -> MLPConfig:
+        """SAGN's fusion MLP, from the attended hops to the logits."""
+        return MLPConfig([self.in_dim, self.hidden, self.num_classes],
+                         dropout_rate=self.dropout, seed=self.seed)
+
+
+# --------------------------------------------------------------------- SIGN
 
 
 @dataclass
 class SIGNParams:
     omegas: list  # K+1 projections (in_dim, hidden)
-    head: MLPParams  # one layer, SIGNConfig.head()
+    head: MLPParams  # one layer, HopConfig.head()
 
     def trainable(self) -> dict:
         out = {f"omega{k}": w for k, w in enumerate(self.omegas)}
@@ -106,7 +118,7 @@ class SIGNParams:
         return out
 
 
-def init_sign(config: SIGNConfig, dtype=np.float64) -> SIGNParams:
+def init_sign(config: HopConfig, dtype=np.float64) -> SIGNParams:
     rng = make_rng(config.seed)
     omegas = [kaiming_uniform(rng, config.in_dim, config.hidden, dtype)
               for _ in range(config.K + 1)]
@@ -117,7 +129,7 @@ def init_sign(config: SIGNConfig, dtype=np.float64) -> SIGNParams:
     return SIGNParams(omegas, head)
 
 
-def sign_forward(hops: HopFeatures, params: SIGNParams, config: SIGNConfig,
+def sign_forward(hops: HopFeatures, params: SIGNParams, config: HopConfig,
                  mode: str = "eval", rng=None):
     """Per-hop projection, concat, ReLU, optional dropout, the head.
 
@@ -144,7 +156,7 @@ def sign_forward(hops: HopFeatures, params: SIGNParams, config: SIGNConfig,
     return logits, {"pre": pre, "mask": mask, "head": head_trace}
 
 
-def sign_backward(hops: HopFeatures, params: SIGNParams, config: SIGNConfig,
+def sign_backward(hops: HopFeatures, params: SIGNParams, config: HopConfig,
                   trace: dict, grad_logits: np.ndarray) -> dict:
     head_grads, g = mlp_backward(params.head, config.head(), trace["head"], grad_logits)
     grads = {f"head_{name}": v for name, v in head_grads.items()}
@@ -160,20 +172,6 @@ def sign_backward(hops: HopFeatures, params: SIGNParams, config: SIGNConfig,
 # --------------------------------------------------------------------- SAGN
 
 ATTENTION_SLOPE = 0.2  # leaky-ReLU slope of the hop-attention scores
-
-
-@dataclass
-class SAGNConfig:
-    K: int
-    in_dim: int
-    num_classes: int
-    mlp_hidden: list = field(default_factory=list)
-    dropout: float = 0.0
-    seed: int = 0
-
-    def mlp_config(self) -> MLPConfig:
-        return MLPConfig([self.in_dim, *self.mlp_hidden, self.num_classes],
-                         dropout_rate=self.dropout, seed=self.seed)
 
 
 @dataclass
@@ -193,7 +191,7 @@ class SAGNParams:
         return out
 
 
-def init_sagn(config: SAGNConfig, dtype=np.float64) -> SAGNParams:
+def init_sagn(config: HopConfig, dtype=np.float64) -> SAGNParams:
     if config.K < 1:
         raise ValueError("hop attention needs K >= 1")
     rng = make_rng(config.seed)
@@ -201,7 +199,7 @@ def init_sagn(config: SAGNConfig, dtype=np.float64) -> SAGNParams:
     att_u = kaiming_uniform(rng, d, 1, dtype).ravel()
     att_v = [kaiming_uniform(rng, d, 1, dtype).ravel() for _ in range(config.K)]
     skip = kaiming_uniform(rng, d, d, dtype)
-    mlp = init_mlp(config.mlp_config(), dtype)
+    mlp = init_mlp(config.fusion(), dtype)
     return SAGNParams(att_u, att_v, skip, mlp)
 
 
@@ -213,7 +211,7 @@ def _leaky_grad(z):
     return np.where(z > 0, 1.0, ATTENTION_SLOPE).astype(z.dtype, copy=False)
 
 
-def sagn_forward(hops: HopFeatures, params: SAGNParams, config: SAGNConfig,
+def sagn_forward(hops: HopFeatures, params: SAGNParams, config: HopConfig,
                  mode: str = "eval", rng=None):
     """Per-node softmax attention over hops 1..K, plus a raw-feature skip
     into the fusion MLP.
@@ -239,16 +237,16 @@ def sagn_forward(hops: HopFeatures, params: SAGNParams, config: SAGNConfig,
     mlp_in += fused
     if mode != "train":
         del fused  # n x d, not needed by the eval MLP pass
-        return mlp_forward(params.mlp, config.mlp_config(), mlp_in, mode="eval")[0], None
-    logits, mlp_trace = mlp_forward(params.mlp, config.mlp_config(), mlp_in,
+        return mlp_forward(params.mlp, config.fusion(), mlp_in, mode="eval")[0], None
+    logits, mlp_trace = mlp_forward(params.mlp, config.fusion(), mlp_in,
                                     mode="train", rng=rng)
     trace = {"t": t, "pre": pre, "mlp_trace": mlp_trace, "mlp_in": mlp_in}
     return logits, trace
 
 
-def sagn_backward(hops: HopFeatures, params: SAGNParams, config: SAGNConfig,
+def sagn_backward(hops: HopFeatures, params: SAGNParams, config: HopConfig,
                   trace: dict, grad_logits: np.ndarray) -> dict:
-    mlp_grads, g_in = mlp_backward(params.mlp, config.mlp_config(),
+    mlp_grads, g_in = mlp_backward(params.mlp, config.fusion(),
                                    trace["mlp_trace"], grad_logits)
     grads = {f"mlp_{k}": v for k, v in mlp_grads.items()}
     x0 = hops.hops[0]

@@ -1,9 +1,12 @@
 """End-to-end trainers behind the benchmark harness.
 
 Every registered method maps (flat config dict, dataset, seed) to a fully
-instrumented TrialResult through run_trial. Epoch-trained methods run the
-one mini-batch loop, nn.fit, with their own batch source, rngs and
-optimizers, and score the val rows once per epoch. A precompute model
+instrumented TrialResult through run_trial. The config a trial runs is the
+method's harness.default_config updated with the caller's keys; a sizing
+knob below its floor (an empty batch, no epochs, no layers) fails by name
+before the trial builds anything. Epoch-trained methods run the one
+mini-batch loop, nn.fit, with their own batch source, rngs and optimizers,
+and score the val rows once per epoch. A precompute model
 scores rows in chunks of its batch size; a sampled one forwards the whole
 graph, its dense part in row blocks of its batch size, and builds an
 all-node hidden layer only where the next layer's sparse product reads all
@@ -55,16 +58,15 @@ from scalegnn.engcn import (SLEConfig, engcn_init, engcn_propagate,
                             engcn_stage_forward, engcn_train_stage,
                             majority_vote, sle_update)
 from scalegnn.graph import DataSplit, Graph, LabelVector, normalize_adjacency
-from scalegnn.harness import (METHODS, TrialResult, default_space,
+from scalegnn.harness import (METHODS, TrialResult, default_config,
                               estimate_activation_memory, estimator_inputs)
 from scalegnn.labelprop import (DiffusionConfig, build_zeros_source,
                                 correct_and_smooth, lp_iterate)
-from scalegnn.models import (HopFeatures, SAGNConfig, SampledGNNConfig,
-                             SIGNConfig, init_sagn, init_sampled_gnn, init_sign,
-                             precompute_hops, sagn_backward, sagn_forward,
-                             sampled_gnn_backward, sampled_gnn_forward,
-                             sgc_backward, sgc_forward, sign_backward,
-                             sign_forward)
+from scalegnn.models import (HopConfig, HopFeatures, SampledGNNConfig, init_sagn,
+                             init_sampled_gnn, init_sign, precompute_hops,
+                             sagn_backward, sagn_forward, sampled_gnn_backward,
+                             sampled_gnn_forward, sgc_backward, sgc_forward,
+                             sign_backward, sign_forward)
 from scalegnn.nn import (AdamState, FitLog, MLPConfig, accuracy, adam_step,
                          cross_entropy, fit, init_mlp, mlp_backward,
                          mlp_forward, predict, score_in_chunks, shuffled_batches,
@@ -80,8 +82,7 @@ from scalegnn.synth import SyntheticSpec, generate_sbm
 
 
 # the knobs of the cs base MLP: all that _train_mlp_base reads, and its cache key
-MLP_BASE_KNOBS = ("num_mlp_layers", "hidden_dim", "dropout", "learning_rate",
-                  "weight_decay", "epochs", "batch_size")
+MLP_BASE_KNOBS = ("num_mlp_layers", *METHODS["cs"].fixed)
 
 # the slots a trial of each category reads; run_trial drops the others
 _READS = {"node-wise": ("adjacency",), "layer-wise": ("adjacency",),
@@ -172,32 +173,6 @@ class Dataset:
 def dataset_from_sbm(spec: SyntheticSpec) -> Dataset:
     g, x, labels, split = generate_sbm(spec)
     return Dataset(g, x, labels, split, name=f"sbm-{spec.num_nodes}")
-
-
-def default_config(method: str) -> dict:
-    """Full default config: the method's search-space defaults plus the
-    fixed knobs the axes do not cover."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; known: "
-                         f"{sorted(METHODS)}")
-    spec = METHODS[method]
-    cfg = default_space(method).defaults()
-    if method == "cs":  # the base MLP's knobs
-        cfg.update(hidden_dim=64, learning_rate=0.01, weight_decay=0.0,
-                   dropout=0.0, epochs=30, batch_size=512)
-    if spec.category == "labelprop":
-        return cfg
-    cfg.setdefault("batch_size", 1000)  # precompute: knob exists, not searched
-    cfg["norm_kind"] = "sym"
-    if spec.category in ("node-wise", "layer-wise"):
-        cfg["fanout"] = 10
-    if method == "clustergcn":
-        cfg["num_clusters"] = 16
-    if method == "saint-rw":
-        cfg["walk_length"] = 2
-    if method == "engcn":
-        cfg.update(threshold=0.9, warm_start=True)
-    return cfg
 
 
 # ------------------------------------------------------------------ common
@@ -394,22 +369,18 @@ def _train_precompute(method, cfg, dataset, seed):
     y = dataset.labels.labels
     split = dataset.split
     K = int(cfg["num_layers"])
-    if method == "sagn" and K < 1:
-        raise ValueError("sagn needs num_layers >= 1 (hop attention)")
     hops, precompute_seconds = dataset.hops(cfg["norm_kind"], K)
     d, c, dtype = dataset.feature_dim, dataset.num_classes, hops.hops[0].dtype
     first = K if method == "sgc" else 0  # the lowest hop the model reads
     if method == "sgc":
         model_cfg = MLPConfig([d, c], seed=seed)
         init, forward, backward = init_mlp, sgc_forward, sgc_backward
-    elif method == "sign":
-        model_cfg = SIGNConfig(K, d, int(cfg["hidden_dim"]), c,
-                               dropout=float(cfg["dropout"]), seed=seed)
-        init, forward, backward = init_sign, sign_forward, sign_backward
     else:
-        model_cfg = SAGNConfig(K, d, c, mlp_hidden=[int(cfg["hidden_dim"])],
-                               dropout=float(cfg["dropout"]), seed=seed)
-        init, forward, backward = init_sagn, sagn_forward, sagn_backward
+        model_cfg = HopConfig(K, d, int(cfg["hidden_dim"]), c,
+                              dropout=float(cfg["dropout"]), seed=seed)
+        init, forward, backward = ((init_sign, sign_forward, sign_backward)
+                                   if method == "sign" else
+                                   (init_sagn, sagn_forward, sagn_backward))
     params = init(model_cfg, dtype)
     opt = AdamState(cfg["learning_rate"], cfg["weight_decay"])
     shuffle_rng, drop_rng = spawn_rngs(seed, 2)
@@ -576,8 +547,12 @@ def _train_engcn(method, cfg, dataset, seed):
 
 def _check_sizes(method: str, cfg: dict) -> None:
     """Reject a sizing knob below its smallest valid value by name, before
-    a trial builds anything."""
-    for knob, least in (("batch_size", 1), ("num_clusters", 1), ("walk_length", 0)):
+    a trial builds anything. engcn may train zero epochs per stage; sgc and
+    sign may read only X^0, and engcn may run stage 0 alone (num_layers 0)."""
+    floors = {"batch_size": 1, "num_clusters": 1, "walk_length": 0, "hidden_dim": 1,
+              "num_mlp_layers": 1, "epochs": int(method != "engcn"),
+              "num_layers": int(method not in ("sgc", "sign", "engcn"))}
+    for knob, least in floors.items():
         if knob in cfg and cfg[knob] < least:
             raise ValueError(f"method {method!r}: {knob} must be >= {least}, "
                              f"got {knob}={cfg[knob]}")

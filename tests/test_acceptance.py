@@ -30,8 +30,7 @@ from scalegnn.harness import (
 )
 from scalegnn.labelprop import lp_iterate, residual_error_iterate
 from scalegnn.models import (
-    SAGNConfig,
-    SIGNConfig,
+    HopConfig,
     SampledGNNConfig,
     init_sagn,
     init_sampled_gnn,
@@ -167,8 +166,8 @@ def test_02_gradient_suite_finite_differences(capsys):
 
         errs[f"sgc[{i}]"] = gradcheck(f_sgc, sgc_params.trainable())["max_rel_err"]
 
-        sign_config = SIGNConfig(K=k, in_dim=d, hidden=4, num_classes=c,
-                                 seed=240 + i)
+        sign_config = HopConfig(K=k, in_dim=d, hidden=4, num_classes=c,
+                                seed=240 + i)
         sign_params = init_sign(sign_config)
 
         def f_sign(_, hops=hops, params=sign_params, config=sign_config, y=y):
@@ -178,8 +177,8 @@ def test_02_gradient_suite_finite_differences(capsys):
 
         errs[f"sign[{i}]"] = gradcheck(f_sign, sign_params.trainable())["max_rel_err"]
 
-        sagn_config = SAGNConfig(K=k, in_dim=d, num_classes=c, mlp_hidden=[4],
-                                 seed=250 + i)
+        sagn_config = HopConfig(K=k, in_dim=d, hidden=4, num_classes=c,
+                                seed=250 + i)
         sagn_params = init_sagn(sagn_config)
 
         def f_sagn(_, hops=hops, params=sagn_params, config=sagn_config, y=y):

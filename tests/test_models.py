@@ -9,8 +9,7 @@ from scalegnn.graph import build_graph, csr_matmul, normalize_adjacency, spmm
 from scalegnn.instrument import op_counter
 from scalegnn.models import (
     HopFeatures,
-    SAGNConfig,
-    SIGNConfig,
+    HopConfig,
     SampledGNNConfig,
     init_sagn,
     init_sampled_gnn,
@@ -148,7 +147,7 @@ def test_sgc_gradcheck():
 def test_sign_identity_collapse():
     x = np.abs(RNG.normal(size=(5, 3)))  # non-negative: ReLU passes it through
     hops = HopFeatures([x], 0)
-    config = SIGNConfig(K=0, in_dim=3, hidden=3, num_classes=3)
+    config = HopConfig(K=0, in_dim=3, hidden=3, num_classes=3)
     params = init_sign(config)
     params.omegas[0][:] = np.eye(3)
     params.head.weights[0][:] = np.eye(3)
@@ -162,7 +161,7 @@ def test_sign_zeroed_hops_ignore_propagation():
     a = normalize_adjacency(g, "sym")
     x = RNG.normal(size=(6, 3))
     hops = precompute_hops(a, x, 2)
-    config = SIGNConfig(K=2, in_dim=3, hidden=4, num_classes=3, seed=3)
+    config = HopConfig(K=2, in_dim=3, hidden=4, num_classes=3, seed=3)
     params = init_sign(config)
     for k in range(1, 3):
         params.omegas[k][:] = 0.0
@@ -176,7 +175,7 @@ def test_sign_gradcheck():
     g = small_graph()
     a = normalize_adjacency(g, "sym")
     hops = precompute_hops(a, RNG.normal(size=(6, 3)), 2)
-    config = SIGNConfig(K=2, in_dim=3, hidden=4, num_classes=3, seed=4)
+    config = HopConfig(K=2, in_dim=3, hidden=4, num_classes=3, seed=4)
     params = init_sign(config)
     y = RNG.integers(0, 3, size=6)
 
@@ -191,7 +190,7 @@ def test_sign_gradcheck():
 def test_sign_eval_keeps_no_trace_and_matches_train():
     g = small_graph()
     hops = precompute_hops(normalize_adjacency(g, "sym"), RNG.normal(size=(6, 3)), 2)
-    config = SIGNConfig(K=2, in_dim=3, hidden=4, num_classes=3, seed=5)
+    config = HopConfig(K=2, in_dim=3, hidden=4, num_classes=3, seed=5)
     params = init_sign(config)
     logits, trace = sign_forward(hops, params, config)
     assert trace is None
@@ -201,7 +200,7 @@ def test_sign_eval_keeps_no_trace_and_matches_train():
 def test_sagn_eval_keeps_no_trace_and_matches_train():
     g = small_graph()
     hops = precompute_hops(normalize_adjacency(g, "sym"), RNG.normal(size=(6, 3)), 2)
-    config = SAGNConfig(K=2, in_dim=3, num_classes=3, mlp_hidden=[4], seed=5)
+    config = HopConfig(K=2, in_dim=3, hidden=4, num_classes=3, seed=5)
     params = init_sagn(config)
     logits, trace = sagn_forward(hops, params, config)
     assert trace is None
@@ -213,7 +212,7 @@ def test_sagn_k1_attention_trivial():
     a = normalize_adjacency(g, "sym")
     x = RNG.normal(size=(6, 3))
     hops = precompute_hops(a, x, 1)
-    config = SAGNConfig(K=1, in_dim=3, num_classes=2, mlp_hidden=[4], seed=5)
+    config = HopConfig(K=1, in_dim=3, hidden=4, num_classes=2, seed=5)
     params = init_sagn(config)
     _, trace = sagn_forward(hops, params, config, mode="train")
     assert np.allclose(trace["t"], 1.0)
@@ -225,7 +224,7 @@ def test_sagn_zero_vectors_uniform_attention():
     a = normalize_adjacency(g, "sym")
     x = RNG.normal(size=(6, 3))
     hops = precompute_hops(a, x, 3)
-    config = SAGNConfig(K=3, in_dim=3, num_classes=2, mlp_hidden=[4], seed=6)
+    config = HopConfig(K=3, in_dim=3, hidden=4, num_classes=2, seed=6)
     params = init_sagn(config)
     params.att_u[:] = 0
     for v in params.att_v:
@@ -240,21 +239,21 @@ def test_sagn_attention_rows_sum_one():
     g = small_graph(8, 10, seed=2)
     a = normalize_adjacency(g, "sym")
     hops = precompute_hops(a, RNG.normal(size=(8, 5)), 2)
-    config = SAGNConfig(K=2, in_dim=5, num_classes=3, mlp_hidden=[6], seed=7)
+    config = HopConfig(K=2, in_dim=5, hidden=6, num_classes=3, seed=7)
     _, trace = sagn_forward(hops, init_sagn(config), config, mode="train")
     assert np.allclose(trace["t"].sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_sagn_requires_hops():
     with pytest.raises(ValueError, match="K >= 1"):
-        init_sagn(SAGNConfig(K=0, in_dim=3, num_classes=2))
+        init_sagn(HopConfig(K=0, in_dim=3, hidden=4, num_classes=2))
 
 
 def test_sagn_gradcheck_through_attention():
     g = small_graph()
     a = normalize_adjacency(g, "sym")
     hops = precompute_hops(a, RNG.normal(size=(6, 3)), 2)
-    config = SAGNConfig(K=2, in_dim=3, num_classes=3, mlp_hidden=[4], seed=8)
+    config = HopConfig(K=2, in_dim=3, hidden=4, num_classes=3, seed=8)
     params = init_sagn(config)
     y = RNG.integers(0, 3, size=6)
 

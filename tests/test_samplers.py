@@ -684,3 +684,35 @@ def test_node_wise_sample_matches_coo_reference():
                         x, y = getattr(got, name), getattr(want, name)
                         assert x.dtype == y.dtype and np.array_equal(x, y), name
                 assert _plain(rng.bit_generator.state) == _plain(ref_rng.bit_generator.state)
+
+
+# Exhaustive budgets, under which each sampled method trains full-batch GCN:
+# a SAINT subgraph that draws every node, full fanout, one batch of all seeds
+LIMIT_CONFIGS = {
+    "saint-node": dict(batch_size=10**5), "saint-edge": dict(batch_size=10**5),
+    "saint-rw": dict(walk_length=2, batch_size=3 * 10**5),
+    "graphsage": dict(fanout=1000), "fastgcn": dict(fanout=10**6),
+    "ladies": dict(fanout=10**6)}
+# subgraph plans induce the same whole-graph block; block stacks sum in
+# another order and so round differently
+EXACT_IN_THE_LIMIT = ("saint-node", "saint-edge", "saint-rw")
+
+
+@pytest.fixture(scope="module")
+def full_batch_gcn():
+    """The 3k SBM and, on it, clustergcn with one cluster: full-batch GCN."""
+    ds = dataset_from_sbm(SyntheticSpec(3000, 5, 0.05, 0.005, feature_dim=16,
+                                        separation=0.6, noise=1.0, seed=0))
+    base = dict(epochs=10, dropout=0.0, batch_size=3000)
+    return ds, base, run_trial("clustergcn", dict(base, num_clusters=1), ds, seed=0)
+
+
+@pytest.mark.parametrize("method", sorted(LIMIT_CONFIGS))
+def test_sampled_method_is_full_batch_gcn_in_the_limit(full_batch_gcn, method):
+    ds, base, ref = full_batch_gcn
+    r = run_trial(method, {**base, **LIMIT_CONFIGS[method]}, ds, seed=0)
+    assert r.val_acc_curve == ref.val_acc_curve
+    if method in EXACT_IN_THE_LIMIT:
+        assert r.loss_curve == ref.loss_curve
+    else:
+        np.testing.assert_allclose(r.loss_curve, ref.loss_curve, rtol=1e-6, atol=0)

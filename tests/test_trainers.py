@@ -13,8 +13,8 @@ from scalegnn import engcn, samplers, trainers
 from scalegnn.graph import (DataSplit, LabelVector, induced_subgraph,
                             normalize_adjacency)
 from scalegnn.harness import METHODS, default_space, estimate_activation_memory
-from scalegnn.models import (SAGNConfig, SIGNConfig, precompute_hops,
-                             sagn_forward, sgc_forward, sign_forward)
+from scalegnn.models import (HopConfig, precompute_hops, sagn_forward,
+                             sgc_forward, sign_forward)
 from scalegnn.nn import MLPConfig, accuracy, shuffled_batches
 from scalegnn.synth import SyntheticSpec
 from scalegnn.rng import make_rng
@@ -137,7 +137,13 @@ class TestRunTrialValidation:
 @pytest.mark.parametrize("method,knob,value", [
     ("graphsage", "batch_size", 0), ("sign", "batch_size", 0), ("cs", "batch_size", 0),
     ("saint-node", "batch_size", 0), ("fastgcn", "batch_size", -4),
-    ("clustergcn", "num_clusters", 0), ("saint-rw", "walk_length", -1)])
+    ("clustergcn", "num_clusters", 0), ("saint-rw", "walk_length", -1),
+    ("sgc", "epochs", 0), ("cs", "epochs", 0), ("engcn", "epochs", -1),
+    ("graphsage", "hidden_dim", 0), ("sign", "hidden_dim", 0), ("engcn", "hidden_dim", 0),
+    ("graphsage", "num_layers", 0), ("clustergcn", "num_layers", -2),
+    ("saint-node", "num_layers", 0), ("sagn", "num_layers", 0),
+    ("sgc", "num_layers", -1), ("sign", "num_layers", -1), ("engcn", "num_layers", -1),
+    ("cs", "num_mlp_layers", 0)])
 def test_bad_size_knob_named_before_building(dataset, monkeypatch, method, knob, value):
     def no_build(*_):
         raise AssertionError("the trial built its inputs before rejecting the knob")
@@ -146,6 +152,13 @@ def test_bad_size_knob_named_before_building(dataset, monkeypatch, method, knob,
         monkeypatch.setattr(trainers, name, no_build)
     with pytest.raises(ValueError, match=f"{knob} must be >= .*, got {knob}={value}"):
         run_trial(method, {**SMOKE_CONFIGS[method], knob: value}, dataset)
+
+
+@pytest.mark.parametrize("method", ["sgc", "sign"])
+def test_zero_hops_train_on_the_features(dataset, method):
+    """num_layers 0 is a valid size where the model can read X^0 alone."""
+    r = run_trial(method, {**SMOKE_CONFIGS[method], "num_layers": 0}, dataset)
+    assert len(r.loss_curve) == SMOKE_CONFIGS[method]["epochs"]
 
 
 @pytest.mark.parametrize("method", sorted(SMOKE_CONFIGS))
@@ -309,9 +322,9 @@ def _full_graph_logits(method, cfg, hops, ds):
     if method == "sgc":
         return lambda p: sgc_forward(hops, p, MLPConfig([d, c]))[0]
     if method == "sign":
-        model_cfg = SIGNConfig(K, d, int(cfg["hidden_dim"]), c)
+        model_cfg = HopConfig(K, d, int(cfg["hidden_dim"]), c)
         return lambda p: sign_forward(hops, p, model_cfg)[0]
-    model_cfg = SAGNConfig(K, d, c, mlp_hidden=[int(cfg["hidden_dim"])])
+    model_cfg = HopConfig(K, d, int(cfg["hidden_dim"]), c)
     return lambda p: sagn_forward(hops, p, model_cfg)[0]
 
 
