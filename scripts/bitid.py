@@ -37,7 +37,10 @@ and "warm/sagn" (and their "f64:" twins) each run `sign` and then the
 named method, at their short configs and seed 0, on a fresh Dataset: the
 named method reuses the hops `sign` left (engcn takes its stages'
 features from them), so comparing against a checkout whose trials build
-their own shows that reuse changes no result.
+their own shows that reuse changes no result. "warm/engcn-after-sgc"
+(and its "f64:" twin) runs `sgc` at `num_layers` 2 and then engcn, on a
+fresh Dataset: where sgc keeps X^2 alone, engcn propagates its first
+stage itself and borrows the second, and the entry compares that path.
 
 To check the samplers directly, it keeps a sha256 of
 `partition_graph(g, k).assignment` for k = 4 and 16 ("partitions"), and of
@@ -305,11 +308,12 @@ def run(path: str) -> None:
                                                          data, seed=0).to_dict()
         for name, (method, cfg) in DEEP.items():
             out[f"{prefix}deep/{name}"] = run_trial(method, cfg, data, seed=0).to_dict()
-        for method in ("engcn", "sagn"):
+        for name, before, method in (("engcn", "sign", "engcn"), ("sagn", "sign", "sagn"),
+                                     ("engcn-after-sgc", "sgc", "engcn")):
             fresh = dataclasses.replace(data)
-            run_trial("sign", SHORT["sign"], fresh, seed=0)
-            out[f"{prefix}warm/{method}"] = run_trial(method, SHORT[method], fresh,
-                                                      seed=0).to_dict()
+            run_trial(before, {**SHORT[before], "num_layers": 2}, fresh, seed=0)
+            out[f"{prefix}warm/{name}"] = run_trial(method, SHORT[method], fresh,
+                                                    seed=0).to_dict()
         for method, axes in SEARCHES:
             space = default_space(method)
             space = space.without(*(n for n in space.axis_names() if n not in axes))

@@ -148,12 +148,11 @@ def _merge(command: str, args: argparse.Namespace, defaults: dict):
 
 
 def _validate_hp(method: str, hp: dict, allow_custom: bool) -> dict:
-    from scalegnn.harness import default_config, default_space
-    known = set(default_config(method))
-    unknown = sorted(set(hp) - known)
-    if unknown:
-        raise UsageError(f"unknown hyperparameters for {method}: "
-                         f"{', '.join(unknown)}")
+    from scalegnn.harness import default_space, resolve_config
+    try:
+        resolve_config(method, hp)
+    except ValueError as err:
+        raise UsageError(str(err)) from None
     if not allow_custom:
         for axis in default_space(method).axes:
             if axis.name in hp and hp[axis.name] not in axis.candidates:

@@ -18,7 +18,10 @@ Propagation runs outside the training loop: exactly one sparse product per
 stage for Y, and at most one for X. A stage whose features a held hop of
 the same adjacency already holds (trainers.Dataset.held_hops) takes them
 from it and makes no product for X; the hop holds the same product of the
-same arrays, so the results are bit-identical.
+same arrays, so the results are bit-identical. Held hops may hold only
+their top hop (those SGC builds keep X^K alone, with None below it): a
+stage whose hop is None propagates its features itself, from the stage
+before, which is the same product.
 
 The feature side (X, phi's parameters and optimizer state, its
 activations) computes in the features' dtype; the label side (Y, psi, the

@@ -82,6 +82,12 @@ class NormalizedAdjacency:
                 (self.values.astype(dtype, copy=False), indices, indptr), shape=shape)
         return mat
 
+    def keep_scipy_form(self, dtype) -> None:
+        """Drop the scipy forms of every dtype but dtype; a later to_scipy
+        of a dropped dtype builds its form again."""
+        for held in [d for d in self._scipy if d != np.dtype(dtype)]:
+            del self._scipy[held]
+
 
 @dataclass(frozen=True)
 class LabelVector:
@@ -231,28 +237,39 @@ def normalize_adjacency(g: Graph, kind: str, with_self_loops: bool = True) -> No
     return NormalizedAdjacency(g, values, kind)
 
 
+# entries per gather of degree_weights' column factor
+_WEIGHT_CHUNK = 1 << 16
+
+
 def degree_weights(row_offsets: np.ndarray, col_indices: np.ndarray, kind: str,
                    symmetric: bool = False) -> np.ndarray:
     """float64 weight of every entry of a CSR structure under norm kind
     (see normalize_adjacency), from its own out- and in-degrees. A
     symmetric structure's in-degrees are its row lengths, so it skips
-    counting them."""
+    counting them.
+
+    The result is the only per-entry array built in full: a row's factor
+    is repeated over its entries, and the column factor is gathered into
+    (or multiplied onto) it in chunks of _WEIGHT_CHUNK entries."""
     n = row_offsets.size - 1
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(row_offsets))
-    dst = col_indices
-    d_out = np.diff(row_offsets).astype(np.float64)
-    d_in = d_out if symmetric else np.bincount(dst, minlength=n).astype(np.float64)
+    counts = np.diff(row_offsets)
+    d_out = counts.astype(np.float64)
+    d_in = d_out if symmetric else np.bincount(col_indices, minlength=n).astype(np.float64)
     with np.errstate(divide="ignore"):
         if kind == "row":
-            inv = np.where(d_out > 0, 1.0 / d_out, 0.0)
-            values = inv[src]
-        elif kind == "col":
-            inv = np.where(d_in > 0, 1.0 / d_in, 0.0)
-            values = inv[dst]
+            return np.repeat(np.where(d_out > 0, 1.0 / d_out, 0.0), counts)
+        if kind == "col":
+            inv_in = np.where(d_in > 0, 1.0 / d_in, 0.0)
+            values = np.empty(col_indices.size)
         else:
-            inv_out = np.where(d_out > 0, 1.0 / np.sqrt(d_out), 0.0)
             inv_in = np.where(d_in > 0, 1.0 / np.sqrt(d_in), 0.0)
-            values = inv_out[src] * inv_in[dst]
+            values = np.repeat(np.where(d_out > 0, 1.0 / np.sqrt(d_out), 0.0), counts)
+    for lo in range(0, col_indices.size, _WEIGHT_CHUNK):
+        hi = lo + _WEIGHT_CHUNK
+        if kind == "col":
+            np.take(inv_in, col_indices[lo:hi], out=values[lo:hi])
+        else:
+            values[lo:hi] *= inv_in[col_indices[lo:hi]]
     return values
 
 

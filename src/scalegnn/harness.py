@@ -172,6 +172,18 @@ def default_config(method: str) -> dict:
     return {**spec.space.defaults(), **spec.fixed}
 
 
+def resolve_config(method: str, overrides: dict) -> dict:
+    """The config a trial of method runs: default_config updated with
+    overrides. A key the method does not read is a ValueError naming the
+    method and the keys, so a misspelt knob cannot train the default."""
+    cfg = default_config(method)
+    unknown = sorted(set(overrides) - set(cfg))
+    if unknown:
+        raise ValueError(f"unknown hyperparameters for {method}: {', '.join(unknown)}")
+    cfg.update(overrides)
+    return cfg
+
+
 # ---------------------------------------------------------------- results
 
 

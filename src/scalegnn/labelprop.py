@@ -37,19 +37,21 @@ def lp_iterate(a: NormalizedAdjacency, y0: np.ndarray, g: np.ndarray,
 
     Stops early once the infinity-norm step difference drops to tol;
     tol=0 forces exactly k applications and skips the difference. Each
-    step updates its new iterate in place.
+    step updates its new iterate in place and drops the previous one once
+    the difference is taken, so a step holds the source, the difference,
+    and the old and new iterates. y0 and g are only read.
     """
     y = np.asarray(y0, dtype=np.float64)
     source = (1.0 - alpha) * np.asarray(g, dtype=np.float64)
     diff = np.empty_like(y) if tol > 0 else None
     for _ in range(k):
-        y, prev = spmm(a, y), y
-        y *= alpha
-        y += source
-        if diff is not None:
-            np.subtract(y, prev, out=diff)
-            if not diff.size or np.abs(diff, out=diff).max() <= tol:
-                break
+        y_next = spmm(a, y)
+        y_next *= alpha
+        y_next += source
+        step = None if diff is None else np.subtract(y_next, y, out=diff)
+        y = y_next  # drops the previous iterate
+        if step is not None and (not step.size or np.abs(step, out=step).max() <= tol):
+            break
     return y
 
 
@@ -101,13 +103,15 @@ def correct_and_smooth(a: NormalizedAdjacency, z: np.ndarray,
     the propagated training residual Z - Y from the base scores, which adds
     the propagated Y - Z as published (propagation is linear and autoscale
     only rescales rows by their L1 norm). Smooth: clamp training rows to
-    one-hot and diffuse. Returns class scores."""
+    one-hot and diffuse. Returns class scores. z is only read: the
+    corrected scores G = Z - Ê are formed in Ê's buffer, which no caller
+    holds."""
     z = np.asarray(z, dtype=np.float64)
     e_hat = residual_error_iterate(a, z, labels, split, config.alpha,
                                    config.num_propagations, tol=tol)
     if config.autoscale:
         truth = one_hot(labels.labels[split.train], labels.num_classes)
         e_hat = autoscale(e_hat, z[split.train] - truth, split.train)
-    g = z - e_hat
+    g = np.subtract(z, e_hat, out=e_hat)
     g[split.train] = one_hot(labels.labels[split.train], labels.num_classes)
     return lp_iterate(a, g, g, config.alpha, config.num_propagations, tol=tol)

@@ -43,7 +43,7 @@ from scalegnn.samplers import BatchPlan
 
 @dataclass(frozen=True)
 class HopFeatures:
-    hops: list  # X^0..X^K
+    hops: list  # X^0..X^K; None where a hop was not kept (precompute_hops' first)
     K: int
 
     def release(self) -> None:
@@ -51,14 +51,22 @@ class HopFeatures:
         self.hops.clear()
 
 
-def precompute_hops(a: NormalizedAdjacency, x: np.ndarray, K: int) -> HopFeatures:
-    """X^l = Â X^{l-1} for l = 1..K, all kept resident: K new matrices
-    beside the caller's X^0 (that is the point of the cache)."""
+def precompute_hops(a: NormalizedAdjacency, x: np.ndarray, K: int,
+                    first: int = 0) -> HopFeatures:
+    """X^l = Â X^{l-1} for l = 1..K. Hops first..K stay resident (that is
+    the point of the cache): X^0 is the caller's x, every other hop a new
+    matrix. A hop below first is dropped as soon as the next one is built,
+    with None in its place, so SGC, which reads only X^K and passes
+    first=K, holds one new matrix (two while one step runs), not K."""
     if K < 0:
         raise ValueError("hop count must be >= 0")
+    if not 0 <= first <= K:
+        raise ValueError(f"first hop kept must be in [0, {K}], got {first}")
     hops = [np.asarray(x)]
     for l in range(1, K + 1):
         hops.append(spmm(a, hops[-1]))
+        if l - 1 < first:
+            hops[l - 1] = None
     return HopFeatures(hops, K)
 
 

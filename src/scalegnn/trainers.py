@@ -41,9 +41,21 @@ search's, `scalegnn bench`'s, or any caller's) that revisit a structure
 reuse it, and one that moves on frees it before building the next. At the
 start of each trial the Dataset drops every slot the trial's category does
 not read (_READS), which keeps the held memory to what the trial itself
-would build. An engcn trial never builds hops; it takes stage s's
-features from held hops of its norm kind that reach s, bit-identical to
-propagating them itself.
+would build:
+
+- adjacency: one norm kind, with a scipy form per dtype that has been
+  asked for (the float64 form shares the adjacency's values; a float32
+  form is a copy). An lp or cs trial reads only the float64 form, so it
+  starts by dropping the others.
+- hops: the hops of one (norm kind, K, first) that a precompute trial
+  reads. SGC reads X^K alone, so the hops it builds hold X^K and None
+  below it (it reads held hops that start lower as they are); SIGN and
+  SAGN hold X^0..X^K.
+- mlp_base: the cs base model of one seed and set of MLP_BASE_KNOBS.
+
+An engcn trial never builds hops. It takes stage s's features from held
+hops of its norm kind that hold X^s, and propagates those of any other
+stage itself (below SGC's X^K, say); either way they are bit-identical.
 """
 
 from __future__ import annotations
@@ -59,7 +71,8 @@ from scalegnn.engcn import (SLEConfig, engcn_init, engcn_propagate,
                             majority_vote, sle_update)
 from scalegnn.graph import DataSplit, Graph, LabelVector, normalize_adjacency
 from scalegnn.harness import (METHODS, TrialResult, default_config,
-                              estimate_activation_memory, estimator_inputs)
+                              estimate_activation_memory, estimator_inputs,
+                              resolve_config)
 from scalegnn.labelprop import (DiffusionConfig, build_zeros_source,
                                 correct_and_smooth, lp_iterate)
 from scalegnn.models import (HopConfig, HopFeatures, SampledGNNConfig, init_sagn,
@@ -94,11 +107,13 @@ _READS = {"node-wise": ("adjacency",), "layer-wise": ("adjacency",),
 class Dataset:
     """A graph with node features, labels and split, and the structures
     trials derive from them, one slot per kind: the normalized adjacency
-    by norm kind, (HopFeatures, build seconds) by (norm kind, K), and the
-    cs base model (params, logits, FitLog) by seed and MLP_BASE_KNOBS. A
-    slot holds one value; on a miss it drops the old value before building
-    the new one, so two never coexist. The slots hold no reference back to
-    the Dataset.
+    by norm kind (with the scipy forms built from it so far), (HopFeatures,
+    build seconds) by (norm kind, K, first), which holds hops first..K
+    (precompute_hops), and the cs base model (params, logits, FitLog) by
+    seed and MLP_BASE_KNOBS. A slot holds one value; on a miss it drops the
+    old value before building the new one, so two never coexist. Before a
+    trial, _retain drops what the trial's category does not read. The
+    slots hold no reference back to the Dataset.
 
     The fields cannot be reassigned, and their arrays must not be modified
     in place after construction: the slots would go stale.
@@ -144,13 +159,21 @@ class Dataset:
         return self._get("adjacency", norm_kind,
                          lambda: normalize_adjacency(self.graph, norm_kind))
 
-    def hops(self, norm_kind: str, K: int):
+    def hops(self, norm_kind: str, K: int, first: int = 0):
+        """(HopFeatures, build seconds) holding hops first..K of norm_kind.
+        Held hops of the same norm kind and K that start lower serve as
+        they are, so sgc after sign or sagn propagates nothing."""
         def build():
             a = self.adjacency(norm_kind)
             t0 = time.perf_counter()
-            hops = precompute_hops(a, self.features, K)
+            hops = precompute_hops(a, self.features, K, first)
             return hops, time.perf_counter() - t0
-        return self._get("hops", (norm_kind, K), build)
+        key = (norm_kind, K, first)
+        held = self._slots.get("hops")
+        if held is not None and held[0][:2] == key[:2] and held[0][2] <= first:
+            key = held[0]
+        del held  # on a miss, _get drops the old value before the build
+        return self._get("hops", key, build)
 
     def held_hops(self, norm_kind: str):
         """The held HopFeatures of norm_kind, or None; never builds."""
@@ -162,12 +185,18 @@ class Dataset:
         return self._get("mlp_base", (seed, *knobs.values()),
                          lambda: _train_mlp_base(knobs, self, seed))
 
-    def _retain(self, slots, norm_kind: str):
-        """Drop every slot not named in slots, and hops of a norm kind other
-        than norm_kind."""
+    def _retain(self, category: str, norm_kind: str):
+        """Drop every slot a trial of category does not read (_READS), and
+        hops of a norm kind other than norm_kind. Label diffusion reads the
+        adjacency only in float64, the dtype of its values, so before its
+        trials the held adjacency also drops its scipy forms of any other
+        dtype."""
         for slot, (key, _) in list(self._slots.items()):
-            if slot not in slots or (slot == "hops" and key[0] != norm_kind):
+            if slot not in _READS[category] or (slot == "hops" and key[0] != norm_kind):
                 del self._slots[slot]
+        held = self._slots.get("adjacency")
+        if category == "labelprop" and held is not None:
+            held[1].keep_scipy_form(held[1].values.dtype)
 
 
 def dataset_from_sbm(spec: SyntheticSpec) -> Dataset:
@@ -369,9 +398,9 @@ def _train_precompute(method, cfg, dataset, seed):
     y = dataset.labels.labels
     split = dataset.split
     K = int(cfg["num_layers"])
-    hops, precompute_seconds = dataset.hops(cfg["norm_kind"], K)
-    d, c, dtype = dataset.feature_dim, dataset.num_classes, hops.hops[0].dtype
     first = K if method == "sgc" else 0  # the lowest hop the model reads
+    hops, precompute_seconds = dataset.hops(cfg["norm_kind"], K, first)
+    d, c, dtype = dataset.feature_dim, dataset.num_classes, hops.hops[K].dtype
     if method == "sgc":
         model_cfg = MLPConfig([d, c], seed=seed)
         init, forward, backward = init_mlp, sgc_forward, sgc_backward
@@ -484,9 +513,10 @@ def _train_labelprop(method, cfg, dataset, seed):
 
 def _train_engcn(method, cfg, dataset, seed):
     """Per stage: propagate (stage >= 1), train, score every node, grow the
-    pseudo set; then vote over the cached per-stage logits. A stage that
-    the dataset's held hops reach takes its features from them instead of
-    propagating them. phi computes in the features' dtype, psi in float64.
+    pseudo set; then vote over the cached per-stage logits. A stage whose
+    hop the dataset's held hops hold (not None) takes its features from
+    them instead of propagating them. phi computes in the features' dtype,
+    psi in float64.
     The log runs through every stage's epochs; zero-epoch stages log one
     row each, with the stage's val accuracy. The trial reports the vote,
     at the last logged epoch."""
@@ -503,7 +533,8 @@ def _train_engcn(method, cfg, dataset, seed):
                     weight_decay=float(cfg["weight_decay"]),
                     warm_start=bool(cfg["warm_start"]), seed=seed)
     a = dataset.adjacency(str(cfg["norm_kind"]))
-    # held hops of this norm kind already hold the features of their stages
+    # held hops of this norm kind already hold the features of their stages;
+    # a None hop (below SGC's X^K) is propagated by engcn_propagate
     held = dataset.held_hops(str(cfg["norm_kind"]))
     borrowed = held.hops[1:] if held is not None else []
     state = engcn_init(x, dataset.labels, split)
@@ -581,11 +612,10 @@ def run_trial(method: str, config: dict, dataset: Dataset, seed: int = 0,
     if len(set(counts)) > 1:
         raise ValueError(f"method {method!r}: dataset graph, features and "
                          f"labels disagree on node count {counts}")
-    cfg = default_config(method)
-    cfg.update(config)
+    cfg = resolve_config(method, config)
     _check_sizes(method, cfg)
     category = METHODS[method].category
-    dataset._retain(_READS[category], str(cfg["norm_kind"]))
+    dataset._retain(category, str(cfg["norm_kind"]))
     if category in ("node-wise", "layer-wise", "subgraph-wise"):
         result = _train_sampled(method, cfg, dataset, seed)
     elif category == "precompute":

@@ -106,9 +106,9 @@ def test_adjacency_builds_scipy_form_once_per_dtype(sbm3k, monkeypatch):
     monkeypatch.setattr(graph, "sp", types.SimpleNamespace(csr_matrix=csr_matrix))
     ds = dataclasses.replace(sbm3k)
     # float32 features and float64 label embeddings (engcn), float32 hops
-    # (sign), a float32 full-graph evaluation (graphsage), float64 diffusion
-    # of float32 base-model scores (cs): one adjacency, one form per dtype
-    for method in ("engcn", "sign", "graphsage", "cs"):
+    # (sign), a float32 full-graph evaluation (graphsage): one adjacency,
+    # one form per dtype
+    for method in ("engcn", "sign", "graphsage"):
         run_trial(method, SHORT[method], ds, seed=0)
     assert sorted(map(str, built)) == ["float32", "float64"]
     a = ds.adjacency("sym")
@@ -116,7 +116,14 @@ def test_adjacency_builds_scipy_form_once_per_dtype(sbm3k, monkeypatch):
     f32, f64 = a.to_scipy(np.float32), a.to_scipy(np.float64)
     assert np.shares_memory(f32.indices, f64.indices)
     assert np.shares_memory(f32.indptr, f64.indptr)
+    assert np.shares_memory(f64.data, a.values)
     assert np.array_equal(f32.data, a.values.astype(np.float32))
+    assert len(built) == 2
+    # float64 diffusion of float32 base-model scores (cs) reads only the
+    # float64 form: it keeps that one and drops the float32 copy
+    run_trial("cs", SHORT["cs"], ds, seed=0)
+    assert ds.adjacency("sym") is a and set(a._scipy) == {np.dtype(np.float64)}
+    assert a.to_scipy(np.float64) is f64
     assert len(built) == 2
 
 

@@ -220,7 +220,7 @@ class TestGreedySearch:
 
     def test_real_runner_deterministic(self, tiny_dataset):
         space = HPSpace([Axis("epochs", [2, 4], 2),
-                         Axis("hidden_dim", [8, 16], 8)])
+                         Axis("learning_rate", [0.01, 0.1], 0.01)])
         a = greedy_search("sgc", space, tiny_dataset, seed=3)
         b = greedy_search("sgc", space, tiny_dataset, seed=3)
         assert a.final_config == b.final_config

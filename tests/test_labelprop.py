@@ -301,6 +301,51 @@ class TestCorrectAndSmooth:
         assert np.isfinite(out).all()
 
 
+class TestInputsUnchanged:
+    """The diffusion functions form their iterates and corrected scores in
+    buffers of their own: the caller's arrays read the same afterwards,
+    and the result shares no memory with them."""
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9])
+    @pytest.mark.parametrize("k", [1, 8])
+    @pytest.mark.parametrize("same", [False, True])
+    def test_lp_iterate(self, tol, k, same):
+        rng = make_rng(21)
+        a = normalize_adjacency(random_graph(rng, 12), "sym")
+        y0 = rng.standard_normal((12, 3))
+        g = y0 if same else rng.standard_normal((12, 3))
+        y0_was, g_was = y0.copy(), g.copy()
+        out = lp_iterate(a, y0, g, 0.7, k, tol=tol)
+        assert np.array_equal(y0, y0_was) and np.array_equal(g, g_was)
+        assert not np.shares_memory(out, y0) and not np.shares_memory(out, g)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9])
+    @pytest.mark.parametrize("t", [0, 6])
+    def test_residual_error_iterate(self, tol, t):
+        a, labels, split, z = TestCorrectAndSmooth().setup_case(seed=22)
+        z_was = z.copy()
+        out = residual_error_iterate(a, z, labels, split, 0.7, t, tol=tol)
+        assert np.array_equal(z, z_was) and not np.shares_memory(out, z)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9])
+    @pytest.mark.parametrize("auto", [False, True])
+    @pytest.mark.parametrize("k", [0, 6])
+    def test_correct_and_smooth(self, tol, auto, k):
+        a, labels, split, z = TestCorrectAndSmooth().setup_case(seed=23)
+        z_was = z.copy()
+        config = DiffusionConfig(alpha=0.7, num_propagations=k, autoscale=auto)
+        out = correct_and_smooth(a, z, labels, split, config, tol=tol)
+        assert np.array_equal(z, z_was) and not np.shares_memory(out, z)
+        # the corrected scores, formed out of place, give the same result
+        e_hat = residual_error_iterate(a, z, labels, split, 0.7, k, tol=tol)
+        if auto:
+            truth = one_hot(labels.labels[split.train], 3)
+            e_hat = autoscale(e_hat, z[split.train] - truth, split.train)
+        g = z - e_hat
+        g[split.train] = one_hot(labels.labels[split.train], 3)
+        assert np.array_equal(out, lp_iterate(a, g, g, 0.7, k, tol=tol))
+
+
 class TestDiffusionConfig:
     def test_alpha_bounds(self):
         with pytest.raises(ValueError):

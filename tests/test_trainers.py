@@ -115,6 +115,21 @@ class TestRunTrialValidation:
         with pytest.raises(ValueError, match="unknown method"):
             run_trial("gcn2", {}, dataset)
 
+    @pytest.mark.parametrize("method, config, unknown", [
+        ("sign", {"hiden_dim": 8}, "hiden_dim"),
+        ("lp", {"epochs": 5}, "epochs"),
+        ("sgc", {"epochs": 2, "num_mlp_layers": 2, "fanout": 5}, "fanout, num_mlp_layers")])
+    def test_key_the_method_does_not_read(self, dataset, monkeypatch, method, config,
+                                          unknown):
+        """A key outside default_config(method) fails by name before the
+        trial builds anything."""
+        def no_build(*_):
+            raise AssertionError("the trial built its inputs before rejecting the key")
+
+        monkeypatch.setattr(trainers, "normalize_adjacency", no_build)
+        with pytest.raises(ValueError, match=f"unknown hyperparameters for {method}: {unknown}$"):
+            run_trial(method, config, dataclasses.replace(dataset))
+
     def test_sagn_needs_hops(self, dataset):
         with pytest.raises(ValueError, match="num_layers"):
             run_trial("sagn", dict(num_layers=0, epochs=1), dataset)
@@ -264,10 +279,10 @@ def test_sgc_space_names_no_axis_its_trainer_ignores(dataset):
         other = next(c for c in axis.candidates if c != axis.default)
         r = run_trial("sgc", {axis.name: other}, dataset, seed=0)
         assert r.extras["param_checksum"] != base, axis.name
-    # the knobs left out are ones sgc's trainer never reads
-    ignored = run_trial("sgc", {"dropout": 0.7, "hidden_dim": 512}, dataset,
-                        seed=0)
-    assert ignored.extras["param_checksum"] == base
+    # the knobs left out are ones sgc's trainer never reads, so a trial
+    # refuses them rather than record a config that did not run
+    with pytest.raises(ValueError, match="unknown hyperparameters for sgc: dropout, hidden_dim"):
+        run_trial("sgc", {"dropout": 0.7, "hidden_dim": 512}, dataset, seed=0)
 
 
 class TestLabelDiffusionTrainer:
@@ -637,10 +652,11 @@ class TestTrialCache:
             curve.append(-1.0)
         assert (b.loss_curve, b.val_acc_curve, b.epoch_seconds) == want
 
-    # a sequence that warms the Dataset for every method: sgc's hops before
-    # cs, sign's before sagn, and sign (K = 2 >= engcn's 2 stages) right
-    # before engcn, so that engcn borrows its stages' features
-    WARM_ORDER = ("sgc", "cs", "lp", "graphsage", "fastgcn", "ladies",
+    # a sequence that warms the Dataset for every method: sgc's hops (X^2
+    # alone) before engcn, which propagates stage 1 itself and borrows
+    # stage 2, and before cs, sign's before sagn, and sign (K = 2 >= engcn's
+    # 2 stages) right before engcn, so that engcn borrows both stages
+    WARM_ORDER = ("sgc", "engcn", "cs", "lp", "graphsage", "fastgcn", "ladies",
                   "clustergcn", "saint-node", "saint-edge", "saint-rw",
                   "sign", "sagn", "sign", "engcn")
 
@@ -677,20 +693,59 @@ class TestTrialCache:
 
     def test_trial_keeps_only_the_slots_it_reads(self, dataset):
         """Each trial drops the slots its category does not read; engcn
-        also drops hops of another norm kind."""
+        also drops hops of another norm kind. sgc keeps the hops of sign
+        that hold its X^2, and builds X^2 alone otherwise."""
         ds = dataclasses.replace(dataset)
         cs = {**default_config("cs"), **SMOKE_CONFIGS["cs"], "norm_kind": "row"}
         base_key = (0, *(cs[k] for k in trainers.MLP_BASE_KNOBS))
-        steps = [("sign", {}, {"adjacency": "sym", "hops": ("sym", 2)}),
+        steps = [("sign", {}, {"adjacency": "sym", "hops": ("sym", 2, 0)}),
+                 ("sgc", {}, {"adjacency": "sym", "hops": ("sym", 2, 0)}),
                  ("graphsage", {}, {"adjacency": "sym"}),
+                 ("sgc", {}, {"adjacency": "sym", "hops": ("sym", 2, 2)}),
+                 ("engcn", {}, {"adjacency": "sym", "hops": ("sym", 2, 2)}),
+                 ("sign", {}, {"adjacency": "sym", "hops": ("sym", 2, 0)}),
+                 ("engcn", {}, {"adjacency": "sym", "hops": ("sym", 2, 0)}),
                  ("cs", cs, {"adjacency": "row", "mlp_base": base_key}),
-                 ("sign", {}, {"adjacency": "sym", "hops": ("sym", 2)}),
-                 ("engcn", {}, {"adjacency": "sym", "hops": ("sym", 2)}),
-                 ("sign", {"norm_kind": "row"}, {"adjacency": "row", "hops": ("row", 2)}),
+                 ("sign", {"norm_kind": "row"}, {"adjacency": "row", "hops": ("row", 2, 0)}),
                  ("engcn", {}, {"adjacency": "sym"})]
         for method, cfg, want in steps:
             run_trial(method, {**SMOKE_CONFIGS[method], **cfg}, ds, seed=0)
             assert {slot: key for slot, (key, _) in ds._slots.items()} == want, method
+
+    def test_sgc_holds_only_the_hop_it_reads(self, dataset):
+        """sgc at num_layers 6 leaves one N x d hop matrix in the Dataset,
+        X^6, and None below it."""
+        ds = dataclasses.replace(dataset)
+        run_trial("sgc", {"num_layers": 6, "epochs": 2}, ds, seed=0)
+        hops = ds._slots["hops"][1][0]
+        assert [h is not None for h in hops.hops] == [False] * 6 + [True]
+        assert hops.hops[6].shape == (ds.num_nodes, ds.feature_dim)
+        full = precompute_hops(ds.adjacency("sym"), ds.features, 6)
+        assert np.array_equal(hops.hops[6], full.hops[6])
+
+    def test_engcn_propagates_the_stages_sgc_did_not_keep(self, dataset, monkeypatch):
+        """After sgc (X^2 alone), engcn propagates stage 1's features itself
+        and borrows stage 2's."""
+        ds = dataclasses.replace(dataset)
+        run_trial("sgc", SMOKE_CONFIGS["sgc"], ds, seed=0)
+        widths = []
+        spmm = engcn.spmm
+        monkeypatch.setattr(engcn, "spmm", lambda a, x: widths.append(x.shape[1]) or spmm(a, x))
+        run_trial("engcn", SMOKE_CONFIGS["engcn"], ds, seed=0)
+        d, c = dataset.feature_dim, dataset.num_classes
+        assert widths == [d, c, c]
+
+    def test_label_diffusion_drops_the_float32_form(self, dataset):
+        """An lp or cs trial reads the adjacency in float64 only: the held
+        adjacency keeps no float32 scipy form through it."""
+        ds = dataclasses.replace(dataset, features=dataset.features.astype(np.float32))
+        for method in ("lp", "cs"):
+            run_trial("sgc", SMOKE_CONFIGS["sgc"], ds, seed=0)
+            a = ds.adjacency("sym")
+            assert np.dtype(np.float32) in a._scipy
+            run_trial(method, SMOKE_CONFIGS[method], ds, seed=0)
+            assert ds.adjacency("sym") is a, method
+            assert set(a._scipy) == {np.dtype(np.float64)}, method
 
     def test_slots_do_not_keep_the_dataset_alive(self, dataset):
         ds = dataclasses.replace(dataset)
