@@ -159,7 +159,7 @@ def _int64_digest(arrays) -> str:
 
 def _plan_digests(g, train, seed: int, kind: str, dtype) -> dict:
     """sha256 per sampled method of one epoch of plans, drawn the way the
-    trainer draws them (default fanout 10, two layers) from the public
+    trainer draws them (default fanouts, two layers) from the public
     one-shot sampler calls on graph g with training nodes train, on the
     norm-kind adjacency with dtype blocks. Index arrays hash as int64."""
     import numpy as np
@@ -188,7 +188,7 @@ def _plan_digests(g, train, seed: int, kind: str, dtype) -> dict:
             plans = [node_wise_sample(g, a, b, 10, 2, rng, dtype)
                      for b in shuffled_batches(rng, train, 256)]
         else:
-            plans = [layer_wise_sample(g, a, b, 10, 2, method, rng, dtype=dtype)
+            plans = [layer_wise_sample(g, a, b, 5 * b.size, 2, method, rng, dtype=dtype)
                      for b in shuffled_batches(rng, train, 256)]
         arrays = []
         for plan in plans:

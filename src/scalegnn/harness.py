@@ -102,7 +102,10 @@ class MethodSpec:
     """Registry row: training category, what the batch-size knob counts
     for this method (the raw knob is normalized to 'active nodes per batch'
     by the trainer and both are recorded), the search space, and the fixed
-    knobs, those no axis of the space covers."""
+    knobs, those no axis of the space covers. A sampled method's fanout
+    counts per seed node: the neighbours each node of a layer samples
+    (node-wise), or the nodes a layer samples per seed of its batch, so a
+    layer holds fanout * batch nodes (layer-wise)."""
 
     name: str
     category: str  # node-wise | layer-wise | subgraph-wise | precompute | labelprop | stagewise
@@ -116,17 +119,20 @@ class MethodSpec:
 # drops autoscale and the depth. Precompute methods do not search the
 # batch size (their mini-batching is over precomputed rows), and sgc, a
 # single linear layer on the hops, also drops the hidden width and dropout
-# it does not have.
+# it does not have. A node-wise row samples 10 neighbours per node; a
+# layer-wise row samples 5 nodes per seed, per layer: about 5000 per layer
+# for a batch of 1000, some 6 neighbours per row on a 50k-node SBM.
 _SYM = dict(norm_kind="sym")
 _FANOUT = dict(_SYM, fanout=10)
+_LAYER_BUDGET = dict(_SYM, fanout=5)
 _PRECOMPUTE = dict(batch_size=1000, **_SYM)
 _SEED_BATCHES = "training seed nodes per step"
 _ROWS = "input rows per step"
 METHODS = {
     m.name: m for m in [
         MethodSpec("graphsage", "node-wise", _SEED_BATCHES, GNN_SEARCH_SPACE, _FANOUT),
-        MethodSpec("fastgcn", "layer-wise", _SEED_BATCHES, GNN_SEARCH_SPACE, _FANOUT),
-        MethodSpec("ladies", "layer-wise", _SEED_BATCHES, GNN_SEARCH_SPACE, _FANOUT),
+        MethodSpec("fastgcn", "layer-wise", _SEED_BATCHES, GNN_SEARCH_SPACE, _LAYER_BUDGET),
+        MethodSpec("ladies", "layer-wise", _SEED_BATCHES, GNN_SEARCH_SPACE, _LAYER_BUDGET),
         MethodSpec("clustergcn", "subgraph-wise",
                    "target nodes per step, rounded to whole clusters",
                    GNN_SEARCH_SPACE, dict(_SYM, num_clusters=16)),
@@ -338,7 +344,8 @@ def estimate_activation_memory(method: str, b: int, r: int, L: int, D: int,
     backward, at itemsize bytes per scalar (the features' itemsize, which
     a trial computes in: 4 for float32).
 
-    Scaling by category: node-wise b*r^L*D, layer-wise b*r*L*D, everything
+    Scaling by category: node-wise b*r^L*D, layer-wise b*r*L*D (a layer
+    samples r nodes per seed, b*r in all), everything
     trained as plain mini-batch MLP layers (subgraph-wise, precompute,
     stagewise, the cs base MLP) b*L*D. A one-layer linear readout on fixed
     precomputed features caches nothing for backward (the input matrix is

@@ -206,7 +206,8 @@ def init_sagn(config: HopConfig, dtype=np.float64) -> SAGNParams:
     d = config.in_dim
     att_u = kaiming_uniform(rng, d, 1, dtype).ravel()
     att_v = [kaiming_uniform(rng, d, 1, dtype).ravel() for _ in range(config.K)]
-    skip = kaiming_uniform(rng, d, d, dtype)
+    # the skip starts at zero, so the MLP first reads the attended hops alone
+    skip = np.zeros((d, d), dtype)
     mlp = init_mlp(config.fusion(), dtype)
     return SAGNParams(att_u, att_v, skip, mlp)
 

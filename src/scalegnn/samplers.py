@@ -8,17 +8,27 @@ from the adjacency's float64 values and stored in the block's dtype (the
 features' dtype in a trial, float64 by default); the draws never depend
 on it.
 
-Layer-wise node selection uses randomized systematic sampling with target
-inclusion probability min(1, Q * p(v)) (certainty units clamped and the
-remainder re-solved). That makes the per-node inclusion probability exact,
-so the 1/(Q p(v)) importance weights give an exactly unbiased estimate of
-the full aggregation, which plain sequential without-replacement draws do
-not (their realized inclusion probabilities drift from Q*p for skewed p).
+Both sampled block stacks are unbiased estimates of Â's aggregation,
+as their papers define them. Node-wise sampling (GraphSAGE) keeps
+min(Q, deg) of a row's deg entries, uniformly, and scales each kept
+entry by deg / min(Q, deg), the inverse of its inclusion probability.
+Layer-wise sampling draws Q nodes per layer from the neighbourhood
+N(B_l) of the layer below: by the global squared row norms of Â
+(FastGCN), or by q(v) proportional to sum over u in B_l of Â[u, v]^2,
+which follows the layer (LADIES). Its node selection uses randomized
+systematic sampling with target inclusion probability min(1, Q * p(v))
+(certainty units clamped and the remainder re-solved). That makes the
+per-node inclusion probability exact, so the 1/(Q p(v)) importance
+weights give an exactly unbiased estimate of the full aggregation, which
+plain sequential without-replacement draws do not (their realized
+inclusion probabilities drift from Q*p for skewed p).
 
 A trial builds what its sampler draws from once, in trainers._plan_source:
-the clustergcn partition, or the table (layer-wise distribution, saint-node
-CDF, saint-edge table) it passes prebuilt to every draw. Called one-shot
-without it, a sampler builds its own table.
+the clustergcn partition, or the table (fastgcn's layer distribution,
+saint-node CDF, saint-edge table) it passes prebuilt to every draw. Called
+one-shot without it, a sampler builds its own table. LADIES has no such
+table: its distribution is a layer's, built from the entries the layer
+gathers.
 
 Blocks are built as CSR directly, with no COO -> CSR conversion: columns
 come from a rank lookup (rank[node_set] = arange) into the next node set,
@@ -169,10 +179,12 @@ def node_wise_sample(g: Graph, a: NormalizedAdjacency, seeds, Q: int, K: int,
 
     Per node of B_l, min(Q, deg) neighbors are drawn uniformly without
     replacement from the normalized adjacency's neighbor lists; B_{l+1} is
-    B_l plus everything sampled, and the block keeps the full normalized
-    values on exactly the sampled edges. Each block is built as CSR
-    directly: row pointers from the per-row kept counts min(Q, deg),
-    columns from a rank lookup into B_{l+1}.
+    B_l plus everything sampled, and the block holds the normalized values
+    on exactly the sampled edges, each scaled by deg / min(Q, deg), so that
+    block @ h is an unbiased estimate of (Â h)[B_l] (Hamilton et al.). At
+    full fanout the factor is 1 and the block is Â[B_l, B_{l+1}]. Each
+    block is built as CSR directly: row pointers from the per-row kept
+    counts min(Q, deg), columns from a rank lookup into B_{l+1}.
     """
     if Q < 0:
         raise ValueError(f"node-wise fanout must be >= 0, got fanout={Q}")
@@ -191,10 +203,11 @@ def node_wise_sample(g: Graph, a: NormalizedAdjacency, seeds, Q: int, K: int,
             didx = didx[np.flatnonzero(_smallest_per_row(counts, rng.random(didx.size), Q))]
         dst = struct.col_indices[didx]
         upper = _unique_nodes(np.concatenate([b, dst]), struct.num_nodes)
+        kept = np.minimum(counts, Q)  # each row keeps min(Q, deg)
+        data = a.values[didx] * np.repeat(counts / np.maximum(kept, 1), kept)
         blocks.append(sp.csr_matrix(
-            (a.values[didx].astype(dtype, copy=False), _rank(upper, struct.num_nodes)[dst],
-             _indptr(np.minimum(counts, Q))),  # each row keeps min(Q, deg)
-            shape=(b.size, upper.size)))
+            (data.astype(dtype, copy=False), _rank(upper, struct.num_nodes)[dst],
+             _indptr(kept)), shape=(b.size, upper.size)))
         node_sets.append(upper)
     return BatchPlan(node_sets, blocks)
 
@@ -265,15 +278,18 @@ def layer_wise_sample(g: Graph, a: NormalizedAdjacency, B0, Q: int, K: int,
                       variant: str, rng: np.random.Generator,
                       p_global: np.ndarray | None = None,
                       dtype=np.float64) -> BatchPlan:
-    """Layer-wise importance sampling.
+    """Layer-wise importance sampling of Q nodes per layer.
 
-    Candidate pool per layer is N(B_l) (fastgcn) or N(B_l) ∪ B_l (ladies),
-    with the global row-norm distribution restricted to the pool and
-    renormalized. Sampled columns are reweighted by 1/(Q * p(v)) via exact
+    The candidate pool of layer l is N(B_l), which holds B_l where Â has
+    self-loops. fastgcn draws from the global row-norm distribution
+    p_global restricted to the pool and renormalized; p_global is
+    fastgcn_layer_probs(a), built here when not passed. ladies draws from
+    its layer's own distribution, q(v) proportional to the sum over u in
+    B_l of Â[u, v]^2, from the entries the layer gathers; it reads no
+    p_global. Sampled columns are reweighted by 1/(Q * p(v)) via exact
     inclusion probabilities; when Q covers the whole pool, the pool is taken
     whole, each node with inclusion probability 1 and so weight 1: the
-    block is Â[B_l, pool] exactly. p_global is fastgcn_layer_probs(a),
-    built here when not passed.
+    block is Â[B_l, pool] exactly.
     """
     if variant not in ("fastgcn", "ladies"):
         raise ValueError(f"unknown layer-wise variant {variant!r}")
@@ -282,22 +298,24 @@ def layer_wise_sample(g: Graph, a: NormalizedAdjacency, B0, Q: int, K: int,
     B0 = np.unique(np.asarray(B0, dtype=np.int64))
     if B0.size == 0:
         raise ValueError("layer_wise_sample needs non-empty B0")
-    if p_global is None:
+    if p_global is None and variant == "fastgcn":
         p_global = fastgcn_layer_probs(a)
     struct = a.structure
     node_sets = [B0]
     blocks = []
     for _ in range(K):
         b = node_sets[-1]
-        nbrs = struct.col_indices[_gather_neighborhood(struct, b)[1]]
-        pool = _unique_nodes(np.concatenate([nbrs, b]) if variant == "ladies" else nbrs,
-                             struct.num_nodes)
+        didx = _gather_neighborhood(struct, b)[1]
+        nbrs = struct.col_indices[didx]
+        pool = _unique_nodes(nbrs, struct.num_nodes)
         if pool.size == 0:
             raise ValueError("layer-wise candidate pool is empty")
         if Q >= pool.size:  # every pool node is taken with probability 1
             chosen, w = pool, None
         else:
-            p_pool = _norm_probs(p_global[pool], "restricted layer distribution")
+            mass = (p_global[pool] if variant == "fastgcn" else
+                    np.bincount(nbrs, weights=a.values[didx] ** 2)[pool])
+            p_pool = _norm_probs(mass, "restricted layer distribution")
             sel, incl = pps_systematic(p_pool, Q, rng)
             chosen = pool[sel]
             w = 1.0 / incl

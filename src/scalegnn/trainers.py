@@ -292,18 +292,20 @@ def full_plan(a, dtype=np.float64) -> BatchPlan:
 
 def _plan_source(method, cfg, dataset, a):
     """A sampled trial's batch source: builds what the method draws from
-    once (layer distribution, per-cluster node lists, node CDF or edge
-    table) and returns epoch(rng), which yields one epoch of BatchPlans
-    drawn from rng: a sampled block stack per shuffled chunk of training
-    seeds, or one induced subgraph per non-empty node set."""
+    once (fastgcn's layer distribution, per-cluster node lists, node CDF or
+    edge table; graphsage and ladies draw from none) and returns
+    epoch(rng), which yields one epoch of BatchPlans drawn from rng: a
+    sampled block stack per shuffled chunk of training seeds, or one
+    induced subgraph per non-empty node set."""
     g, dtype, train = dataset.graph, dataset.features.dtype, dataset.split.train
     bs, L, q = cfg["batch_size"], int(cfg["num_layers"]), cfg.get("fanout")
     if method == "graphsage":
         return lambda rng: (node_wise_sample(g, a, b, q, L, rng, dtype)
                             for b in shuffled_batches(rng, train, int(bs)))
     if method in ("fastgcn", "ladies"):
-        p = fastgcn_layer_probs(a)
-        return lambda rng: (layer_wise_sample(g, a, b, q, L, method, rng, p, dtype)
+        # fanout counts per seed: a layer samples fanout * |batch| nodes
+        p = fastgcn_layer_probs(a) if method == "fastgcn" else None
+        return lambda rng: (layer_wise_sample(g, a, b, q * b.size, L, method, rng, p, dtype)
                             for b in shuffled_batches(rng, train, int(bs)))
     if method == "clustergcn":
         k = cfg["num_clusters"]
@@ -579,10 +581,13 @@ def _train_engcn(method, cfg, dataset, seed):
 def _check_sizes(method: str, cfg: dict) -> None:
     """Reject a sizing knob below its smallest valid value by name, before
     a trial builds anything. engcn may train zero epochs per stage; sgc and
-    sign may read only X^0, and engcn may run stage 0 alone (num_layers 0)."""
+    sign may read only X^0, and engcn may run stage 0 alone (num_layers 0).
+    A node-wise row may sample no neighbours; a layer-wise layer needs a
+    node."""
     floors = {"batch_size": 1, "num_clusters": 1, "walk_length": 0, "hidden_dim": 1,
               "num_mlp_layers": 1, "epochs": int(method != "engcn"),
-              "num_layers": int(method not in ("sgc", "sign", "engcn"))}
+              "num_layers": int(method not in ("sgc", "sign", "engcn")),
+              "fanout": int(METHODS[method].category == "layer-wise")}
     for knob, least in floors.items():
         if knob in cfg and cfg[knob] < least:
             raise ValueError(f"method {method!r}: {knob} must be >= {least}, "

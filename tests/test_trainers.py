@@ -365,9 +365,6 @@ def _oracle_best_epoch(full_logits):
 
 # the methods that report their final state rather than their best val epoch
 FINAL_STATE = ("lp", "cs", "engcn")
-BELOW_FLOOR = pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 2: the layer-wise estimators do not match "
-                        "their papers yet (val 0.232 at default_config)")
 
 
 @pytest.fixture(scope="module")
@@ -390,9 +387,7 @@ def precompute_seed_vals(sbm3k):
 
 
 class TestDefaultConfigTrials:
-    @pytest.mark.parametrize("method", [
-        pytest.param(m, marks=BELOW_FLOOR) if m in ("fastgcn", "ladies") else m
-        for m in sorted(METHODS)])
+    @pytest.mark.parametrize("method", sorted(METHODS))
     def test_val_clears_majority_floor(self, default_trials, sbm3k, method):
         y_val = sbm3k.labels.labels[sbm3k.split.val]
         floor = np.bincount(y_val).max() / y_val.size + 0.10
@@ -407,14 +402,27 @@ class TestDefaultConfigTrials:
         else:
             assert r.val_acc_curve[r.best_epoch] == r.val_acc
 
-    @pytest.mark.parametrize("method", [
-        "sign", pytest.param("sagn", marks=pytest.mark.xfail(
-            strict=True, reason="ROADMAP item 5: SAGN's skip path swamps its hop attention"))])
+    @pytest.mark.parametrize("method", ["sign", "sagn"])
     def test_superset_of_sgc_input_clears_sgc_seed_spread(self, precompute_seed_vals, method):
         """sign and sagn read every hop sgc reads, so over seeds 0-4 each
         one's mean val is at least sgc's mean val minus sgc's std."""
         sgc = precompute_seed_vals["sgc"]
         assert precompute_seed_vals[method].mean() >= sgc.mean() - sgc.std()
+
+    def test_fastgcn_and_ladies_train_differently(self, default_trials):
+        """ladies draws each layer from its own distribution and fastgcn
+        from the global one, so at one seed their loss curves differ."""
+        assert default_trials["fastgcn"].loss_curve != default_trials["ladies"].loss_curve
+
+    @pytest.mark.parametrize("method", ["fastgcn", "ladies"])
+    def test_layer_wise_input_layer_is_one_layer_budget(self, sbm3k, method):
+        """fanout counts nodes per seed, so a layer of a batch of b seeds
+        holds at most fanout * b nodes, and at batches of 100 seeds, whose
+        neighbourhoods exceed that, fills it."""
+        cfg = dict(epochs=1, batch_size=100)
+        r = run_trial(method, cfg, dataclasses.replace(sbm3k), seed=0)
+        budget = default_config(method)["fanout"] * cfg["batch_size"]
+        assert 0.99 * budget <= r.extras["active_input_nodes"] <= budget
 
 
 class TestPrecomputeEvaluation:
@@ -550,7 +558,8 @@ class TestHelpers:
             if method in ("graphsage", "fastgcn", "ladies"):
                 for b in shuffled_batches(rng, train, bs):
                     yield (node_wise_sample(g, a, b, q, L, rng, dtype) if method == "graphsage"
-                           else layer_wise_sample(g, a, b, q, L, method, rng, dtype=dtype))
+                           else layer_wise_sample(g, a, b, q * b.size, L, method, rng,
+                                                  dtype=dtype))
                 return
             if method == "clustergcn":
                 parts, per = partition_graph(g, 8), max(1, round(bs / (g.num_nodes / 8)))
@@ -580,8 +589,7 @@ class TestHelpers:
 
     @pytest.mark.parametrize("method,builder", [
         ("clustergcn", "partition_graph"), ("saint-node", "saint_node_probs"),
-        ("saint-edge", "saint_edge_table"), ("fastgcn", "fastgcn_layer_probs"),
-        ("ladies", "fastgcn_layer_probs")])
+        ("saint-edge", "saint_edge_table"), ("fastgcn", "fastgcn_layer_probs")])
     def test_sampled_trial_builds_its_table_once(self, dataset, monkeypatch,
                                                  method, builder):
         """Counted in trainers and in samplers, so a sampler called without
@@ -597,6 +605,16 @@ class TestHelpers:
             monkeypatch.setattr(module, builder, counting)
         run_trial(method, {**SMOKE_CONFIGS[method], "epochs": 3}, dataset, seed=0)
         assert len(calls) == 1
+
+    def test_ladies_builds_no_global_table(self, dataset, monkeypatch):
+        """ladies draws each layer from that layer's own distribution, so
+        its trial never builds fastgcn's global one."""
+        def refuse(*_):
+            raise AssertionError("ladies built fastgcn_layer_probs")
+
+        for module in (trainers, samplers):
+            monkeypatch.setattr(module, "fastgcn_layer_probs", refuse)
+        run_trial("ladies", {**SMOKE_CONFIGS["ladies"], "epochs": 3}, dataset, seed=0)
 
     def test_subset_hops_rows(self, dataset):
         a = normalize_adjacency(dataset.graph, "sym")
